@@ -1,7 +1,7 @@
 // Regression gate over two bench manifests:
 //
-//   bench_compare baseline.json current.json \
-//       [--default-threshold R] [--threshold name=R]... [--ignore glob]...
+//   bench_compare baseline.json current.json [--default-threshold R]
+//                 [--threshold name=R]... [--ignore glob]...
 //
 // Every gated metric (better == "lower"/"higher") in the baseline must be
 // present in the current manifest and must not degrade by more than its

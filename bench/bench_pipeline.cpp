@@ -195,15 +195,10 @@ int main() {
   }));
 
   stages.push_back(time_stage("mtd", [&] {
-    // Checkpointed single-pass MTD over the same traces: one accumulator
-    // stream, snapshots at the grid points, no prefix reruns.
-    sca::MtdTracker tracker(sca::LeakageModel::kHammingWeight,
-                            cpa_input.samples_per_trace(), acq_opt.key,
-                            cpa_input.num_traces());
-    sca::TraceSetSource source(cpa_input);
-    sca::TraceBatch batch;
-    while (source.next(batch)) tracker.add_batch(batch);
-    return static_cast<double>(tracker.finish());
+    // Checkpointed single-pass MTD over the same traces: one statistic
+    // stream, scored at the grid points, no prefix reruns.
+    return static_cast<double>(sca::measurements_to_disclosure(
+        cpa_input, acq_opt.key, sca::LeakageModel::kHammingWeight));
   }));
 
   stages.push_back(time_stage("montecarlo", [&] {

@@ -85,7 +85,7 @@ std::uint64_t read_heartbeat(const std::string& path) {
 }
 
 WorkerCheckpoint fresh_state(const CampaignOptions& o, std::uint64_t shard) {
-  WorkerCheckpoint state(kModel, o.samples, o.static_power, o.mlpa);
+  WorkerCheckpoint state(o.samples);
   state.shard = shard;
   state.range_lo = o.shard_lo(shard);
   state.range_hi = o.shard_hi(shard);
@@ -152,21 +152,12 @@ void run_shard_range(
     sca::TraceBatch batch;
     while (source->next(batch)) {
       if (phase == kPhaseRandom) {
-        state.cpa.add_batch(batch);
-        state.dpa.add_batch(batch);
-        if (state.mlpa.has_value()) state.mlpa->add_batch(batch);
-        if (o.tvla) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            state.tvla.add(false, batch.traces[i]);
-          }
-        }
+        state.bins.add_batch(batch);
       } else if (phase == kPhaseFixed) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          state.tvla.add(true, batch.traces[i]);
-        }
+        for (const auto& trace : batch.traces) state.fixed.add(trace);
       } else {
-        state.static_awake->add_batch(batch);
-        state.static_asleep->add_batch(batch);
+        sca::add_window_means(state.windows, sca::kStaticWindows, o.samples,
+                              batch);
       }
       // The resume cursor counts ATTEMPTED traces (skipped ones included),
       // read from the source: one next() can span several internal batches
@@ -206,8 +197,7 @@ void worker_process(const CampaignOptions& o,
   };
   heartbeat();  // liveness starts at the first instruction, not first batch
 
-  auto resumed = load_checkpoint(ckpt, kModel, o.samples, config_digest,
-                                 o.static_power, o.mlpa);
+  auto resumed = load_checkpoint(ckpt, o.samples, config_digest);
   WorkerCheckpoint state =
       resumed ? std::move(*resumed) : fresh_state(o, shard);
   if (state.phase == kPhaseDone) return;  // a restart raced a completion
@@ -237,37 +227,6 @@ void worker_process(const CampaignOptions& o,
 // -------------------------------------------------------------------------
 // Index-ordered merge: the single arithmetic path both runs share.
 
-struct MergeOutput {
-  sca::CpaAccumulator cpa;
-  sca::DpaAccumulator dpa;
-  sca::TvlaAccumulator tvla;
-  std::optional<sca::StaticPowerAccumulator> static_awake;
-  std::optional<sca::StaticPowerAccumulator> static_asleep;
-  std::optional<sca::MlpaAccumulator> mlpa;
-  MergeOutput(sca::LeakageModel model, std::size_t samples, bool static_power,
-              bool with_mlpa)
-      : cpa(model, samples), dpa(samples), tvla(samples) {
-    if (static_power) {
-      static_awake.emplace(model, samples, sca::StaticWindow::kAwake);
-      static_asleep.emplace(model, samples, sca::StaticWindow::kAsleep);
-    }
-    if (with_mlpa) mlpa.emplace(samples);
-  }
-};
-
-/// Smallest boundary trace count from which the rank stays 0 to the end of
-/// the (traces, rank) sequence; 0 when the final rank is nonzero.
-std::uint64_t mtd_from_boundaries(
-    const std::vector<std::pair<std::uint64_t, int>>& boundaries) {
-  std::uint64_t mtd = 0;
-  if (boundaries.empty() || boundaries.back().second != 0) return 0;
-  for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-    if (it->second != 0) break;
-    mtd = it->first;
-  }
-  return mtd;
-}
-
 /// Merges per-shard states in ascending shard order into `result`.  Absent
 /// states (no durable checkpoint ever published) contribute nothing and
 /// their full range is reported skipped; partial states contribute their
@@ -278,11 +237,19 @@ void merge_checkpoints(
     const std::vector<std::optional<WorkerCheckpoint>>& states,
     CampaignResult& result) {
   obs::ScopedTimer span("campaign.merge");
-  MergeOutput merged(kModel, o.samples, o.static_power, o.mlpa);
-  std::vector<std::pair<std::uint64_t, int>> boundaries;  // (traces, rank)
-  std::vector<std::pair<std::uint64_t, int>> awake_boundaries;
-  std::vector<std::pair<std::uint64_t, int>> asleep_boundaries;
-  std::vector<std::pair<std::uint64_t, int>> mlpa_boundaries;
+  sca::BinnedMoments bins(o.samples);
+  sca::Moments fixed(o.samples);
+  sca::BinnedMoments windows(sca::kStaticWindows.size());
+  const auto static_result = [&](std::size_t column) {
+    return sca::BinSpectrum(windows).static_power(kModel, column,
+                                                  sca::kStaticWindows[column]);
+  };
+  // (traces merged, whether the key ranks first) at each shard boundary,
+  // per scorer.
+  std::vector<std::pair<std::size_t, bool>> cpa_points, mlpa_points;
+  std::vector<std::pair<std::size_t, bool>> awake_points, asleep_points;
+  int cpa_rival = -1;
+  int mlpa_rival = -1;
   for (std::size_t s = 0; s < states.size(); ++s) {
     const std::uint64_t lo = o.shard_lo(s);
     const std::uint64_t hi = o.shard_hi(s);
@@ -295,16 +262,9 @@ void merge_checkpoints(
       continue;
     }
     const WorkerCheckpoint& st = *states[s];
-    merged.cpa.merge(st.cpa);
-    merged.dpa.merge(st.dpa);
-    merged.tvla.merge(st.tvla);
-    if (merged.static_awake.has_value() && st.static_awake.has_value()) {
-      merged.static_awake->merge(*st.static_awake);
-      merged.static_asleep->merge(*st.static_asleep);
-    }
-    if (merged.mlpa.has_value() && st.mlpa.has_value()) {
-      merged.mlpa->merge(*st.mlpa);
-    }
+    bins.merge(st.bins);
+    fixed.merge(st.fixed);
+    windows.merge(st.windows);
     result.diagnostics.merge(st.diagnostics);
     if (st.phase == kPhaseRandom) {
       if (st.next_index < hi) {
@@ -325,49 +285,46 @@ void merge_checkpoints(
       result.skipped_ranges.push_back({st.next_index, hi, kPhaseStatic});
     }
     if (o.compute_mtd) {
-      boundaries.emplace_back(merged.cpa.num_traces(),
-                              merged.cpa.snapshot().key_rank(o.key));
-      if (merged.static_awake.has_value()) {
-        awake_boundaries.emplace_back(
-            merged.static_awake->num_traces(),
-            merged.static_awake->snapshot().key_rank(o.key));
-        asleep_boundaries.emplace_back(
-            merged.static_asleep->num_traces(),
-            merged.static_asleep->snapshot().key_rank(o.key));
+      const sca::BinSpectrum spectrum(bins);
+      cpa_points.emplace_back(bins.num_traces(),
+                              spectrum.cpa_first(kModel, o.key, cpa_rival));
+      if (o.mlpa) {
+        mlpa_points.emplace_back(bins.num_traces(),
+                                 spectrum.mlpa_first(o.key, mlpa_rival));
       }
-      if (merged.mlpa.has_value()) {
-        mlpa_boundaries.emplace_back(merged.mlpa->num_traces(),
-                                     merged.mlpa->snapshot().key_rank(o.key));
+      if (o.static_power) {
+        awake_points.emplace_back(windows.num_traces(),
+                                  static_result(0).key_rank(o.key) == 0);
+        asleep_points.emplace_back(windows.num_traces(),
+                                   static_result(1).key_rank(o.key) == 0);
       }
     }
   }
-  result.traces_accumulated = merged.cpa.num_traces();
-  result.cpa = merged.cpa.snapshot();
-  result.dpa = merged.dpa.snapshot();
-  if (o.tvla) result.tvla = merged.tvla.snapshot();
-  if (merged.static_awake.has_value()) {
-    result.static_awake = merged.static_awake->snapshot();
-    result.static_asleep = merged.static_asleep->snapshot();
-    result.static_traces_accumulated = merged.static_awake->num_traces();
+  result.traces_accumulated = bins.num_traces();
+  const sca::BinSpectrum spectrum(bins);
+  result.cpa = spectrum.cpa(kModel);
+  result.dpa = spectrum.dpa();
+  if (o.tvla) result.tvla = sca::welch_t(fixed, bins.pooled());
+  if (o.static_power) {
+    result.static_awake = static_result(0);
+    result.static_asleep = static_result(1);
+    result.static_traces_accumulated = windows.num_traces();
     result.static_awake_rank = result.static_awake.key_rank(o.key);
     result.static_asleep_rank = result.static_asleep.key_rank(o.key);
     result.static_awake_margin = result.static_awake.margin(o.key);
     result.static_asleep_margin = result.static_asleep.margin(o.key);
   }
-  if (merged.mlpa.has_value()) {
-    result.mlpa = merged.mlpa->snapshot();
+  if (o.mlpa) {
+    result.mlpa = spectrum.mlpa();
     result.mlpa_rank = result.mlpa.key_rank(o.key);
     result.mlpa_margin = result.mlpa.margin(o.key);
   }
   result.key_rank = result.cpa.key_rank(o.key);
   result.margin = result.cpa.margin(o.key);
-  result.mtd = 0;
-  if (o.compute_mtd) {
-    result.mtd = mtd_from_boundaries(boundaries);
-    result.static_awake_mtd = mtd_from_boundaries(awake_boundaries);
-    result.static_asleep_mtd = mtd_from_boundaries(asleep_boundaries);
-    result.mlpa_mtd = mtd_from_boundaries(mlpa_boundaries);
-  }
+  result.mtd = sca::mtd_from_checkpoints(cpa_points);
+  result.mlpa_mtd = sca::mtd_from_checkpoints(mlpa_points);
+  result.static_awake_mtd = sca::mtd_from_checkpoints(awake_points);
+  result.static_asleep_mtd = sca::mtd_from_checkpoints(asleep_points);
   obs::Registry::global()
       .counter("campaign.traces_merged")
       .add(result.traces_accumulated);
@@ -621,8 +578,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         bool done = false;
         if (clean) {
           const auto state = load_checkpoint(
-              checkpoint_path(options, w.shard), kModel, options.samples,
-              digest, options.static_power, options.mlpa);
+              checkpoint_path(options, w.shard), options.samples, digest);
           done = state.has_value() && state->phase == kPhaseDone;
         }
         if (done) {
@@ -665,9 +621,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   std::vector<std::optional<WorkerCheckpoint>> states;
   states.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    auto state = load_checkpoint(checkpoint_path(options, s), kModel,
-                                 options.samples, digest,
-                                 options.static_power, options.mlpa);
+    auto state =
+        load_checkpoint(checkpoint_path(options, s), options.samples, digest);
     if (state.has_value()) {
       std::error_code size_ec;
       const auto bytes = std::filesystem::file_size(

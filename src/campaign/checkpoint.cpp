@@ -13,7 +13,7 @@ namespace pgmcml::campaign {
 
 namespace {
 
-constexpr char kTag[5] = "PGC1";
+constexpr char kTag[5] = "PGC2";
 
 /// Checkpoint body (everything the checksum covers), appended to `w`.
 void serialize_body(sca::SnapshotWriter& w, const WorkerCheckpoint& state,
@@ -29,19 +29,9 @@ void serialize_body(sca::SnapshotWriter& w, const WorkerCheckpoint& state,
   // Diagnostics ride as their exact JSON round-trip form: one codec for the
   // result cache, the bench manifests and the checkpoint.
   w.bytes(state.diagnostics.to_json_value().dump());
-  state.cpa.save(w);
-  state.dpa.save(w);
-  state.tvla.save(w);
-  // Optional attack accumulators, presence-flagged: the flags are validated
-  // against the loader's expectation, so a toggled-off resume is a miss even
-  // if the digest ever failed to separate the configurations.
-  w.u32(state.static_awake.has_value() ? 1 : 0);
-  if (state.static_awake.has_value()) {
-    state.static_awake->save(w);
-    state.static_asleep->save(w);
-  }
-  w.u32(state.mlpa.has_value() ? 1 : 0);
-  if (state.mlpa.has_value()) state.mlpa->save(w);
+  state.bins.save(w);
+  state.fixed.save(w);
+  state.windows.save(w);
 }
 
 }  // namespace
@@ -83,11 +73,8 @@ bool save_checkpoint(const std::string& path, const WorkerCheckpoint& state,
 }
 
 std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
-                                                sca::LeakageModel model,
                                                 std::size_t samples,
-                                                std::uint64_t config_digest,
-                                                bool static_power,
-                                                bool mlpa) {
+                                                std::uint64_t config_digest) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::nullopt;
   std::string raw;
@@ -111,7 +98,7 @@ std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
     sca::SnapshotReader r(body);
     r.expect_tag(kTag);
     if (r.u64() != config_digest) return std::nullopt;
-    WorkerCheckpoint state(model, samples);
+    WorkerCheckpoint state(samples);
     state.shard = r.u64();
     state.phase = r.u32();
     state.range_lo = r.u64();
@@ -120,33 +107,11 @@ std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
     state.checkpoints_written = r.u64();
     state.diagnostics = spice::FlowDiagnostics::from_json_value(
         obs::json::Value::parse(r.bytes()));
-    state.cpa = sca::CpaAccumulator::load(r);
-    state.dpa = sca::DpaAccumulator::load(r);
-    state.tvla = sca::TvlaAccumulator::load(r);
-    const bool has_static = r.u32() != 0;
-    if (has_static != static_power) return std::nullopt;
-    if (has_static) {
-      state.static_awake = sca::StaticPowerAccumulator::load(r);
-      state.static_asleep = sca::StaticPowerAccumulator::load(r);
-    }
-    const bool has_mlpa = r.u32() != 0;
-    if (has_mlpa != mlpa) return std::nullopt;
-    if (has_mlpa) state.mlpa = sca::MlpaAccumulator::load(r);
-    if (!r.exhausted()) return std::nullopt;
-    if (state.cpa.model() != model ||
-        state.cpa.samples_per_trace() != samples ||
-        state.dpa.samples_per_trace() != samples ||
-        state.tvla.samples_per_trace() != samples) {
-      return std::nullopt;
-    }
-    if (has_static &&
-        (state.static_awake->samples_per_trace() != samples ||
-         state.static_asleep->samples_per_trace() != samples ||
-         state.static_awake->window() != sca::StaticWindow::kAwake ||
-         state.static_asleep->window() != sca::StaticWindow::kAsleep)) {
-      return std::nullopt;
-    }
-    if (has_mlpa && state.mlpa->samples_per_trace() != samples) {
+    state.bins = sca::BinnedMoments::load(r);
+    state.fixed = sca::Moments::load(r, samples);
+    state.windows = sca::BinnedMoments::load(r);
+    if (!r.exhausted() || state.bins.samples_per_trace() != samples ||
+        state.windows.samples_per_trace() != sca::kStaticWindows.size()) {
       return std::nullopt;
     }
     if (state.phase > kPhaseDone || state.range_lo > state.range_hi ||

@@ -2,7 +2,7 @@
 //
 // A campaign worker owns one shard -- a fixed global-trace-index range --
 // and periodically snapshots its full analysis state to the spool
-// directory: the CPA/DPA/TVLA accumulators (raw IEEE-754 bytes, so a resume
+// directory: the binned attack statistic (raw IEEE-754 bytes, so a resume
 // continues the identical arithmetic sequence), the aggregated
 // FlowDiagnostics, and the resume cursor (phase + next global index).
 //
@@ -38,10 +38,10 @@ enum : std::uint32_t {
   kPhaseDone = 3,    ///< every active pass complete; the shard is finished
 };
 
-/// Complete resumable state of one shard worker.  The static-power and MLPA
-/// accumulators exist only when the campaign toggles them on; their presence
-/// is part of the checkpoint format (and the options part of the digest), so
-/// a spool written under different toggles reads as a miss.
+/// Complete resumable state of one shard worker.  Its attack state has one
+/// shape whatever the campaign toggles: the statistic of the random phase,
+/// TVLA's fixed class, and the static projection of the quiescent holds.
+/// Toggles only select what the merge scores and reports.
 struct WorkerCheckpoint {
   std::uint64_t shard = 0;
   std::uint32_t phase = kPhaseRandom;
@@ -51,23 +51,16 @@ struct WorkerCheckpoint {
   /// as attempted -- this is the acquisition cursor, not the fold count).
   std::uint64_t next_index = 0;
   std::uint64_t checkpoints_written = 0;
-  sca::CpaAccumulator cpa;
-  sca::DpaAccumulator dpa;
-  sca::TvlaAccumulator tvla;
-  std::optional<sca::StaticPowerAccumulator> static_awake;
-  std::optional<sca::StaticPowerAccumulator> static_asleep;
-  std::optional<sca::MlpaAccumulator> mlpa;
+  /// Random-phase traces: CPA, DPA, MLPA and TVLA's random class.
+  sca::BinnedMoments bins;
+  /// Fixed-phase traces: TVLA's fixed class.
+  sca::Moments fixed;
+  /// Static-phase holds: per-bin moments of the sca::kStaticWindows means.
+  sca::BinnedMoments windows;
   spice::FlowDiagnostics diagnostics;
 
-  WorkerCheckpoint(sca::LeakageModel model, std::size_t samples,
-                   bool static_power = false, bool with_mlpa = false)
-      : cpa(model, samples), dpa(samples), tvla(samples) {
-    if (static_power) {
-      static_awake.emplace(model, samples, sca::StaticWindow::kAwake);
-      static_asleep.emplace(model, samples, sca::StaticWindow::kAsleep);
-    }
-    if (with_mlpa) mlpa.emplace(samples);
-  }
+  explicit WorkerCheckpoint(std::size_t samples)
+      : bins(samples), fixed(samples), windows(sca::kStaticWindows.size()) {}
 };
 
 /// FNV-1a 64-bit -- the checkpoint checksum and the campaign config digest.
@@ -85,13 +78,10 @@ bool save_checkpoint(const std::string& path, const WorkerCheckpoint& state,
 
 /// Loads and validates a checkpoint.  Returns nullopt -- a clean miss, never
 /// a throw -- on a missing/zero-length/truncated file, checksum mismatch,
-/// config-digest mismatch, or a snapshot whose accumulators do not match
-/// (model, samples, which optional attack accumulators are present).
+/// config-digest mismatch, an older format, or a statistic of a different
+/// sample count.
 std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
-                                                sca::LeakageModel model,
                                                 std::size_t samples,
-                                                std::uint64_t config_digest,
-                                                bool static_power = false,
-                                                bool mlpa = false);
+                                                std::uint64_t config_digest);
 
 }  // namespace pgmcml::campaign

@@ -336,38 +336,43 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   DpaFlowResult result;
   result.stats = source->design_stats();
 
-  // One streamed pass feeds every consumer: the CPA engine (checkpointed by
-  // the MTD tracker when requested), the DPA engine, the optional static /
-  // MLPA engines, and -- only when the caller wants the matrix -- the
-  // materialized trace copy.
+  // One streamed pass feeds one statistic (plus, for quiescent holds, the
+  // static projection of its window means) and -- only when the caller
+  // wants the matrix -- the materialized trace copy.  Every attack is scored
+  // on the statistic afterwards; the MTD tracker scores CPA, MLPA and the
+  // static windows at its grid points.
   const auto model = sca::LeakageModel::kHammingWeight;
-  sca::MtdTracker mtd(model, options.samples, options.key, options.num_traces);
-  sca::CpaAccumulator cpa(model, options.samples);
-  sca::DpaAccumulator dpa(options.samples);
-  // Optional engines live behind optionals: the MLPA state alone is
-  // 256 x 8 x samples doubles, too big to allocate speculatively.
-  std::optional<sca::StaticMtdTracker> st_awake_mtd, st_asleep_mtd;
-  std::optional<sca::StaticPowerAccumulator> st_awake, st_asleep;
-  std::optional<sca::MlpaMtdTracker> mlpa_mtd;
-  std::optional<sca::MlpaAccumulator> mlpa;
-  if (options.compute_static) {
-    if (options.compute_mtd) {
-      st_awake_mtd.emplace(model, options.samples, sca::StaticWindow::kAwake,
-                           options.key, options.num_traces);
-      st_asleep_mtd.emplace(model, options.samples, sca::StaticWindow::kAsleep,
-                            options.key, options.num_traces);
-    } else {
-      st_awake.emplace(model, options.samples, sca::StaticWindow::kAwake);
-      st_asleep.emplace(model, options.samples, sca::StaticWindow::kAsleep);
+  const std::uint8_t key = options.key;
+  sca::BinnedMoments bins(options.samples);
+  std::optional<sca::BinnedMoments> windows;
+  if (options.compute_static) windows.emplace(sca::kStaticWindows.size());
+  const auto fold = [&](const sca::TraceBatch& batch) {
+    bins.add_batch(batch);
+    if (windows) {
+      sca::add_window_means(*windows, sca::kStaticWindows, options.samples,
+                            batch);
     }
-  }
-  if (options.compute_mlpa) {
-    if (options.compute_mtd) {
-      mlpa_mtd.emplace(options.samples, options.key, options.num_traces);
-    } else {
-      mlpa.emplace(options.samples);
+  };
+  const auto static_result = [&](std::size_t column) {
+    return sca::BinSpectrum(*windows).static_power(
+        model, column, sca::kStaticWindows[column]);
+  };
+  // Scorer indices of the MTD tracker; a scorer that is off never ranks
+  // the key first.
+  enum { kCpa, kMlpa, kAwake, kAsleep };
+  int cpa_rival = -1;
+  int mlpa_rival = -1;
+  sca::MtdTracker mtd(options.num_traces, fold, [&] {
+    const sca::BinSpectrum spectrum(bins);
+    std::vector<bool> first(4, false);
+    first[kCpa] = spectrum.cpa_first(model, key, cpa_rival);
+    if (options.compute_mlpa) first[kMlpa] = spectrum.mlpa_first(key, mlpa_rival);
+    if (windows) {
+      first[kAwake] = static_result(0).key_rank(key) == 0;
+      first[kAsleep] = static_result(1).key_rank(key) == 0;
     }
-  }
+    return first;
+  });
   if (options.keep_traces) {
     result.traces = sca::TraceSet(options.samples);
     result.traces.reserve(options.num_traces);
@@ -377,15 +382,8 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
     if (options.compute_mtd) {
       mtd.add_batch(batch);
     } else {
-      cpa.add_batch(batch);
+      fold(batch);
     }
-    dpa.add_batch(batch);
-    if (st_awake_mtd) st_awake_mtd->add_batch(batch);
-    if (st_asleep_mtd) st_asleep_mtd->add_batch(batch);
-    if (st_awake) st_awake->add_batch(batch);
-    if (st_asleep) st_asleep->add_batch(batch);
-    if (mlpa_mtd) mlpa_mtd->add_batch(batch);
-    if (mlpa) mlpa->add_batch(batch);
     if (options.keep_traces) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         result.traces.add(batch.plaintexts[i],
@@ -397,27 +395,20 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
 
   result.mean_current = source->mean_current();
   result.diagnostics = source->diagnostics();
+  const sca::BinSpectrum spectrum(bins);
+  result.cpa = spectrum.cpa(model, options.keep_time_curves);
+  result.dpa = spectrum.dpa();
+  if (options.compute_mlpa) result.mlpa = spectrum.mlpa();
+  if (windows) {
+    result.static_awake = static_result(0);
+    result.static_asleep = static_result(1);
+  }
   if (options.compute_mtd) {
-    result.cpa = mtd.snapshot(options.keep_time_curves);
-    result.mtd = mtd.finish();
-  } else {
-    result.cpa = cpa.snapshot(options.keep_time_curves);
-  }
-  result.dpa = dpa.snapshot();
-  if (st_awake_mtd) {
-    result.static_awake = st_awake_mtd->snapshot();
-    result.static_awake_mtd = st_awake_mtd->finish();
-    result.static_asleep = st_asleep_mtd->snapshot();
-    result.static_asleep_mtd = st_asleep_mtd->finish();
-  } else if (st_awake) {
-    result.static_awake = st_awake->snapshot();
-    result.static_asleep = st_asleep->snapshot();
-  }
-  if (mlpa_mtd) {
-    result.mlpa = mlpa_mtd->snapshot();
-    result.mlpa_mtd = mlpa_mtd->finish();
-  } else if (mlpa) {
-    result.mlpa = mlpa->snapshot();
+    mtd.finish();
+    result.mtd = mtd.mtd(kCpa);
+    result.mlpa_mtd = mtd.mtd(kMlpa);
+    result.static_awake_mtd = mtd.mtd(kAwake);
+    result.static_asleep_mtd = mtd.mtd(kAsleep);
   }
   result.key_rank = result.cpa.key_rank(options.key);
   result.margin = result.cpa.margin(options.key);

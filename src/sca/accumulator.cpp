@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/obs/obs.hpp"
@@ -12,19 +13,14 @@ namespace pgmcml::sca {
 
 namespace {
 
-/// Column-block width shared by the streaming engines: fixed, so the
-/// per-column update sequence never depends on the worker count.
-constexpr std::size_t kColBlock = 64;
-
-/// Per-engine obs counters (rows folded in, bytes streamed, merges).  Handles
-/// are resolved once per engine and bumped outside the parallel regions, so
-/// the hot column loops stay untouched and the totals are thread-invariant.
-struct EngineCounters {
+/// Obs counters of one kind of state (rows folded in, bytes streamed,
+/// merges), resolved once and bumped per batch.
+struct StateCounters {
   obs::Counter rows;
   obs::Counter bytes;
   obs::Counter merges;
 
-  explicit EngineCounters(const std::string& prefix)
+  explicit StateCounters(const std::string& prefix)
       : rows(obs::Registry::global().counter(prefix + ".rows_merged")),
         bytes(obs::Registry::global().counter(prefix + ".bytes_streamed")),
         merges(obs::Registry::global().counter(prefix + ".merges")) {}
@@ -35,363 +31,453 @@ struct EngineCounters {
   }
 };
 
-EngineCounters& cpa_obs() {
-  static EngineCounters c("sca.cpa");
+StateCounters& bins_obs() {
+  static StateCounters c("sca.bins");
   return c;
 }
-EngineCounters& dpa_obs() {
-  static EngineCounters c("sca.dpa");
-  return c;
-}
-EngineCounters& tvla_obs() {
-  static EngineCounters c("sca.tvla");
-  return c;
-}
-EngineCounters& static_obs() {
-  static EngineCounters c("sca.static");
-  return c;
-}
-EngineCounters& mlpa_obs() {
-  static EngineCounters c("sca.mlpa");
+StateCounters& tvla_obs() {
+  static StateCounters c("sca.tvla");
   return c;
 }
 
-void check_trace_width(std::size_t got, std::size_t want, const char* who) {
+void check_width(std::size_t got, std::size_t want) {
   if (got != want) {
-    throw std::invalid_argument(std::string(who) +
-                                ": sample-count mismatch (ragged trace)");
+    throw std::invalid_argument("sca: sample-count mismatch (ragged trace)");
   }
+}
+
+using Row = std::array<double, 256>;
+
+/// In-place unnormalised 256-point Walsh-Hadamard transform (H H = 256 I)
+/// of each of the `lanes` interleaved columns of a: entry (u, l) is at
+/// a[u * lanes + l].
+template <std::size_t lanes>
+void wht(double* a) {
+  for (std::size_t h = 1; h < 256; h <<= 1) {
+    for (std::size_t i = 0; i < 256; i += 2 * h) {
+      for (std::size_t r = i; r < i + h; ++r) {
+        double* x = a + r * lanes;
+        double* y = x + h * lanes;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const double s = x[l];
+          const double t = y[l];
+          x[l] = s + t;
+          y[l] = s - t;
+        }
+      }
+    }
+  }
+}
+
+/// g(x) = model prediction for S-box input x; guess k on plaintext p reads
+/// g(p ^ k).
+Row model_row(LeakageModel model) {
+  Row g;
+  for (int x = 0; x < 256; ++x) {
+    g[x] = predict_leakage(model, static_cast<std::uint8_t>(x), 0);
+  }
+  return g;
+}
+
+/// Bit `b` of the S-box output, as a function of the S-box input.
+Row bit_row(int b) {
+  Row g;
+  for (int x = 0; x < 256; ++x) {
+    g[x] = (aes::reduced_target(static_cast<std::uint8_t>(x), 0) >> b) & 1;
+  }
+  return g;
+}
+
+/// g centred by its mean over the 256 values.  Since sum_p D_p = 0,
+/// centring changes no score in exact arithmetic; it zeroes the DC term of
+/// the transform, so the rounding residue of sum_p D_p never enters one.
+Row centred(Row g) {
+  double mean = 0.0;
+  for (const double v : g) mean += v;
+  mean /= 256.0;
+  for (double& v : g) v -= mean;
+  return g;
+}
+
+Row transformed(Row g) {
+  wht<1>(g.data());
+  return g;
+}
+
+/// The direct single-guess sums differ from the transformed ones only by
+/// rounding (~1e-15 relative), so a rival ahead by more than this is ahead
+/// in a full scoring too.
+constexpr double kRivalMargin = 1e-9;
+
+/// Mean of `trace` over one gating window.
+double window_mean(std::span<const double> trace, StaticWindow window) {
+  const auto [lo, hi] = static_window_bounds(window, trace.size());
+  double sum = 0.0;
+  for (std::size_t j = lo; j < hi; ++j) sum += trace[j];
+  return hi > lo ? sum / static_cast<double>(hi - lo) : 0.0;
+}
+
+int argmax(const Row& scores) {
+  return static_cast<int>(std::max_element(scores.begin(), scores.end()) -
+                          scores.begin());
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// CpaAccumulator
+// Moments
 
-CpaAccumulator::CpaAccumulator(LeakageModel model, std::size_t samples)
-    : model_(model),
-      m_(samples),
-      mean_s_(samples, 0.0),
-      m2_s_(samples, 0.0),
-      comoment_(samples, std::array<double, 256>{}) {}
-
-void CpaAccumulator::add(std::uint8_t plaintext,
-                         std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void CpaAccumulator::add_batch(const TraceBatch& batch) {
-  const std::size_t nb = batch.size();
-  if (nb == 0) return;
-  for (const auto& t : batch.traces) {
-    check_trace_width(t.size(), m_, "CpaAccumulator");
-  }
-
-  // h-side Welford pass (serial: 256 slots shared by every sample column).
-  // Records dh_old_[i][k] = h - mean_h_before, the left factor of the
-  // co-moment update below.
-  if (dh_old_.size() < nb) dh_old_.resize(nb);
-  for (std::size_t i = 0; i < nb; ++i) {
-    const double cnt = static_cast<double>(n_ + i + 1);
-    auto& dh = dh_old_[i];
-    for (int k = 0; k < 256; ++k) {
-      const double h = predict_leakage(model_, batch.plaintexts[i],
-                                       static_cast<std::uint8_t>(k));
-      const double d = h - mean_h_[k];
-      dh[k] = d;
-      mean_h_[k] += d / cnt;
-      m2_h_[k] += d * (h - mean_h_[k]);
-    }
-  }
-
-  // s-side Welford + co-moment, parallel over fixed column blocks.  Each
-  // column is owned by exactly one task and walks the batch in trace order,
-  // so the arithmetic per column is a fixed sequence at any thread count and
-  // for any batching of the same stream.
-  const std::size_t col_blocks = (m_ + kColBlock - 1) / kColBlock;
-  util::parallel_for(
-      col_blocks,
-      [&](std::size_t blk) {
-        const std::size_t j_lo = blk * kColBlock;
-        const std::size_t j_hi = std::min(m_, j_lo + kColBlock);
-        for (std::size_t j = j_lo; j < j_hi; ++j) {
-          double mean = mean_s_[j];
-          double m2 = m2_s_[j];
-          auto& c = comoment_[j];
-          for (std::size_t i = 0; i < nb; ++i) {
-            const double cnt = static_cast<double>(n_ + i + 1);
-            const double s = batch.traces[i][j];
-            const double ds = s - mean;
-            mean += ds / cnt;
-            const double ds_new = s - mean;
-            m2 += ds * ds_new;
-            if (ds_new == 0.0) continue;  // c[k] += x * 0.0 is a no-op
-            const auto& dh = dh_old_[i];
-            for (int k = 0; k < 256; ++k) c[k] += dh[k] * ds_new;
-          }
-          mean_s_[j] = mean;
-          m2_s_[j] = m2;
-        }
-      },
-      /*grain=*/1);
-
-  n_ += nb;
-  cpa_obs().note_rows(nb, m_);
-}
-
-void CpaAccumulator::merge(const CpaAccumulator& other) {
-  cpa_obs().merges.add(1);
-  if (other.model_ != model_ || other.m_ != m_) {
-    throw std::invalid_argument(
-        "CpaAccumulator::merge: model/sample-count mismatch");
-  }
-  if (other.n_ == 0) return;
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  const double w = na * nb / n;  // Chan's cross-term weight
-
-  std::array<double, 256> dh{};
-  for (int k = 0; k < 256; ++k) dh[k] = other.mean_h_[k] - mean_h_[k];
-
-  for (std::size_t j = 0; j < m_; ++j) {
-    const double ds = other.mean_s_[j] - mean_s_[j];
-    auto& c = comoment_[j];
-    const auto& oc = other.comoment_[j];
-    for (int k = 0; k < 256; ++k) c[k] += oc[k] + dh[k] * ds * w;
-    m2_s_[j] += other.m2_s_[j] + ds * ds * w;
-    mean_s_[j] += ds * nb / n;
-  }
-  for (int k = 0; k < 256; ++k) {
-    m2_h_[k] += other.m2_h_[k] + dh[k] * dh[k] * w;
-    mean_h_[k] += dh[k] * nb / n;
-  }
-  n_ += other.n_;
-}
-
-CpaResult CpaAccumulator::snapshot(bool keep_time_curves) const {
-  CpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  if (keep_time_curves) result.correlation_vs_time.assign(m_, {});
-  for (std::size_t j = 0; j < m_; ++j) {
-    const auto& c = comoment_[j];
-    for (int k = 0; k < 256; ++k) {
-      const double denom = std::sqrt(m2_h_[k] * m2_s_[j]);
-      const double corr = denom > 0.0 ? c[k] / denom : 0.0;
-      if (keep_time_curves) result.correlation_vs_time[j][k] = corr;
-      result.peak_correlation[k] =
-          std::max(result.peak_correlation[k], std::fabs(corr));
-    }
-  }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.peak_correlation.begin(),
-                       result.peak_correlation.end()) -
-      result.peak_correlation.begin());
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// DpaAccumulator
-
-DpaAccumulator::DpaAccumulator(std::size_t samples)
-    : m_(samples), sum1_(256 * samples, 0.0), sum0_(256 * samples, 0.0) {}
-
-void DpaAccumulator::add(std::uint8_t plaintext,
-                         std::span<const double> trace) {
-  check_trace_width(trace.size(), m_, "DpaAccumulator");
-  for (int k = 0; k < 256; ++k) {
-    const bool bit =
-        (aes::reduced_target(plaintext, static_cast<std::uint8_t>(k)) & 1) !=
-        0;
-    double* row = (bit ? sum1_ : sum0_).data() + static_cast<std::size_t>(k) * m_;
-    if (bit) ++n1_[k];
-    for (std::size_t j = 0; j < m_; ++j) row[j] += trace[j];
-  }
-  ++n_;
-  dpa_obs().note_rows(1, m_);
-}
-
-void DpaAccumulator::add_batch(const TraceBatch& batch) {
-  const std::size_t nb = batch.size();
-  if (nb == 0) return;
-  for (const auto& t : batch.traces) {
-    check_trace_width(t.size(), m_, "DpaAccumulator");
-  }
-  // Each guess's partition sums are touched by exactly one task, in trace
-  // order: bitwise identical to serial add() at any thread count.
-  util::parallel_for(256, [&](std::size_t kk) {
-    const int k = static_cast<int>(kk);
-    double* row1 = sum1_.data() + kk * m_;
-    double* row0 = sum0_.data() + kk * m_;
-    for (std::size_t i = 0; i < nb; ++i) {
-      const bool bit = (aes::reduced_target(batch.plaintexts[i],
-                                            static_cast<std::uint8_t>(k)) &
-                        1) != 0;
-      const auto& t = batch.traces[i];
-      double* row = bit ? row1 : row0;
-      if (bit) ++n1_[kk];
-      for (std::size_t j = 0; j < m_; ++j) row[j] += t[j];
-    }
-  });
-  n_ += nb;
-  dpa_obs().note_rows(nb, m_);
-}
-
-void DpaAccumulator::merge(const DpaAccumulator& other) {
-  dpa_obs().merges.add(1);
-  if (other.m_ != m_) {
-    throw std::invalid_argument("DpaAccumulator::merge: sample-count mismatch");
-  }
-  for (std::size_t i = 0; i < sum1_.size(); ++i) {
-    sum1_[i] += other.sum1_[i];
-    sum0_[i] += other.sum0_[i];
-  }
-  for (int k = 0; k < 256; ++k) n1_[k] += other.n1_[k];
-  n_ += other.n_;
-}
-
-DpaResult DpaAccumulator::snapshot() const {
-  DpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  for (int k = 0; k < 256; ++k) {
-    const std::size_t n1 = n1_[k];
-    const std::size_t n0 = n_ - n1;
-    if (n1 == 0 || n0 == 0) continue;
-    const double* row1 = sum1_.data() + static_cast<std::size_t>(k) * m_;
-    const double* row0 = sum0_.data() + static_cast<std::size_t>(k) * m_;
-    double peak = 0.0;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const double diff = row1[j] / static_cast<double>(n1) -
-                          row0[j] / static_cast<double>(n0);
-      peak = std::max(peak, std::fabs(diff));
-    }
-    result.peak_difference[k] = peak;
-  }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.peak_difference.begin(),
-                       result.peak_difference.end()) -
-      result.peak_difference.begin());
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// TvlaAccumulator
-
-TvlaAccumulator::TvlaAccumulator(std::size_t samples)
-    : m_(samples),
-      mean_a_(samples, 0.0),
-      m2_a_(samples, 0.0),
-      mean_b_(samples, 0.0),
-      m2_b_(samples, 0.0) {}
-
-void TvlaAccumulator::add(bool is_fixed, std::span<const double> trace) {
-  check_trace_width(trace.size(), m_, "TvlaAccumulator");
-  std::size_t& n = is_fixed ? na_ : nb_;
-  std::vector<double>& mean = is_fixed ? mean_a_ : mean_b_;
-  std::vector<double>& m2 = is_fixed ? m2_a_ : m2_b_;
+void Moments::add(std::span<const double> trace) {
+  check_width(trace.size(), mean.size());
   const double cnt = static_cast<double>(++n);
-  for (std::size_t j = 0; j < m_; ++j) {
+  for (std::size_t j = 0; j < mean.size(); ++j) {
     const double d = trace[j] - mean[j];
     mean[j] += d / cnt;
     m2[j] += d * (trace[j] - mean[j]);
   }
-  tvla_obs().note_rows(1, m_);
 }
 
-void TvlaAccumulator::add_batch(const TraceBatch& batch,
-                                std::uint8_t fixed_plaintext) {
-  const std::size_t nb = batch.size();
-  if (nb == 0) return;
-  for (const auto& t : batch.traces) {
-    check_trace_width(t.size(), m_, "TvlaAccumulator");
+void Moments::merge(const Moments& other) {
+  if (other.mean.size() != mean.size()) {
+    throw std::invalid_argument("sca: merge of a different sample count");
   }
-  if (is_fixed_scratch_.size() < nb) is_fixed_scratch_.resize(nb);
-  for (std::size_t i = 0; i < nb; ++i) {
-    is_fixed_scratch_[i] = batch.plaintexts[i] == fixed_plaintext ? 1 : 0;
+  if (other.n == 0) return;
+  if (n == 0) {
+    *this = other;
+    return;
   }
+  const double na = static_cast<double>(n);
+  const double nb = static_cast<double>(other.n);
+  const double nt = na + nb;
+  const double w = na * nb / nt;  // Chan's cross-term weight
+  for (std::size_t j = 0; j < mean.size(); ++j) {
+    const double d = other.mean[j] - mean[j];
+    m2[j] += other.m2[j] + d * d * w;
+    mean[j] += d * nb / nt;
+  }
+  n += other.n;
+}
 
-  const std::size_t col_blocks = (m_ + kColBlock - 1) / kColBlock;
-  util::parallel_for(
-      col_blocks,
-      [&](std::size_t blk) {
-        const std::size_t j_lo = blk * kColBlock;
-        const std::size_t j_hi = std::min(m_, j_lo + kColBlock);
-        for (std::size_t j = j_lo; j < j_hi; ++j) {
-          double mean_a = mean_a_[j], m2_a = m2_a_[j];
-          double mean_b = mean_b_[j], m2_b = m2_b_[j];
-          std::size_t na = na_, nbr = nb_;
-          for (std::size_t i = 0; i < nb; ++i) {
-            const double s = batch.traces[i][j];
-            if (is_fixed_scratch_[i]) {
-              const double cnt = static_cast<double>(++na);
-              const double d = s - mean_a;
-              mean_a += d / cnt;
-              m2_a += d * (s - mean_a);
-            } else {
-              const double cnt = static_cast<double>(++nbr);
-              const double d = s - mean_b;
-              mean_b += d / cnt;
-              m2_b += d * (s - mean_b);
-            }
-          }
-          mean_a_[j] = mean_a;
-          m2_a_[j] = m2_a;
-          mean_b_[j] = mean_b;
-          m2_b_[j] = m2_b;
-        }
-      },
-      /*grain=*/1);
+void Moments::save(SnapshotWriter& w) const {
+  w.u64(n);
+  w.f64_span(mean);
+  w.f64_span(m2);
+}
 
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (is_fixed_scratch_[i]) {
-      ++na_;
-    } else {
-      ++nb_;
+Moments Moments::load(SnapshotReader& r, std::size_t samples) {
+  Moments p;
+  p.n = static_cast<std::size_t>(r.u64());
+  r.f64_into(p.mean, samples);
+  r.f64_into(p.m2, samples);
+  return p;
+}
+
+// ---------------------------------------------------------------------------
+// BinnedMoments
+
+BinnedMoments::BinnedMoments(std::size_t samples)
+    : m_(samples), bins_(256, Moments(samples)) {}
+
+void BinnedMoments::add(std::uint8_t plaintext,
+                        std::span<const double> trace) {
+  bins_[plaintext].add(trace);
+  ++n_;
+  bins_obs().note_rows(1, m_);
+}
+
+void BinnedMoments::add_batch(const TraceBatch& batch) {
+  for (const auto& t : batch.traces) check_width(t.size(), m_);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    bins_[batch.plaintexts[i]].add(batch.traces[i]);
+  }
+  n_ += batch.size();
+  bins_obs().note_rows(batch.size(), m_);
+}
+
+void BinnedMoments::merge(const BinnedMoments& other) {
+  bins_obs().merges.add(1);
+  for (std::size_t p = 0; p < bins_.size(); ++p) bins_[p].merge(other.bins_[p]);
+  n_ += other.n_;
+}
+
+Moments BinnedMoments::pooled() const {
+  Moments all(m_);
+  for (const Moments& bin : bins_) all.merge(bin);
+  return all;
+}
+
+void BinnedMoments::save(SnapshotWriter& w) const {
+  w.tag("BMS1");
+  w.u64(m_);
+  for (const Moments& bin : bins_) bin.save(w);
+}
+
+BinnedMoments BinnedMoments::load(SnapshotReader& r) {
+  r.expect_tag("BMS1");
+  const std::uint64_t m = r.u64();
+  // Every bin holds two rows of m doubles: a sample count the stream cannot
+  // back is corrupt, and is rejected before anything is allocated.
+  if (m > r.remaining() / (256 * 2 * sizeof(double))) {
+    throw std::runtime_error("BinnedMoments::load: sample count exceeds stream");
+  }
+  BinnedMoments stat(static_cast<std::size_t>(m));
+  for (Moments& bin : stat.bins_) {
+    bin = Moments::load(r, stat.m_);
+    stat.n_ += bin.n;
+  }
+  return stat;
+}
+
+// ---------------------------------------------------------------------------
+// Static projection
+
+void add_window_means(BinnedMoments& projection,
+                      std::span<const StaticWindow> windows,
+                      std::size_t samples, const TraceBatch& batch) {
+  for (const auto& t : batch.traces) check_width(t.size(), samples);
+  std::vector<double> row(windows.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      row[w] = window_mean(batch.traces[i], windows[w]);
     }
+    projection.add(batch.plaintexts[i], row);
   }
-  tvla_obs().note_rows(nb, m_);
 }
 
-void TvlaAccumulator::merge(const TvlaAccumulator& other) {
-  tvla_obs().merges.add(1);
-  if (other.m_ != m_) {
-    throw std::invalid_argument(
-        "TvlaAccumulator::merge: sample-count mismatch");
-  }
-  const auto merge_class = [this](std::size_t& n, std::vector<double>& mean,
-                                  std::vector<double>& m2, std::size_t on,
-                                  const std::vector<double>& omean,
-                                  const std::vector<double>& om2) {
-    if (on == 0) return;
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(on);
-    const double w = na * nb / (na + nb);
+// ---------------------------------------------------------------------------
+// BinSpectrum: the scorers
+
+BinSpectrum::BinSpectrum(const BinnedMoments& stat)
+    : m_(stat.samples_per_trace()),
+      n_(stat.num_traces()),
+      deviations_((m_ + kLanes - 1) / kLanes, Block{}) {
+  const Moments pooled = stat.pooled();
+  m2_ = pooled.m2;
+  for (int p = 0; p < 256; ++p) {
+    const Moments& bin = stat.bin(static_cast<std::uint8_t>(p));
+    counts_[p] = static_cast<double>(bin.n);
+    if (bin.n == 0) continue;
+    occupied_.push_back(p);
     for (std::size_t j = 0; j < m_; ++j) {
-      const double d = omean[j] - mean[j];
-      m2[j] += om2[j] + d * d * w;
-      mean[j] += d * nb / (na + nb);
+      deviations_[j / kLanes][p * kLanes + j % kLanes] =
+          counts_[p] * (bin.mean[j] - pooled.mean[j]);
     }
-    n += on;
-  };
-  merge_class(na_, mean_a_, m2_a_, other.na_, other.mean_a_, other.m2_a_);
-  merge_class(nb_, mean_b_, m2_b_, other.nb_, other.mean_b_, other.m2_b_);
+  }
 }
 
-TvlaResult TvlaAccumulator::snapshot() const {
+void BinSpectrum::correlate(const Row& g, const Row& g_hat, std::size_t blk,
+                            int guess, Block& out) const {
+  if (guess >= 0) {
+    const Block& d = deviations_[blk];
+    std::array<double, kLanes> sum{};
+    for (const int p : occupied_) {
+      const double w = g[p ^ guess];
+      for (std::size_t l = 0; l < kLanes; ++l) sum[l] += w * d[p * kLanes + l];
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) out[l] = 256.0 * sum[l];
+    return;
+  }
+  if (spectrum_.empty()) {
+    spectrum_ = deviations_;
+    for (Block& b : spectrum_) wht<kLanes>(b.data());
+  }
+  const Block& s = spectrum_[blk];
+  for (std::size_t u = 0; u < 256; ++u) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      out[u * kLanes + l] = g_hat[u] * s[u * kLanes + l];
+    }
+  }
+  wht<kLanes>(out.data());
+}
+
+void BinSpectrum::correlations(
+    LeakageModel model, int guess,
+    const std::function<void(std::size_t, const Row&)>& each) const {
+  const Row g = model_row(model);
+  const Row g_c = centred(g);
+  const Row g_hat = transformed(g_c);
+  const int k_lo = guess < 0 ? 0 : guess;
+  const int k_hi = guess < 0 ? 256 : guess + 1;
+  // 1 / (256 sqrt(M2_h)) per guess, M2 of its predictions over the traces
+  // taken two-pass over the bins; 1 / sqrt(M2) per column.  A zero M2
+  // makes the correlation 0.
+  Row inv_h{};
+  for (int k = k_lo; k < k_hi; ++k) {
+    double mean = 0.0;
+    for (int p = 0; p < 256; ++p) mean += counts_[p] * g[p ^ k];
+    mean /= static_cast<double>(n_);
+    double m2 = 0.0;
+    for (int p = 0; p < 256; ++p) {
+      const double d = g[p ^ k] - mean;
+      m2 += counts_[p] * d * d;
+    }
+    inv_h[k] = m2 > 0.0 ? 1.0 / (256.0 * std::sqrt(m2)) : 0.0;
+  }
+  Block out;
+  Row corr{};
+  for (std::size_t blk = 0; blk < deviations_.size(); ++blk) {
+    correlate(g_c, g_hat, blk, guess, out);
+    for (std::size_t l = 0; l < kLanes && blk * kLanes + l < m_; ++l) {
+      const std::size_t j = blk * kLanes + l;
+      const double inv_s = m2_[j] > 0.0 ? 1.0 / std::sqrt(m2_[j]) : 0.0;
+      for (int k = k_lo; k < k_hi; ++k) {
+        corr[k - k_lo] = out[(k - k_lo) * kLanes + l] * inv_h[k] * inv_s;
+      }
+      each(j, corr);
+    }
+  }
+}
+
+BinSpectrum::Row BinSpectrum::partition_peaks(int bits, int guess) const {
+  const int k_lo = guess < 0 ? 0 : guess;
+  const int k_hi = guess < 0 ? 256 : guess + 1;
+  // Per bit: the centred bit and its transform, and per guess the
+  // difference-of-means factor (1/n1 + 1/n0) / 256 (0 while a partition is
+  // empty, which drops the bit).
+  std::vector<Row> g_c(bits);
+  std::vector<Row> g_hat(bits);
+  std::vector<Row> scale(bits);
+  for (int b = 0; b < bits; ++b) {
+    const Row g = bit_row(b);
+    g_c[b] = centred(g);
+    g_hat[b] = transformed(g_c[b]);
+    for (int k = k_lo; k < k_hi; ++k) {
+      double n1 = 0.0;
+      for (int p = 0; p < 256; ++p) n1 += counts_[p] * g[p ^ k];
+      const double n0 = static_cast<double>(n_) - n1;
+      scale[b][k] =
+          n1 > 0.0 && n0 > 0.0 ? (1.0 / n1 + 1.0 / n0) / 256.0 : 0.0;
+    }
+  }
+  Row peak_sq{};
+  Block sq;
+  Block diff;
+  for (std::size_t blk = 0; blk < deviations_.size(); ++blk) {
+    sq.fill(0.0);
+    for (int b = 0; b < bits; ++b) {
+      correlate(g_c[b], g_hat[b], blk, guess, diff);
+      for (int k = k_lo; k < k_hi; ++k) {
+        const std::size_t row = static_cast<std::size_t>(k - k_lo) * kLanes;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double d = diff[row + l] * scale[b][k];
+          sq[row + l] += d * d;
+        }
+      }
+    }
+    for (int k = k_lo; k < k_hi; ++k) {
+      const std::size_t row = static_cast<std::size_t>(k - k_lo) * kLanes;
+      for (std::size_t l = 0; l < kLanes && blk * kLanes + l < m_; ++l) {
+        peak_sq[k - k_lo] = std::max(peak_sq[k - k_lo], sq[row + l]);
+      }
+    }
+  }
+  for (double& v : peak_sq) v = std::sqrt(v);
+  return peak_sq;
+}
+
+CpaResult BinSpectrum::cpa(LeakageModel model, bool keep_time_curves) const {
+  CpaResult result;
+  if (n_ < 2 || m_ == 0) return result;
+  if (keep_time_curves) result.correlation_vs_time.assign(m_, {});
+  correlations(model, -1, [&](std::size_t j, const Row& corr) {
+    if (keep_time_curves) result.correlation_vs_time[j] = corr;
+    for (int k = 0; k < 256; ++k) {
+      result.peak_correlation[k] =
+          std::max(result.peak_correlation[k], std::fabs(corr[k]));
+    }
+  });
+  result.best_guess = argmax(result.peak_correlation);
+  return result;
+}
+
+DpaResult BinSpectrum::dpa() const {
+  DpaResult result;
+  if (n_ < 2 || m_ == 0) return result;
+  result.peak_difference = partition_peaks(1, -1);
+  result.best_guess = argmax(result.peak_difference);
+  return result;
+}
+
+MlpaResult BinSpectrum::mlpa() const {
+  MlpaResult result;
+  if (n_ < 2 || m_ == 0) return result;
+  result.score = partition_peaks(8, -1);
+  result.best_guess = argmax(result.score);
+  return result;
+}
+
+StaticPowerResult BinSpectrum::static_power(LeakageModel model,
+                                            std::size_t column,
+                                            StaticWindow window) const {
+  StaticPowerResult result;
+  result.window = window;
+  result.traces = n_;
+  if (n_ < 2) return result;
+  correlations(model, -1, [&](std::size_t j, const Row& corr) {
+    if (j != column) return;
+    for (int k = 0; k < 256; ++k) result.correlation[k] = std::fabs(corr[k]);
+  });
+  result.best_guess = argmax(result.correlation);
+  return result;
+}
+
+namespace {
+
+/// Whether `key` ranks first, from `one(k)` (one guess's score) while the
+/// rival clearly outscores the key, else from `all()` (every guess), which
+/// also renews the rival: the best wrong guess.
+template <typename One, typename All>
+bool key_first(std::uint8_t key, int& rival, One one, All all) {
+  if (rival >= 0 && one(rival) > one(key) * (1.0 + kRivalMargin)) {
+    return false;
+  }
+  const Row scores = all();
+  rival = key == 0 ? 1 : 0;
+  for (int k = 0; k < 256; ++k) {
+    if (k != key && scores[k] > scores[rival]) rival = k;
+  }
+  return !(scores[rival] > scores[key]);
+}
+
+}  // namespace
+
+bool BinSpectrum::cpa_first(LeakageModel model, std::uint8_t key,
+                            int& rival) const {
+  return key_first(
+      key, rival,
+      [&](int k) {
+        if (n_ < 2 || m_ == 0) return 0.0;
+        double peak = 0.0;
+        correlations(model, k, [&](std::size_t, const Row& corr) {
+          peak = std::max(peak, std::fabs(corr[0]));
+        });
+        return peak;
+      },
+      [&] { return cpa(model).peak_correlation; });
+}
+
+bool BinSpectrum::mlpa_first(std::uint8_t key, int& rival) const {
+  return key_first(
+      key, rival,
+      [&](int k) { return n_ < 2 || m_ == 0 ? 0.0 : partition_peaks(8, k)[0]; },
+      [&] { return mlpa().score; });
+}
+
+TvlaResult welch_t(const Moments& fixed, const Moments& random) {
   TvlaResult result;
-  result.fixed_traces = na_;
-  result.random_traces = nb_;
-  if (na_ < 2 || nb_ < 2) return result;
-  result.t_statistic.assign(m_, 0.0);
-  const double na = static_cast<double>(na_);
-  const double nb = static_cast<double>(nb_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    const double var_a = m2_a_[j] / (na - 1.0);
-    const double var_b = m2_b_[j] / (nb - 1.0);
+  result.fixed_traces = fixed.n;
+  result.random_traces = random.n;
+  if (fixed.n < 2 || random.n < 2) return result;
+  const std::size_t m = fixed.mean.size();
+  result.t_statistic.assign(m, 0.0);
+  const double na = static_cast<double>(fixed.n);
+  const double nb = static_cast<double>(random.n);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double var_a = fixed.m2[j] / (na - 1.0);
+    const double var_b = random.m2[j] / (nb - 1.0);
     const double denom = std::sqrt(var_a / na + var_b / nb);
-    const double t = denom > 0.0 ? (mean_a_[j] - mean_b_[j]) / denom : 0.0;
+    const double t =
+        denom > 0.0 ? (fixed.mean[j] - random.mean[j]) / denom : 0.0;
     result.t_statistic[j] = t;
     result.max_abs_t = std::max(result.max_abs_t, std::fabs(t));
   }
@@ -399,12 +485,14 @@ TvlaResult TvlaAccumulator::snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// StaticPowerAccumulator
+// Per-attack accumulators
 
-StaticPowerAccumulator::StaticPowerAccumulator(LeakageModel model,
-                                               std::size_t samples,
-                                               StaticWindow window)
-    : model_(model), window_(window), m_(samples) {}
+void CpaAccumulator::merge(const CpaAccumulator& other) {
+  if (other.model_ != model_) {
+    throw std::invalid_argument("CpaAccumulator::merge: model mismatch");
+  }
+  bins_.merge(other.bins_);
+}
 
 void StaticPowerAccumulator::add(std::uint8_t plaintext,
                                  std::span<const double> trace) {
@@ -413,580 +501,116 @@ void StaticPowerAccumulator::add(std::uint8_t plaintext,
   add_batch(one);
 }
 
-void StaticPowerAccumulator::add_batch(const TraceBatch& batch) {
-  const std::size_t nb = batch.size();
-  if (nb == 0) return;
-  for (const auto& t : batch.traces) {
-    check_trace_width(t.size(), m_, "StaticPowerAccumulator");
-  }
-  const auto [lo, hi] = static_window_bounds(window_, m_);
-  const double width = static_cast<double>(hi - lo);
-  // Serial fold: 257 Welford slots total, so parallelizing would only buy
-  // contention.  Trace order fixes the arithmetic sequence per slot, which
-  // is the whole batch/thread-invariance argument.
-  for (std::size_t i = 0; i < nb; ++i) {
-    const auto& t = batch.traces[i];
-    double sum = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) sum += t[j];
-    const double x = width > 0.0 ? sum / width : 0.0;
-
-    const double cnt = static_cast<double>(++n_);
-    const double dx = x - mean_x_;
-    mean_x_ += dx / cnt;
-    const double dx_new = x - mean_x_;
-    m2_x_ += dx * dx_new;
-    for (int k = 0; k < 256; ++k) {
-      const double h = predict_leakage(model_, batch.plaintexts[i],
-                                       static_cast<std::uint8_t>(k));
-      const double dh = h - mean_h_[k];
-      mean_h_[k] += dh / cnt;
-      m2_h_[k] += dh * (h - mean_h_[k]);
-      comoment_[k] += dh * dx_new;
-    }
-  }
-  static_obs().note_rows(nb, m_);
-}
-
 void StaticPowerAccumulator::merge(const StaticPowerAccumulator& other) {
-  static_obs().merges.add(1);
   if (other.model_ != model_ || other.window_ != window_ || other.m_ != m_) {
     throw std::invalid_argument(
         "StaticPowerAccumulator::merge: model/window/sample-count mismatch");
   }
-  if (other.n_ == 0) return;
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  const double w = na * nb / n;  // Chan's cross-term weight
-  const double dx = other.mean_x_ - mean_x_;
-  for (int k = 0; k < 256; ++k) {
-    const double dh = other.mean_h_[k] - mean_h_[k];
-    comoment_[k] += other.comoment_[k] + dh * dx * w;
-    m2_h_[k] += other.m2_h_[k] + dh * dh * w;
-    mean_h_[k] += dh * nb / n;
-  }
-  m2_x_ += other.m2_x_ + dx * dx * w;
-  mean_x_ += dx * nb / n;
-  n_ += other.n_;
+  bins_.merge(other.bins_);
 }
 
-StaticPowerResult StaticPowerAccumulator::snapshot() const {
-  StaticPowerResult result;
-  result.window = window_;
-  result.traces = n_;
-  if (n_ < 2) return result;
-  for (int k = 0; k < 256; ++k) {
-    const double denom = std::sqrt(m2_h_[k] * m2_x_);
-    result.correlation[k] =
-        denom > 0.0 ? std::fabs(comoment_[k] / denom) : 0.0;
-  }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.correlation.begin(), result.correlation.end()) -
-      result.correlation.begin());
-  return result;
+void TvlaAccumulator::add(bool is_fixed, std::span<const double> trace) {
+  (is_fixed ? fixed_ : random_).add(trace);
+  tvla_obs().note_rows(1, samples_per_trace());
 }
 
-// ---------------------------------------------------------------------------
-// MlpaAccumulator
-
-MlpaAccumulator::MlpaAccumulator(std::size_t samples)
-    : m_(samples), total_(samples, 0.0), sum1_(256 * 8 * samples, 0.0) {}
-
-void MlpaAccumulator::add(std::uint8_t plaintext,
-                          std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
+void TvlaAccumulator::add_batch(const TraceBatch& batch,
+                                std::uint8_t fixed_plaintext) {
+  for (const auto& t : batch.traces) check_width(t.size(), samples_per_trace());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    (batch.plaintexts[i] == fixed_plaintext ? fixed_ : random_)
+        .add(batch.traces[i]);
+  }
+  tvla_obs().note_rows(batch.size(), samples_per_trace());
 }
 
-void MlpaAccumulator::add_batch(const TraceBatch& batch) {
-  const std::size_t nb = batch.size();
-  if (nb == 0) return;
-  for (const auto& t : batch.traces) {
-    check_trace_width(t.size(), m_, "MlpaAccumulator");
-  }
-  // Guess-independent total row, folded serially in trace order.
-  for (std::size_t i = 0; i < nb; ++i) {
-    const auto& t = batch.traces[i];
-    for (std::size_t j = 0; j < m_; ++j) total_[j] += t[j];
-  }
-  // Each guess's 8 partition rows and counts are owned by exactly one task
-  // and walk the batch in trace order: bitwise identical to serial add().
-  util::parallel_for(256, [&](std::size_t kk) {
-    const auto k = static_cast<std::uint8_t>(kk);
-    for (std::size_t i = 0; i < nb; ++i) {
-      const std::uint8_t v = aes::reduced_target(batch.plaintexts[i], k);
-      const auto& t = batch.traces[i];
-      for (int b = 0; b < 8; ++b) {
-        if (((v >> b) & 1) == 0) continue;
-        ++n1_[kk][static_cast<std::size_t>(b)];
-        double* row =
-            sum1_.data() + (kk * 8 + static_cast<std::size_t>(b)) * m_;
-        for (std::size_t j = 0; j < m_; ++j) row[j] += t[j];
-      }
-    }
-  });
-  n_ += nb;
-  mlpa_obs().note_rows(nb, m_);
+void TvlaAccumulator::merge(const TvlaAccumulator& other) {
+  tvla_obs().merges.add(1);
+  fixed_.merge(other.fixed_);
+  random_.merge(other.random_);
 }
 
-void MlpaAccumulator::merge(const MlpaAccumulator& other) {
-  mlpa_obs().merges.add(1);
-  if (other.m_ != m_) {
-    throw std::invalid_argument(
-        "MlpaAccumulator::merge: sample-count mismatch");
-  }
-  for (std::size_t j = 0; j < total_.size(); ++j) total_[j] += other.total_[j];
-  for (std::size_t i = 0; i < sum1_.size(); ++i) sum1_[i] += other.sum1_[i];
-  for (int k = 0; k < 256; ++k) {
-    for (int b = 0; b < 8; ++b) n1_[k][b] += other.n1_[k][b];
-  }
-  n_ += other.n_;
+void TvlaAccumulator::save(SnapshotWriter& w) const {
+  w.tag("TVL2");
+  w.u64(samples_per_trace());
+  fixed_.save(w);
+  random_.save(w);
 }
 
-MlpaResult MlpaAccumulator::snapshot() const {
-  MlpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  for (int k = 0; k < 256; ++k) {
-    const double* rows[8];
-    double inv1[8];
-    double inv0[8];
-    bool usable[8];
-    for (int b = 0; b < 8; ++b) {
-      const std::size_t n1 = n1_[k][b];
-      const std::size_t n0 = n_ - n1;
-      usable[b] = n1 > 0 && n0 > 0;
-      rows[b] = sum1_.data() +
-                (static_cast<std::size_t>(k) * 8 + static_cast<std::size_t>(b)) *
-                    m_;
-      inv1[b] = usable[b] ? 1.0 / static_cast<double>(n1) : 0.0;
-      inv0[b] = usable[b] ? 1.0 / static_cast<double>(n0) : 0.0;
-    }
-    double peak_sq = 0.0;
-    for (std::size_t j = 0; j < m_; ++j) {
-      double sq = 0.0;
-      for (int b = 0; b < 8; ++b) {
-        if (!usable[b]) continue;
-        // bit = 0 partition sum is total - sum1: the multi-linear combiner
-        // needs only the 1-partitions and the guess-independent total.
-        const double diff =
-            rows[b][j] * inv1[b] - (total_[j] - rows[b][j]) * inv0[b];
-        sq += diff * diff;
-      }
-      peak_sq = std::max(peak_sq, sq);
-    }
-    result.score[k] = std::sqrt(peak_sq);
+TvlaAccumulator TvlaAccumulator::load(SnapshotReader& r) {
+  r.expect_tag("TVL2");
+  const std::uint64_t m = r.u64();
+  if (m > r.remaining() / (2 * 2 * sizeof(double))) {
+    throw std::runtime_error("TvlaAccumulator::load: sample count exceeds stream");
   }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.score.begin(), result.score.end()) -
-      result.score.begin());
-  return result;
+  TvlaAccumulator acc(0);
+  acc.fixed_ = Moments::load(r, static_cast<std::size_t>(m));
+  acc.random_ = Moments::load(r, static_cast<std::size_t>(m));
+  return acc;
 }
 
 // ---------------------------------------------------------------------------
-// MTD trackers.  All three share the same grid scheme (build the
-// prefix-rerun grid, split batches at grid boundaries, record the true
-// key's rank at each point); only the underlying accumulator differs.
+// Measurements to disclosure
 
-namespace {
+std::size_t mtd_from_checkpoints(
+    const std::vector<std::pair<std::size_t, bool>>& checkpoints) {
+  std::size_t mtd = 0;
+  for (auto it = checkpoints.rbegin(); it != checkpoints.rend() && it->second;
+       ++it) {
+    mtd = it->first;
+  }
+  return mtd;
+}
 
-void build_mtd_grid(std::size_t expected_traces, std::size_t grid_points,
-                    std::vector<std::size_t>& grid,
-                    std::vector<char>& success) {
-  // Same grid as the prefix-rerun implementation; an empty grid (campaign
-  // too small, degenerate grid) makes finish() report "never disclosed".
-  if (expected_traces >= 4 && grid_points >= 2) {
-    for (std::size_t g = 1; g <= grid_points; ++g) {
-      grid.push_back(
-          std::max<std::size_t>(4, g * expected_traces / grid_points));
-    }
-    success.assign(grid.size(), 0);
+MtdTracker::MtdTracker(std::size_t expected_traces, Fold fold,
+                       Verdicts verdicts, std::size_t grid_points)
+    : fold_(std::move(fold)), verdicts_(std::move(verdicts)) {
+  if (expected_traces < 4 || grid_points < 2) return;
+  for (std::size_t g = 1; g <= grid_points; ++g) {
+    grid_.push_back(std::max<std::size_t>(4, g * expected_traces / grid_points));
   }
 }
 
-/// Feeds `batch` to `acc` split at the grid boundaries, firing `checkpoint`
-/// whenever the stream crosses one.  `next_grid` is the tracker's cursor by
-/// reference: each checkpoint() call advances it.  Splitting does not
-/// perturb the final accumulator state: add_batch is invariant to any
-/// batching of the stream.
-template <typename Acc, typename CheckpointFn>
-void grid_add_batch(Acc& acc, const TraceBatch& batch,
-                    const std::vector<std::size_t>& grid,
-                    const std::size_t& next_grid, TraceBatch& scratch,
-                    CheckpointFn checkpoint) {
+void MtdTracker::checkpoint() {
+  const std::vector<bool> first = verdicts_();
+  if (checkpoints_.size() < first.size()) checkpoints_.resize(first.size());
+  for (std::size_t s = 0; s < first.size(); ++s) {
+    checkpoints_[s].emplace_back(grid_[next_grid_], first[s]);
+  }
+  ++next_grid_;
+}
+
+void MtdTracker::add_batch(const TraceBatch& batch) {
   std::size_t pos = 0;
   while (pos < batch.size()) {
     std::size_t take = batch.size() - pos;
-    if (next_grid < grid.size() && acc.num_traces() < grid[next_grid]) {
-      take = std::min(take, grid[next_grid] - acc.num_traces());
+    if (next_grid_ < grid_.size()) {
+      take = std::min(take, grid_[next_grid_] - traces_);
     }
-    if (pos == 0 && take == batch.size()) {
-      acc.add_batch(batch);
+    if (take == batch.size()) {
+      fold_(batch);
     } else {
-      scratch.clear();
+      piece_.clear();
       for (std::size_t i = pos; i < pos + take; ++i) {
-        scratch.add(batch.plaintexts[i], batch.traces[i]);
+        piece_.add(batch.plaintexts[i], batch.traces[i]);
       }
-      acc.add_batch(scratch);
+      fold_(piece_);
     }
     pos += take;
-    while (next_grid < grid.size() && grid[next_grid] <= acc.num_traces()) {
+    traces_ += take;
+    while (next_grid_ < grid_.size() && grid_[next_grid_] <= traces_) {
       checkpoint();
     }
   }
 }
 
-std::size_t finish_mtd_grid(const std::vector<std::size_t>& grid,
-                            const std::vector<char>& success) {
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    bool stable = true;
-    for (std::size_t gj = gi; gj < grid.size(); ++gj) {
-      stable = stable && success[gj] != 0;
-    }
-    if (stable) return grid[gi];
-  }
-  return 0;
-}
-
-}  // namespace
-
-MtdTracker::MtdTracker(LeakageModel model, std::size_t samples,
-                       std::uint8_t true_key, std::size_t expected_traces,
-                       std::size_t grid_points)
-    : acc_(model, samples), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void MtdTracker::add(std::uint8_t plaintext, std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void MtdTracker::checkpoint() {
-  const CpaResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void MtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t MtdTracker::finish() {
-  // Grid points the stream never reached (skipped acquisitions shortened the
-  // campaign): judge them on the final state, i.e. "the largest prefix we
-  // actually have".
+void MtdTracker::finish() {
   while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
 }
 
-StaticMtdTracker::StaticMtdTracker(LeakageModel model, std::size_t samples,
-                                   StaticWindow window, std::uint8_t true_key,
-                                   std::size_t expected_traces,
-                                   std::size_t grid_points)
-    : acc_(model, samples, window), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void StaticMtdTracker::add(std::uint8_t plaintext,
-                           std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void StaticMtdTracker::checkpoint() {
-  const StaticPowerResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void StaticMtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t StaticMtdTracker::finish() {
-  while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
-}
-
-MlpaMtdTracker::MlpaMtdTracker(std::size_t samples, std::uint8_t true_key,
-                               std::size_t expected_traces,
-                               std::size_t grid_points)
-    : acc_(samples), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void MlpaMtdTracker::add(std::uint8_t plaintext,
-                         std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void MlpaMtdTracker::checkpoint() {
-  const MlpaResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void MlpaMtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t MlpaMtdTracker::finish() {
-  while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
-}
-
-// ---------------------------------------------------------------------------
-// Bitwise state serialization.  Every double crosses the boundary as its
-// exact bit pattern (SnapshotWriter::f64), so save/load round-trips resume
-// the identical arithmetic -- the invariant the campaign checkpoint tests
-// pin with memcmp-level comparisons.  Scratch members (dh_old_,
-// is_fixed_scratch_, MtdTracker::scratch_) are deliberately excluded: they
-// carry no state between batches.
-
-namespace {
-
-constexpr std::uint32_t kMaxLeakageModel =
-    static_cast<std::uint32_t>(LeakageModel::kIdentity);
-
-void save_span(SnapshotWriter& w, const double* data, std::size_t n) {
-  w.f64_span(std::span<const double>(data, n));
-}
-
-void load_exact(SnapshotReader& r, double* data, std::size_t n) {
-  std::vector<double> tmp;
-  r.f64_into(tmp, n);
-  std::copy(tmp.begin(), tmp.end(), data);
-}
-
-}  // namespace
-
-void CpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("CPA1");
-  w.u32(static_cast<std::uint32_t>(model_));
-  w.u64(m_);
-  w.u64(n_);
-  save_span(w, mean_h_.data(), mean_h_.size());
-  save_span(w, m2_h_.data(), m2_h_.size());
-  save_span(w, mean_s_.data(), mean_s_.size());
-  save_span(w, m2_s_.data(), m2_s_.size());
-  for (const auto& row : comoment_) save_span(w, row.data(), row.size());
-}
-
-CpaAccumulator CpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("CPA1");
-  const std::uint32_t model = r.u32();
-  if (model > kMaxLeakageModel) {
-    throw std::runtime_error("CpaAccumulator::load: unknown leakage model");
-  }
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  CpaAccumulator acc(static_cast<LeakageModel>(model), m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  load_exact(r, acc.mean_h_.data(), acc.mean_h_.size());
-  load_exact(r, acc.m2_h_.data(), acc.m2_h_.size());
-  r.f64_into(acc.mean_s_, m);
-  r.f64_into(acc.m2_s_, m);
-  for (auto& row : acc.comoment_) load_exact(r, row.data(), row.size());
-  return acc;
-}
-
-void DpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("DPA1");
-  w.u64(m_);
-  w.u64(n_);
-  for (const std::size_t n1 : n1_) w.u64(n1);
-  save_span(w, sum1_.data(), sum1_.size());
-  save_span(w, sum0_.data(), sum0_.size());
-}
-
-DpaAccumulator DpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("DPA1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  DpaAccumulator acc(m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  for (auto& n1 : acc.n1_) n1 = static_cast<std::size_t>(r.u64());
-  r.f64_into(acc.sum1_, 256 * m);
-  r.f64_into(acc.sum0_, 256 * m);
-  return acc;
-}
-
-void TvlaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("TVL1");
-  w.u64(m_);
-  w.u64(na_);
-  w.u64(nb_);
-  save_span(w, mean_a_.data(), mean_a_.size());
-  save_span(w, m2_a_.data(), m2_a_.size());
-  save_span(w, mean_b_.data(), mean_b_.size());
-  save_span(w, m2_b_.data(), m2_b_.size());
-}
-
-TvlaAccumulator TvlaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("TVL1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  TvlaAccumulator acc(m);
-  acc.na_ = static_cast<std::size_t>(r.u64());
-  acc.nb_ = static_cast<std::size_t>(r.u64());
-  r.f64_into(acc.mean_a_, m);
-  r.f64_into(acc.m2_a_, m);
-  r.f64_into(acc.mean_b_, m);
-  r.f64_into(acc.m2_b_, m);
-  return acc;
-}
-
-void StaticPowerAccumulator::save(SnapshotWriter& w) const {
-  w.tag("SPA1");
-  w.u32(static_cast<std::uint32_t>(model_));
-  w.u32(static_cast<std::uint32_t>(window_));
-  w.u64(m_);
-  w.u64(n_);
-  save_span(w, mean_h_.data(), mean_h_.size());
-  save_span(w, m2_h_.data(), m2_h_.size());
-  w.f64(mean_x_);
-  w.f64(m2_x_);
-  save_span(w, comoment_.data(), comoment_.size());
-}
-
-StaticPowerAccumulator StaticPowerAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("SPA1");
-  const std::uint32_t model = r.u32();
-  if (model > kMaxLeakageModel) {
-    throw std::runtime_error(
-        "StaticPowerAccumulator::load: unknown leakage model");
-  }
-  const std::uint32_t window = r.u32();
-  if (window > static_cast<std::uint32_t>(StaticWindow::kAsleep)) {
-    throw std::runtime_error(
-        "StaticPowerAccumulator::load: unknown static window");
-  }
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  StaticPowerAccumulator acc(static_cast<LeakageModel>(model), m,
-                             static_cast<StaticWindow>(window));
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  load_exact(r, acc.mean_h_.data(), acc.mean_h_.size());
-  load_exact(r, acc.m2_h_.data(), acc.m2_h_.size());
-  acc.mean_x_ = r.f64();
-  acc.m2_x_ = r.f64();
-  load_exact(r, acc.comoment_.data(), acc.comoment_.size());
-  return acc;
-}
-
-void MlpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("MLP1");
-  w.u64(m_);
-  w.u64(n_);
-  for (const auto& bits : n1_) {
-    for (const std::size_t n1 : bits) w.u64(n1);
-  }
-  save_span(w, total_.data(), total_.size());
-  save_span(w, sum1_.data(), sum1_.size());
-}
-
-MlpaAccumulator MlpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("MLP1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  MlpaAccumulator acc(m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  for (auto& bits : acc.n1_) {
-    for (auto& n1 : bits) n1 = static_cast<std::size_t>(r.u64());
-  }
-  r.f64_into(acc.total_, m);
-  r.f64_into(acc.sum1_, 256 * 8 * m);
-  return acc;
-}
-
-namespace {
-
-/// Shared tail of every MTD-tracker snapshot: true key, grid cursor, and
-/// the per-grid-point verdicts.
-void save_grid_state(SnapshotWriter& w, std::uint8_t true_key,
-                     std::size_t next_grid,
-                     const std::vector<std::size_t>& grid,
-                     const std::vector<char>& success) {
-  w.u8(true_key);
-  w.u64(next_grid);
-  w.u64(grid.size());
-  for (const std::size_t g : grid) w.u64(g);
-  for (const char s : success) w.u8(static_cast<std::uint8_t>(s));
-}
-
-void load_grid_state(SnapshotReader& r, const char* who,
-                     std::uint8_t& true_key, std::size_t& next_grid,
-                     std::vector<std::size_t>& grid,
-                     std::vector<char>& success) {
-  true_key = r.u8();
-  next_grid = static_cast<std::size_t>(r.u64());
-  const std::size_t grid_size = static_cast<std::size_t>(r.u64());
-  if (grid_size > r.remaining() / sizeof(std::uint64_t)) {
-    throw std::runtime_error(std::string(who) +
-                             ": grid length exceeds stream");
-  }
-  grid.resize(grid_size);
-  for (auto& g : grid) g = static_cast<std::size_t>(r.u64());
-  success.resize(grid_size);
-  for (auto& s : success) s = static_cast<char>(r.u8());
-  if (next_grid > grid_size) {
-    throw std::runtime_error(std::string(who) + ": grid cursor out of range");
-  }
-}
-
-}  // namespace
-
-void MtdTracker::save(SnapshotWriter& w) const {
-  w.tag("MTD1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
-}
-
-MtdTracker MtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("MTD1");
-  CpaAccumulator acc = CpaAccumulator::load(r);
-  // expected_traces = 0 builds an empty grid; the recorded one replaces it.
-  MtdTracker tracker(acc.model(), acc.samples_per_trace(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "MtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
-  return tracker;
-}
-
-void StaticMtdTracker::save(SnapshotWriter& w) const {
-  w.tag("SMT1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
-}
-
-StaticMtdTracker StaticMtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("SMT1");
-  StaticPowerAccumulator acc = StaticPowerAccumulator::load(r);
-  StaticMtdTracker tracker(acc.model(), acc.samples_per_trace(),
-                           acc.window(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "StaticMtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
-  return tracker;
-}
-
-void MlpaMtdTracker::save(SnapshotWriter& w) const {
-  w.tag("MMT1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
-}
-
-MlpaMtdTracker MlpaMtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("MMT1");
-  MlpaAccumulator acc = MlpaAccumulator::load(r);
-  MlpaMtdTracker tracker(acc.samples_per_trace(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "MlpaMtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
-  return tracker;
+std::size_t MtdTracker::mtd(std::size_t scorer) const {
+  return scorer < checkpoints_.size() ? mtd_from_checkpoints(checkpoints_[scorer])
+                                      : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -998,33 +622,24 @@ CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
     throw std::invalid_argument("cpa_accumulate_sharded: shard_size == 0");
   }
   const std::size_t n = traces.num_traces();
-  const std::size_t m = traces.samples_per_trace();
-  const std::size_t shards = (n + shard_size - 1) / shard_size;
-  if (shards <= 1) {
-    CpaAccumulator acc(model, m);
-    TraceBatch all;
-    for (std::size_t i = 0; i < n; ++i) all.add(traces.plaintext(i), traces.trace(i));
-    acc.add_batch(all);
-    return acc;
-  }
-  std::vector<std::unique_ptr<CpaAccumulator>> parts(shards);
+  const std::size_t shards =
+      std::max<std::size_t>(1, (n + shard_size - 1) / shard_size);
+  std::vector<CpaAccumulator> parts(
+      shards, CpaAccumulator(model, traces.samples_per_trace()));
   util::parallel_for(
       shards,
       [&](std::size_t s) {
-        auto acc = std::make_unique<CpaAccumulator>(model, m);
         TraceBatch batch;
-        const std::size_t lo = s * shard_size;
-        const std::size_t hi = std::min(n, lo + shard_size);
-        for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t hi = std::min(n, (s + 1) * shard_size);
+        for (std::size_t i = s * shard_size; i < hi; ++i) {
           batch.add(traces.plaintext(i), traces.trace(i));
         }
-        acc->add_batch(batch);
-        parts[s] = std::move(acc);
+        parts[s].add_batch(batch);
       },
       /*grain=*/1);
   // Fixed ascending merge order: the result is invariant to thread count.
-  for (std::size_t s = 1; s < shards; ++s) parts[0]->merge(*parts[s]);
-  return std::move(*parts[0]);
+  for (std::size_t s = 1; s < shards; ++s) parts[0].merge(parts[s]);
+  return std::move(parts[0]);
 }
 
 }  // namespace pgmcml::sca

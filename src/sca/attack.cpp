@@ -106,12 +106,21 @@ double MlpaResult::margin(std::uint8_t true_key) const {
   return score[true_key] - best_wrong;
 }
 
+namespace {
+
+/// One pass over `source` into the statistic every first-order attack reads.
+BinnedMoments bin_traces(TraceSource& source) {
+  BinnedMoments stat(source.samples_per_trace());
+  TraceBatch batch;
+  while (source.next(batch)) stat.add_batch(batch);
+  return stat;
+}
+
+}  // namespace
+
 CpaResult cpa_attack(TraceSource& source, LeakageModel model,
                      bool keep_time_curves) {
-  CpaAccumulator acc(model, source.samples_per_trace());
-  TraceBatch batch;
-  while (source.next(batch)) acc.add_batch(batch);
-  return acc.snapshot(keep_time_curves);
+  return BinSpectrum(bin_traces(source)).cpa(model, keep_time_curves);
 }
 
 CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
@@ -121,10 +130,7 @@ CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
 }
 
 DpaResult dpa_attack(TraceSource& source) {
-  DpaAccumulator acc(source.samples_per_trace());
-  TraceBatch batch;
-  while (source.next(batch)) acc.add_batch(batch);
-  return acc.snapshot();
+  return BinSpectrum(bin_traces(source)).dpa();
 }
 
 DpaResult dpa_attack(const TraceSet& traces) {
@@ -152,10 +158,10 @@ CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
     }
   }
 
-  // Pass 2: center, square per sample, and stream into the CPA engine.  The
+  // Pass 2: center, square per sample, and stream into the statistic.  The
   // squared batch is the only per-pass storage -- no squared TraceSet copy.
   source.reset();
-  CpaAccumulator acc(model, m);
+  BinnedMoments stat(m);
   std::vector<std::vector<double>> squared;
   TraceBatch sq_batch;
   while (source.next(batch)) {
@@ -170,9 +176,9 @@ CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
       }
       sq_batch.add(batch.plaintexts[i], squared[i]);
     }
-    acc.add_batch(sq_batch);
+    stat.add_batch(sq_batch);
   }
-  return acc.snapshot();
+  return BinSpectrum(stat).cpa(model);
 }
 
 CpaResult second_order_cpa(const TraceSet& traces, LeakageModel model) {
@@ -190,11 +196,19 @@ std::size_t measurements_to_disclosure(TraceSource& source,
         "measurements_to_disclosure: source has no size hint to build the "
         "checkpoint grid from");
   }
-  MtdTracker tracker(model, source.samples_per_trace(), true_key, n,
-                     grid_points);
+  BinnedMoments stat(source.samples_per_trace());
+  int rival = -1;
+  MtdTracker tracker(
+      n, [&](const TraceBatch& b) { stat.add_batch(b); },
+      [&] {
+        return std::vector<bool>{
+            BinSpectrum(stat).cpa_first(model, true_key, rival)};
+      },
+      grid_points);
   TraceBatch batch;
   while (source.next(batch)) tracker.add_batch(batch);
-  return tracker.finish();
+  tracker.finish();
+  return tracker.mtd();
 }
 
 std::size_t measurements_to_disclosure(const TraceSet& traces,

@@ -1,33 +1,46 @@
-// Single-pass, mergeable attack accumulators: the streaming analysis engine
-// behind cpa_attack / dpa_attack / tvla_* and the checkpointed
-// measurements-to-disclosure scan.
+// First-order attacks over one sufficient statistic.
 //
-// Each accumulator holds Welford/co-moment running sums per (guess, sample)
-// -- or per (class, sample) for TVLA -- so a campaign streams through once,
-// one batch at a time, in bounded memory.  A snapshot can be taken after any
-// number of traces, which turns MTD from O(grid) full CPA reruns over
-// prefix copies into checkpoints of one accumulator stream.
+// CPA, difference-of-means DPA, MLPA (Roche & Tavernier, arXiv:0906.0237)
+// and static-power CPA (Bhandari et al., arXiv:2402.03196) all target
+// sbox(p ^ k), so they depend on a trace only through its plaintext byte p.
+// One statistic therefore carries every one of them: BinnedMoments keeps,
+// for each of the 256 plaintext bins, a trace count plus a per-sample mean
+// row and M2 row.  Folding a trace costs O(samples), once, whatever attacks
+// are scored.  The attacks are pure scoring functions over a snapshot of the
+// bins (BinSpectrum).  Each score is an XOR-correlation
 //
-// Determinism contract (the same contract as util::parallel_for):
-//   * add_batch() parallelizes over fixed sample-column blocks (CPA/TVLA)
-//     or key guesses (DPA).  Each column/guess is updated by exactly one
-//     task in trace order, so the arithmetic sequence per accumulator slot
-//     is identical at any thread count AND for any batching of the same
-//     trace stream: add_batch of n traces is bitwise identical to n calls
-//     of add(), and to any split of the stream into smaller batches.  This
-//     is why MTD checkpoints (which split batches at grid boundaries) do
-//     not perturb the final CPA result by even one ulp.
-//   * merge() combines two accumulators with Chan's parallel co-moment
-//     update.  Merging in a fixed order over fixed-size shards (see
-//     cpa_accumulate_sharded) is thread-count invariant, but is a different
-//     floating-point evaluation than one-pass streaming: the two agree to
-//     ~1e-12 on the statistics, not bitwise.
+//     score_k = sum_p g(p ^ k) * D_p,      D_p = n_p * (mean_p - mean),
+//
+// evaluated for all 256 guesses by one 256-point Walsh-Hadamard transform
+// per sample column, shared by every scorer of the snapshot:
+// O(256 * 8 * samples) per snapshot, not the O(256^2 * samples) of a direct
+// sum.
+//   * CPA: g is the leakage model, centred by its mean over the 256 values;
+//     the Pearson normalisation comes from the bin counts and pooled M2.
+//   * DPA is bit 0 of MLPA's 8 bit-partitions: diff = score * (1/n1 + 1/n0).
+//   * MLPA: the l2 norm of the 8 partition differences.
+//   * Static power: CPA over a projected statistic whose column holds each
+//     trace's mean over a gating window (add_window_means).
+//   * TVLA: the random class is the pooled bins (BinnedMoments::pooled).
+//
+// Determinism contract:
+//   * add()/add_batch() fold each trace into its bin by Welford, serially in
+//     trace order, so the state is bitwise identical at any thread count and
+//     for any batching of the same stream.  That is why the MTD tracker's
+//     grid cuts do not perturb the final statistic by one ulp.
+//   * merge() combines two statistics bin by bin with Chan's update, in
+//     ascending bin order.  Merging fixed shards in a fixed order is thread
+//     count invariant, but a different floating-point evaluation than
+//     one-pass streaming: the two agree to ~1e-12, not bitwise.
+//   * save()/load() move the state bit for bit, so a loaded statistic
+//     resumes the identical arithmetic (the campaign checkpoint contract).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pgmcml/sca/attack.hpp"
@@ -37,307 +50,319 @@
 
 namespace pgmcml::sca {
 
-/// Streaming CPA: Pearson correlation between a leakage model of the 256 key
-/// guesses and every sample column, maintained as online co-moments.
-/// Memory: O(samples * 256) doubles, independent of the trace count.
-class CpaAccumulator {
- public:
-  CpaAccumulator(LeakageModel model, std::size_t samples);
+/// Welford moments of one trace population: count, per-sample mean and M2.
+struct Moments {
+  std::size_t n = 0;
+  std::vector<double> mean;
+  std::vector<double> m2;
 
-  LeakageModel model() const { return model_; }
+  explicit Moments(std::size_t samples = 0)
+      : mean(samples, 0.0), m2(samples, 0.0) {}
+
+  /// Welford fold of one trace.  Throws std::invalid_argument on a
+  /// sample-count mismatch (ragged input).
+  void add(std::span<const double> trace);
+  /// Chan merge of a disjoint population; merging an empty one is the
+  /// identity, bit for bit.
+  void merge(const Moments& other);
+
+  /// Bitwise serialization (count, then the two rows).  `samples` is the
+  /// width the caller expects; the stream must match it.
+  void save(SnapshotWriter& w) const;
+  static Moments load(SnapshotReader& r, std::size_t samples);
+};
+
+/// The sufficient statistic of every first-order attack: Welford moments of
+/// the traces in each of the 256 plaintext bins.
+/// Memory: 2 * 256 * samples doubles, independent of the trace count.
+class BinnedMoments {
+ public:
+  explicit BinnedMoments(std::size_t samples);
+
   std::size_t samples_per_trace() const { return m_; }
   std::size_t num_traces() const { return n_; }
+  const Moments& bin(std::uint8_t plaintext) const { return bins_[plaintext]; }
 
-  /// Folds one trace into the running sums.
+  /// Folds one trace into its plaintext bin.
   void add(std::uint8_t plaintext, std::span<const double> trace);
-
-  /// Folds a batch, parallel over fixed 64-column blocks.  Bitwise identical
-  /// to adding each trace with add(), at any thread count.
+  /// Folds a batch in trace order: bitwise identical to add() per trace.
   void add_batch(const TraceBatch& batch);
+  /// Per-bin Chan merge of a disjoint statistic over the same samples.
+  void merge(const BinnedMoments& other);
+  /// Moments of all traces: the bins Chan-combined in ascending order.
+  Moments pooled() const;
 
-  /// Chan-merge of a disjoint accumulator over the same model/samples.
-  void merge(const CpaAccumulator& other);
-
-  /// Correlation snapshot after any number of traces (best_guess = -1 while
-  /// fewer than 2 traces have been seen, matching the batch attack).
-  CpaResult snapshot(bool keep_time_curves = false) const;
-
-  /// Bitwise state serialization: load(save(x)) resumes the identical
-  /// arithmetic sequence (the campaign checkpoint/recovery contract).
+  /// Bitwise state serialization under the "BMS1" tag.  load() throws
+  /// std::runtime_error on a truncated, mismatched or oversized stream.
   void save(SnapshotWriter& w) const;
-  static CpaAccumulator load(SnapshotReader& r);
+  static BinnedMoments load(SnapshotReader& r);
+
+ private:
+  std::size_t m_;
+  std::size_t n_ = 0;
+  std::vector<Moments> bins_;
+};
+
+/// The static projection of a quiescent acquisition in the campaign and the
+/// flow: column 0 is the awake-window mean, column 1 the asleep-window mean.
+inline constexpr std::array<StaticWindow, 2> kStaticWindows{
+    StaticWindow::kAwake, StaticWindow::kAsleep};
+
+/// Folds each `samples`-wide trace of `batch` into `projection` as the row
+/// of its means over `windows` (the static-power observable).  Throws
+/// std::invalid_argument on a ragged trace.
+void add_window_means(BinnedMoments& projection,
+                      std::span<const StaticWindow> windows,
+                      std::size_t samples, const TraceBatch& batch);
+
+/// A snapshot of a BinnedMoments prepared for scoring: the pooled M2, the
+/// bin deviations D_p per sample column and, computed on the first full
+/// scoring and shared by every later one (so one BinSpectrum is not for
+/// concurrent use), their Walsh-Hadamard transform.
+/// Each full scorer then costs one inverse transform per column and model
+/// bit.  Columns are transformed kLanes at a time, so every butterfly runs
+/// over a contiguous vector of columns.  Below 2 traces every scorer returns
+/// its empty verdict (best_guess = -1), matching the batch attacks.
+class BinSpectrum {
+ public:
+  explicit BinSpectrum(const BinnedMoments& stat);
+
+  /// Pearson correlation of `model` with every sample column.
+  CpaResult cpa(LeakageModel model, bool keep_time_curves = false) const;
+  /// Difference of means on bit 0 of the S-box output.
+  DpaResult dpa() const;
+  /// l2 combination of the 8 bit-partition differences.
+  MlpaResult mlpa() const;
+  /// |corr| of `model` with column `column` of a static projection, which
+  /// holds the means over `window`.
+  StaticPowerResult static_power(LeakageModel model, std::size_t column,
+                                 StaticWindow window) const;
+
+  /// Whether `key` ranks first under CPA (resp. MLPA), as key_rank() == 0
+  /// on cpa() (resp. mlpa()) would say.  `rival` carries the best wrong
+  /// guess from one checkpoint to the next (start at -1).  While it still
+  /// leads the key by more than rounding, scoring just those two guesses,
+  /// summed directly over the occupied bins, settles the answer without the
+  /// transform.  Otherwise every guess is scored and `rival` is renewed.
+  bool cpa_first(LeakageModel model, std::uint8_t key, int& rival) const;
+  bool mlpa_first(std::uint8_t key, int& rival) const;
+
+ private:
+  static constexpr std::size_t kLanes = 8;
+  using Row = std::array<double, 256>;
+  /// 256 rows (one per bin, guess or frequency) of kLanes columns.
+  using Block = std::array<double, 256 * kLanes>;
+
+  /// Row k of `out` = 256 * sum_p g(p ^ k) * D_p at columns blk * kLanes +
+  /// l, for a model g centred over the 256 values with transform g_hat: for
+  /// every k by the transform when guess < 0, else only k = guess, summed
+  /// directly, in row 0.
+  void correlate(const Row& g, const Row& g_hat, std::size_t blk, int guess,
+                 Block& out) const;
+  /// Per column, the Pearson correlation of every guess (guess < 0) or of
+  /// one guess (entry 0) under `model`.
+  void correlations(LeakageModel model, int guess,
+                    const std::function<void(std::size_t, const Row&)>& each)
+      const;
+  /// max over columns of the l2 norm of the first `bits` partition
+  /// differences, per guess (guess < 0) or of one guess (entry 0).
+  Row partition_peaks(int bits, int guess) const;
+
+  std::size_t m_;
+  std::size_t n_;
+  Row counts_{};
+  std::vector<int> occupied_;       ///< bins holding traces
+  std::vector<double> m2_;          ///< pooled M2 per column
+  std::vector<Block> deviations_;   ///< D, kLanes columns per block
+  mutable std::vector<Block> spectrum_;  ///< H D once a full scorer ran
+};
+
+/// Welch t between two populations per sample column; t_statistic stays
+/// empty until both have >= 2 traces, matching the batch tvla_t_test.
+TvlaResult welch_t(const Moments& fixed, const Moments& random);
+
+// ---------------------------------------------------------------------------
+// Per-attack accumulators: a statistic plus one scorer, nothing else.
+
+/// Streaming CPA over a BinnedMoments.
+class CpaAccumulator {
+ public:
+  CpaAccumulator(LeakageModel model, std::size_t samples)
+      : model_(model), bins_(samples) {}
+
+  LeakageModel model() const { return model_; }
+  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
+  std::size_t num_traces() const { return bins_.num_traces(); }
+  const BinnedMoments& moments() const { return bins_; }
+
+  void add(std::uint8_t plaintext, std::span<const double> trace) {
+    bins_.add(plaintext, trace);
+  }
+  void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+  /// Throws std::invalid_argument on a model or sample-count mismatch.
+  void merge(const CpaAccumulator& other);
+  CpaResult snapshot(bool keep_time_curves = false) const {
+    return BinSpectrum(bins_).cpa(model_, keep_time_curves);
+  }
 
  private:
   LeakageModel model_;
-  std::size_t m_;
-  std::size_t n_ = 0;
-  // Welford state for the per-guess predictions h (plaintext-only, shared by
-  // all sample columns) ...
-  std::array<double, 256> mean_h_{};
-  std::array<double, 256> m2_h_{};
-  // ... and per sample column for the measurements s ...
-  std::vector<double> mean_s_;
-  std::vector<double> m2_s_;
-  // ... plus the co-moment sum_i (h_i - mean_h)(s_i - mean_s) per
-  // (sample, guess).
-  std::vector<std::array<double, 256>> comoment_;
-  // Scratch reused across batches: dh_old_[i][k] = h_i[k] - mean_h_before_i.
-  std::vector<std::array<double, 256>> dh_old_;
+  BinnedMoments bins_;
 };
 
-/// Streaming difference-of-means DPA (partition on the predicted S-box bit
-/// for each guess).  Memory: O(256 * samples) doubles.
+/// Streaming difference-of-means DPA over a BinnedMoments.
 class DpaAccumulator {
  public:
-  explicit DpaAccumulator(std::size_t samples);
+  explicit DpaAccumulator(std::size_t samples) : bins_(samples) {}
 
-  std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
+  std::size_t num_traces() const { return bins_.num_traces(); }
+  const BinnedMoments& moments() const { return bins_; }
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Parallel over the 256 guesses; bitwise identical to serial add().
-  void add_batch(const TraceBatch& batch);
-  /// Exact partition-sum merge (element-wise addition).
-  void merge(const DpaAccumulator& other);
-  DpaResult snapshot() const;
-
-  /// Bitwise state serialization (see CpaAccumulator::save).
-  void save(SnapshotWriter& w) const;
-  static DpaAccumulator load(SnapshotReader& r);
+  void add(std::uint8_t plaintext, std::span<const double> trace) {
+    bins_.add(plaintext, trace);
+  }
+  void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+  void merge(const DpaAccumulator& other) { bins_.merge(other.bins_); }
+  DpaResult snapshot() const { return BinSpectrum(bins_).dpa(); }
 
  private:
-  std::size_t m_;
-  std::size_t n_ = 0;
-  std::array<std::size_t, 256> n1_{};
-  std::vector<double> sum1_;  ///< 256 rows of m samples (bit = 1 partition)
-  std::vector<double> sum0_;  ///< 256 rows of m samples (bit = 0 partition)
+  BinnedMoments bins_;
 };
 
-/// Streaming fixed-vs-random Welch t-test: per-class Welford mean/variance
-/// per sample column.  Memory: O(2 * samples) doubles.
-class TvlaAccumulator {
+/// Streaming MLPA over a BinnedMoments.
+class MlpaAccumulator {
  public:
-  explicit TvlaAccumulator(std::size_t samples);
+  explicit MlpaAccumulator(std::size_t samples) : bins_(samples) {}
 
-  std::size_t samples_per_trace() const { return m_; }
-  std::size_t fixed_traces() const { return na_; }
-  std::size_t random_traces() const { return nb_; }
+  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
+  std::size_t num_traces() const { return bins_.num_traces(); }
+  const BinnedMoments& moments() const { return bins_; }
 
-  /// Folds one trace into the fixed (is_fixed) or random class.  Throws
-  /// std::invalid_argument on a sample-count mismatch (ragged input).
-  void add(bool is_fixed, std::span<const double> trace);
-
-  /// Folds a batch, classifying traces by plaintext == fixed_plaintext.
-  /// Parallel over fixed column blocks; bitwise identical to serial add().
-  void add_batch(const TraceBatch& batch, std::uint8_t fixed_plaintext);
-
-  /// Chan-merge of a disjoint accumulator (per class, per sample).
-  void merge(const TvlaAccumulator& other);
-
-  /// Welch t per sample; empty t_statistic until both classes have >= 2
-  /// traces, matching the batch tvla_t_test.
-  TvlaResult snapshot() const;
-
-  /// Bitwise state serialization (see CpaAccumulator::save).
-  void save(SnapshotWriter& w) const;
-  static TvlaAccumulator load(SnapshotReader& r);
+  void add(std::uint8_t plaintext, std::span<const double> trace) {
+    bins_.add(plaintext, trace);
+  }
+  void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+  void merge(const MlpaAccumulator& other) { bins_.merge(other.bins_); }
+  MlpaResult snapshot() const { return BinSpectrum(bins_).mlpa(); }
 
  private:
-  std::size_t m_;
-  std::size_t na_ = 0;  ///< fixed-class traces
-  std::size_t nb_ = 0;  ///< random-class traces
-  std::vector<double> mean_a_, m2_a_;
-  std::vector<double> mean_b_, m2_b_;
-  std::vector<char> is_fixed_scratch_;
+  BinnedMoments bins_;
 };
 
-/// Streaming static-power CPA (Bhandari et al., arXiv:2402.03196): each
-/// trace of a quiescent acquisition collapses to one scalar -- the mean
-/// leakage current over a gating window (static_window_bounds) -- and the
-/// engine maintains Pearson co-moments between that scalar and the leakage
-/// model of the 256 guesses.  Averaging the window inside the accumulator is
-/// the attack's core trick: W quiescent samples of the same held state
-/// suppress the measurement noise by sqrt(W).
-/// Memory: O(256) doubles.  add_batch is serial (256 slots total), so batch
-/// and thread invariance hold trivially.
+/// Streaming static-power CPA: each quiescent trace collapses to its mean
+/// over one gating window (W samples of the same held state suppress the
+/// measurement noise by sqrt(W)), binned by plaintext.
 class StaticPowerAccumulator {
  public:
   StaticPowerAccumulator(LeakageModel model, std::size_t samples,
-                         StaticWindow window = StaticWindow::kAll);
+                         StaticWindow window = StaticWindow::kAll)
+      : model_(model), window_(window), m_(samples), bins_(1) {}
 
   LeakageModel model() const { return model_; }
   StaticWindow window() const { return window_; }
   std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t num_traces() const { return bins_.num_traces(); }
+  /// The one-column projection: per-bin moments of the window mean.
+  const BinnedMoments& moments() const { return bins_; }
 
   void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Serial fold in trace order: bitwise identical to per-trace add() for
-  /// any batching of the same stream.
-  void add_batch(const TraceBatch& batch);
-  /// Chan-merge of a disjoint accumulator over the same model/window/samples.
+  void add_batch(const TraceBatch& batch) {
+    add_window_means(bins_, {&window_, 1}, m_, batch);
+  }
+  /// Throws std::invalid_argument on a model/window/sample-count mismatch.
   void merge(const StaticPowerAccumulator& other);
-  StaticPowerResult snapshot() const;
-
-  /// Bitwise state serialization (see CpaAccumulator::save).
-  void save(SnapshotWriter& w) const;
-  static StaticPowerAccumulator load(SnapshotReader& r);
+  StaticPowerResult snapshot() const {
+    return BinSpectrum(bins_).static_power(model_, 0, window_);
+  }
 
  private:
   LeakageModel model_;
   StaticWindow window_;
   std::size_t m_;
-  std::size_t n_ = 0;
-  // Welford state for the per-guess predictions h ...
-  std::array<double, 256> mean_h_{};
-  std::array<double, 256> m2_h_{};
-  // ... the scalar window-mean observable x ...
-  double mean_x_ = 0.0;
-  double m2_x_ = 0.0;
-  // ... and the co-moment sum_i (h_i - mean_h)(x_i - mean_x) per guess.
-  std::array<double, 256> comoment_{};
+  BinnedMoments bins_;
 };
 
-/// Streaming MLPA (Roche & Tavernier, arXiv:0906.0237): partition sums for
-/// every (guess, S-box output bit) pair, combined multi-linearly at snapshot
-/// time.  The per-guess bit-0 partition of classic DPA generalizes to all 8
-/// hypothesis bits; the guess-independent total sum supplies each bit's
-/// complement partition, so the state is one 256 x 8 x samples sum block.
-/// Memory: O(256 * 8 * samples) doubles.
-class MlpaAccumulator {
+/// Streaming fixed-vs-random Welch t-test: one Moments per class.
+class TvlaAccumulator {
  public:
-  explicit MlpaAccumulator(std::size_t samples);
+  explicit TvlaAccumulator(std::size_t samples)
+      : fixed_(samples), random_(samples) {}
 
-  std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t samples_per_trace() const { return fixed_.mean.size(); }
+  std::size_t fixed_traces() const { return fixed_.n; }
+  std::size_t random_traces() const { return random_.n; }
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Parallel over the 256 guesses (each task owns its guess's 8 partition
-  /// rows and walks the batch in trace order); the guess-independent total
-  /// row is folded serially.  Bitwise identical to serial add().
-  void add_batch(const TraceBatch& batch);
-  /// Exact partition-sum merge (element-wise addition).
-  void merge(const MlpaAccumulator& other);
-  MlpaResult snapshot() const;
+  /// Folds one trace into the fixed (is_fixed) or random class.
+  void add(bool is_fixed, std::span<const double> trace);
+  /// Folds a batch, classifying traces by plaintext == fixed_plaintext.
+  void add_batch(const TraceBatch& batch, std::uint8_t fixed_plaintext);
+  void merge(const TvlaAccumulator& other);
+  TvlaResult snapshot() const { return welch_t(fixed_, random_); }
 
-  /// Bitwise state serialization (see CpaAccumulator::save).
+  /// Bitwise state serialization under the "TVL2" tag.
   void save(SnapshotWriter& w) const;
-  static MlpaAccumulator load(SnapshotReader& r);
+  static TvlaAccumulator load(SnapshotReader& r);
 
  private:
-  std::size_t m_;
-  std::size_t n_ = 0;
-  std::vector<double> total_;  ///< sum of all traces (m samples)
-  std::array<std::array<std::size_t, 8>, 256> n1_{};
-  std::vector<double> sum1_;  ///< 256 * 8 rows of m samples (bit = 1)
+  Moments fixed_;
+  Moments random_;
 };
 
-/// Checkpointed measurements-to-disclosure over one accumulator stream.
+// ---------------------------------------------------------------------------
+// Measurements to disclosure.
+
+/// MTD from checkpoints in stream order, each (traces so far, whether the
+/// true key ranked first): the smallest trace count from which every later
+/// checkpoint ranks the key first; 0 when the last one does not (never
+/// disclosed).
+std::size_t mtd_from_checkpoints(
+    const std::vector<std::pair<std::size_t, bool>>& checkpoints);
+
+/// Checkpointed measurements-to-disclosure over one trace stream.
 ///
-/// Feed the campaign through add()/add_batch(); the tracker splits batches
-/// at the grid boundaries the prefix-rerun implementation used
-/// (max(4, g * n / grid_points) for g = 1..grid_points), records the true
-/// key's rank at each, and finish() returns the smallest grid point from
-/// which the rank is 0 through the end of the stream -- the same MTD the
-/// O(grid) rerun produced, in a single pass.  The underlying accumulator
-/// doubles as the full-set CPA result (snapshot()).
+/// The tracker cuts the stream at the grid max(4, g * n / grid_points) for
+/// g = 1..grid_points (the grid of the prefix-rerun scan its tests use as
+/// the oracle), hands every piece to `fold`, and at each grid point records
+/// whether the true key ranks first under every scorer `verdicts`
+/// evaluates; mtd() applies mtd_from_checkpoints.  `fold` must be invariant to batching
+/// (BinnedMoments is), so the cuts leave the caller's statistic bitwise
+/// equal to unsplit streaming.  Fewer than 4 expected traces or 2 grid
+/// points give no grid, and every MTD is 0.
 class MtdTracker {
  public:
-  MtdTracker(LeakageModel model, std::size_t samples, std::uint8_t true_key,
-             std::size_t expected_traces, std::size_t grid_points = 16);
+  using Fold = std::function<void(const TraceBatch&)>;
+  /// Whether the true key ranks first under each scorer, on what has been
+  /// folded so far.
+  using Verdicts = std::function<std::vector<bool>()>;
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
+  MtdTracker(std::size_t expected_traces, Fold fold, Verdicts verdicts,
+             std::size_t grid_points = 16);
+
   void add_batch(const TraceBatch& batch);
-
-  /// Evaluates any grid points the (possibly short) stream never reached
-  /// against the final state and returns the MTD (0 = never disclosed).
-  std::size_t finish();
-
-  /// Full-set CPA over everything streamed so far.
-  CpaResult snapshot(bool keep_time_curves = false) const {
-    return acc_.snapshot(keep_time_curves);
-  }
-  const CpaAccumulator& accumulator() const { return acc_; }
-
-  /// Bitwise state serialization: the accumulator plus the grid position and
-  /// the checkpoint verdicts recorded so far, so a resumed tracker reports
-  /// the same MTD as one that streamed the campaign uninterrupted.
-  void save(SnapshotWriter& w) const;
-  static MtdTracker load(SnapshotReader& r);
+  /// Judges the grid points a (possibly short) stream never reached on the
+  /// final state.  Call after the last batch.
+  void finish();
+  /// MTD under scorer `scorer` (an index into verdicts()); 0 = never
+  /// disclosed.
+  std::size_t mtd(std::size_t scorer = 0) const;
 
  private:
   void checkpoint();
 
-  CpaAccumulator acc_;
-  std::uint8_t true_key_;
   std::vector<std::size_t> grid_;
-  std::vector<char> success_;
   std::size_t next_grid_ = 0;
-  TraceBatch scratch_;
-};
-
-/// MtdTracker's grid/checkpoint scheme over a StaticPowerAccumulator: the
-/// single-pass measurements-to-disclosure of the static-power attack.
-class StaticMtdTracker {
- public:
-  StaticMtdTracker(LeakageModel model, std::size_t samples,
-                   StaticWindow window, std::uint8_t true_key,
-                   std::size_t expected_traces, std::size_t grid_points = 16);
-
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  void add_batch(const TraceBatch& batch);
-  std::size_t finish();
-
-  StaticPowerResult snapshot() const { return acc_.snapshot(); }
-  const StaticPowerAccumulator& accumulator() const { return acc_; }
-
-  void save(SnapshotWriter& w) const;
-  static StaticMtdTracker load(SnapshotReader& r);
-
- private:
-  void checkpoint();
-
-  StaticPowerAccumulator acc_;
-  std::uint8_t true_key_;
-  std::vector<std::size_t> grid_;
-  std::vector<char> success_;
-  std::size_t next_grid_ = 0;
-  TraceBatch scratch_;
-};
-
-/// MtdTracker's grid/checkpoint scheme over an MlpaAccumulator.
-class MlpaMtdTracker {
- public:
-  MlpaMtdTracker(std::size_t samples, std::uint8_t true_key,
-                 std::size_t expected_traces, std::size_t grid_points = 16);
-
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  void add_batch(const TraceBatch& batch);
-  std::size_t finish();
-
-  MlpaResult snapshot() const { return acc_.snapshot(); }
-  const MlpaAccumulator& accumulator() const { return acc_; }
-
-  void save(SnapshotWriter& w) const;
-  static MlpaMtdTracker load(SnapshotReader& r);
-
- private:
-  void checkpoint();
-
-  MlpaAccumulator acc_;
-  std::uint8_t true_key_;
-  std::vector<std::size_t> grid_;
-  std::vector<char> success_;
-  std::size_t next_grid_ = 0;
-  TraceBatch scratch_;
+  std::size_t traces_ = 0;
+  Fold fold_;
+  Verdicts verdicts_;
+  std::vector<std::vector<std::pair<std::size_t, bool>>> checkpoints_;
+  TraceBatch piece_;
 };
 
 /// Shard-parallel CPA: cuts `traces` into fixed `shard_size`-trace shards,
 /// accumulates each shard on the util::parallel_for pool, and merges the
-/// shard accumulators in ascending index order.  Thread-count invariant by
-/// construction (fixed shards, fixed merge order).  Each in-flight shard
-/// holds an O(samples * 256) accumulator, so prefer plain streaming
-/// (CpaAccumulator::add_batch) unless the shards do independent work anyway
-/// (separate trace files, distributed campaigns).
+/// shard statistics in ascending index order.  Thread-count invariant by
+/// construction (fixed shards, fixed merge order).
 CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
                                       LeakageModel model,
                                       std::size_t shard_size = 1024);

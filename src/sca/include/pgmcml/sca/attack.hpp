@@ -8,10 +8,11 @@
 // Success metrics: best guess, rank of the true key, distinguishability
 // margin, and measurements-to-disclosure.
 //
-// Every attack here is a thin wrapper over the single-pass accumulator
-// engine (accumulator.hpp): traces stream through once -- from an in-memory
-// TraceSet, a trace file, or live acquisition -- and are folded into
-// mergeable running sums, so a campaign's memory footprint is one batch.
+// Every attack here is a scoring function over one single-pass statistic
+// (BinnedMoments, accumulator.hpp): traces stream through once -- from an
+// in-memory TraceSet, a trace file, or live acquisition -- and are folded
+// into mergeable per-plaintext moments, so a campaign's memory footprint is
+// one batch.
 #pragma once
 
 #include <array>
@@ -130,9 +131,9 @@ CpaResult second_order_cpa(TraceSource& source,
 /// the CPA rank of the true key is 0 and stays 0 on every larger prefix.
 /// Returns 0 when the attack never discloses the key.
 ///
-/// Single pass: the campaign streams once through one accumulator whose
-/// state is snapshotted at the grid points (see MtdTracker) -- no prefix
-/// copies, no per-grid-point CPA reruns.
+/// Single pass: the campaign streams once through one statistic that is
+/// scored at the grid points (see MtdTracker) -- no prefix copies, no
+/// per-grid-point CPA reruns.
 std::size_t measurements_to_disclosure(const TraceSet& traces,
                                        std::uint8_t true_key,
                                        LeakageModel model,

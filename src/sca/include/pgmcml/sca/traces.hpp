@@ -30,9 +30,9 @@ class TraceSet {
 
   /// Returns an *owning deep copy* of the first n traces: O(n * samples)
   /// time and memory.  Analysis code should not use this -- a prefix attack
-  /// is `TraceSetSource(ts, n)` (trace_source.hpp) streamed through the
-  /// accumulator engine, and MTD sweeps checkpoint one accumulator stream
-  /// (MtdTracker) instead of re-attacking prefix copies.  Kept for callers
+  /// is `TraceSetSource(ts, n)` (trace_source.hpp) streamed into the binned
+  /// statistic, and MTD sweeps score one statistic stream (MtdTracker)
+  /// instead of re-attacking prefix copies.  Kept for callers
   /// that genuinely need an independent owning subset (e.g. handing a
   /// truncated campaign to a writer while the original keeps growing).
   TraceSet prefix(std::size_t n) const;

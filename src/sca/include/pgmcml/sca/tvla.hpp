@@ -8,7 +8,7 @@
 // This is a methodological extension over the paper's CPA-only evaluation:
 // the same acquisition engine feeds both assessments.
 // All entry points below are thin wrappers over one streaming engine,
-// TvlaAccumulator (accumulator.hpp): per-class Welford sums per sample, so
+// TvlaAccumulator (accumulator.hpp): per-class Welford moments per sample, so
 // fixed and random populations of any size are assessed in bounded memory.
 #pragma once
 

@@ -51,6 +51,9 @@ void SnapshotReader::f64_into(std::vector<double>& out, std::size_t expect) {
   if (n != expect) {
     throw std::runtime_error("sca snapshot: vector length mismatch");
   }
+  if (expect > remaining() / sizeof(double)) {
+    throw std::runtime_error("sca snapshot: vector length exceeds stream");
+  }
   out.resize(expect);
   std::memcpy(out.data(), raw(expect * sizeof(double)),
               expect * sizeof(double));

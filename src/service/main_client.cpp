@@ -1,7 +1,6 @@
 // pgmcml_client: single-shot and load-mode client for pgmcmld.
 //
-//   pgmcml_client --socket /tmp/pgmcmld.sock \
-//       --experiment examples/configs/experiment-table2-default.json
+//   pgmcml_client --socket /tmp/pgmcmld.sock --experiment experiment.json
 //   pgmcml_client --socket sock --statsz --out statsz.json
 //   pgmcml_client --socket sock --experiment e.json --repeat 64 --concurrency 8
 //

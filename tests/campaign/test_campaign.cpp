@@ -14,10 +14,12 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "pgmcml/campaign/campaign.hpp"
 #include "pgmcml/campaign/checkpoint.hpp"
+#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/snapshot.hpp"
 
 namespace pgmcml::campaign {
@@ -89,12 +91,40 @@ void expect_bitwise_equal(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.mlpa_mtd, b.mlpa_mtd);
 }
 
+/// Serialized attack state of a checkpoint: byte equality is the "identical
+/// state" check.
+std::string attack_state(const WorkerCheckpoint& state) {
+  sca::SnapshotWriter w;
+  state.bins.save(w);
+  state.fixed.save(w);
+  state.windows.save(w);
+  return w.take();
+}
+
+std::string read_file(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
 TEST(CampaignCheckpoint, RoundTripsBitwise) {
   const std::string spool = fresh_spool("roundtrip");
   std::filesystem::create_directories(spool);
   const std::string path = spool + "/shard-0.ckpt";
 
-  WorkerCheckpoint state(sca::LeakageModel::kHammingWeight, 16);
+  WorkerCheckpoint state(16);
   state.shard = 3;
   state.phase = kPhaseFixed;
   state.range_lo = 72;
@@ -102,16 +132,14 @@ TEST(CampaignCheckpoint, RoundTripsBitwise) {
   state.next_index = 80;
   state.checkpoints_written = 5;
   const std::vector<double> trace(16, 0.25);
-  state.cpa.add(0x11, trace);
-  state.dpa.add(0x11, trace);
-  state.tvla.add(true, trace);
+  state.bins.add(0x11, trace);
+  state.fixed.add(trace);
   state.diagnostics.record_attempt();
   state.diagnostics.record_retry("trace:73", "synthetic");
   state.diagnostics.record_recovery("trace:73");
 
   ASSERT_TRUE(save_checkpoint(path, state, /*config_digest=*/0xfeed));
-  auto loaded =
-      load_checkpoint(path, sca::LeakageModel::kHammingWeight, 16, 0xfeed);
+  auto loaded = load_checkpoint(path, 16, 0xfeed);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->shard, 3u);
   EXPECT_EQ(loaded->phase, kPhaseFixed);
@@ -121,64 +149,47 @@ TEST(CampaignCheckpoint, RoundTripsBitwise) {
   EXPECT_EQ(loaded->checkpoints_written, 5u);
   EXPECT_EQ(loaded->diagnostics.retries, 1u);
   EXPECT_EQ(loaded->diagnostics.recovered, 1u);
-  sca::SnapshotWriter a, b;
-  state.cpa.save(a);
-  state.tvla.save(a);
-  loaded->cpa.save(b);
-  loaded->tvla.save(b);
-  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(loaded->bins.num_traces(), 1u);
+  EXPECT_EQ(loaded->fixed.n, 1u);
+  EXPECT_EQ(attack_state(*loaded), attack_state(state));
   std::filesystem::remove_all(spool);
 }
 
 TEST(CampaignCheckpoint, EveryCrashArtifactIsACleanMiss) {
   const std::string spool = fresh_spool("artifacts");
   std::filesystem::create_directories(spool);
-  const auto model = sca::LeakageModel::kHammingWeight;
   const std::string path = spool + "/shard-0.ckpt";
 
   // Missing file.
-  EXPECT_FALSE(load_checkpoint(path, model, 16, 1).has_value());
+  EXPECT_FALSE(load_checkpoint(path, 16, 1).has_value());
 
-  WorkerCheckpoint state(model, 16);
+  WorkerCheckpoint state(16);
   state.range_hi = 10;
   ASSERT_TRUE(save_checkpoint(path, state, 1));
-  ASSERT_TRUE(load_checkpoint(path, model, 16, 1).has_value());
+  ASSERT_TRUE(load_checkpoint(path, 16, 1).has_value());
 
   // Wrong config digest: a spool from different options reads as empty.
-  EXPECT_FALSE(load_checkpoint(path, model, 16, 2).has_value());
+  EXPECT_FALSE(load_checkpoint(path, 16, 2).has_value());
   // Mismatched geometry.
-  EXPECT_FALSE(load_checkpoint(path, model, 17, 1).has_value());
+  EXPECT_FALSE(load_checkpoint(path, 17, 1).has_value());
 
   // Zero-length file (crash before any byte hit the disk).
   const std::string empty = spool + "/empty.ckpt";
   std::fclose(std::fopen(empty.c_str(), "wb"));
-  EXPECT_FALSE(load_checkpoint(empty, model, 16, 1).has_value());
+  EXPECT_FALSE(load_checkpoint(empty, 16, 1).has_value());
 
   // Truncation and a flipped payload byte: the checksum catches both.
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-      bytes.append(buf, got);
-    std::fclose(f);
-  }
+  const std::string bytes = read_file(path);
   const std::string corrupt = spool + "/corrupt.ckpt";
   for (const std::size_t cut : {bytes.size() / 2, bytes.size() - 1}) {
-    std::FILE* f = std::fopen(corrupt.c_str(), "wb");
-    std::fwrite(bytes.data(), 1, cut, f);
-    std::fclose(f);
-    EXPECT_FALSE(load_checkpoint(corrupt, model, 16, 1).has_value());
+    write_file(corrupt, std::string_view(bytes).substr(0, cut));
+    EXPECT_FALSE(load_checkpoint(corrupt, 16, 1).has_value());
   }
   {
     std::string flipped = bytes;
     flipped[flipped.size() / 3] ^= 0x40;
-    std::FILE* f = std::fopen(corrupt.c_str(), "wb");
-    std::fwrite(flipped.data(), 1, flipped.size(), f);
-    std::fclose(f);
-    EXPECT_FALSE(load_checkpoint(corrupt, model, 16, 1).has_value());
+    write_file(corrupt, flipped);
+    EXPECT_FALSE(load_checkpoint(corrupt, 16, 1).has_value());
   }
   std::filesystem::remove_all(spool);
 }
@@ -187,47 +198,76 @@ TEST(CampaignCheckpoint, StaticAndMlpaAccumulatorsRoundTripBitwise) {
   const std::string spool = fresh_spool("static-roundtrip");
   std::filesystem::create_directories(spool);
   const std::string path = spool + "/shard-0.ckpt";
-  const auto model = sca::LeakageModel::kHammingWeight;
 
-  WorkerCheckpoint state(model, 16, /*static_power=*/true, /*with_mlpa=*/true);
+  // The static projection rides in every checkpoint; MLPA needs no state
+  // of its own (it is scored from the random-phase statistic).
+  WorkerCheckpoint state(16);
   state.phase = kPhaseStatic;
   state.range_hi = 24;
   state.next_index = 8;
-  const std::vector<double> trace(16, 0.5);
-  state.static_awake->add(0x3c, trace);
-  state.static_asleep->add(0x3c, trace);
-  state.mlpa->add(0x3c, trace);
+  std::vector<double> trace(16, 0.5);
+  trace[12] = 0.125;
+  sca::TraceBatch batch;
+  batch.add(0x3c, trace);
+  sca::add_window_means(state.windows, sca::kStaticWindows, 16, batch);
+  state.bins.add(0x3c, trace);
 
   ASSERT_TRUE(save_checkpoint(path, state, /*config_digest=*/0xabcd));
-  auto loaded = load_checkpoint(path, model, 16, 0xabcd,
-                                /*static_power=*/true, /*mlpa=*/true);
+  auto loaded = load_checkpoint(path, 16, 0xabcd);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->phase, kPhaseStatic);
-  ASSERT_TRUE(loaded->static_awake.has_value());
-  ASSERT_TRUE(loaded->static_asleep.has_value());
-  ASSERT_TRUE(loaded->mlpa.has_value());
-  EXPECT_EQ(loaded->static_awake->window(), sca::StaticWindow::kAwake);
-  EXPECT_EQ(loaded->static_asleep->window(), sca::StaticWindow::kAsleep);
-  sca::SnapshotWriter a, b;
-  state.static_awake->save(a);
-  state.static_asleep->save(a);
-  state.mlpa->save(a);
-  loaded->static_awake->save(b);
-  loaded->static_asleep->save(b);
-  loaded->mlpa->save(b);
-  EXPECT_EQ(a.buffer(), b.buffer());
-
-  // A checkpoint's optional-accumulator layout must match the loader's
-  // expectation in BOTH directions: stale spools read as clean misses.
-  EXPECT_FALSE(load_checkpoint(path, model, 16, 0xabcd).has_value());
-  EXPECT_FALSE(load_checkpoint(path, model, 16, 0xabcd, true, false)
-                   .has_value());
-  WorkerCheckpoint plain(model, 16);
-  plain.range_hi = 24;
-  ASSERT_TRUE(save_checkpoint(path, plain, 0xabcd));
-  EXPECT_FALSE(load_checkpoint(path, model, 16, 0xabcd, true, true)
-                   .has_value());
+  EXPECT_EQ(loaded->windows.num_traces(), 1u);
+  EXPECT_EQ(loaded->windows.bin(0x3c).mean[0], 0.5);
+  EXPECT_EQ(attack_state(*loaded), attack_state(state));
   std::filesystem::remove_all(spool);
+}
+
+TEST(CampaignCheckpoint, OlderFormatIsACleanMissAndTheWorkerStartsFresh) {
+  const std::string spool = fresh_spool("pgc1");
+  CampaignOptions o = small_options(spool);
+  const std::uint64_t digest = campaign_config_digest(o);
+  std::filesystem::create_directories(spool);
+
+  // A "PGC1" checkpoint with a valid checksum over its body, published as
+  // shard 0's durable state and claiming the shard is done.
+  WorkerCheckpoint done(o.samples);
+  done.phase = kPhaseDone;
+  done.range_hi = o.shard_hi(0);
+  done.next_index = done.range_hi;
+  const std::string path = spool + "/shard-0.ckpt";
+  ASSERT_TRUE(save_checkpoint(path, done, digest));
+  ASSERT_TRUE(load_checkpoint(path, o.samples, digest).has_value());
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes.substr(0, 4), "PGC2");
+  bytes.replace(0, 4, "PGC1");
+  const std::string body = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
+  const std::uint64_t checksum = fnv1a64(body);
+  write_file(path, body + std::string(reinterpret_cast<const char*>(&checksum),
+                                      sizeof(checksum)));
+  EXPECT_FALSE(load_checkpoint(path, o.samples, digest).has_value());
+
+  // The worker ignores it and streams shard 0 from scratch: the campaign
+  // matches the serial reference, with shard 0 fully accumulated.
+  const CampaignResult distributed = run_campaign(o);
+  EXPECT_EQ(distributed.restarts, 0u);
+  EXPECT_EQ(distributed.traces_accumulated, o.num_traces);
+  expect_bitwise_equal(distributed, run_campaign_serial(o));
+  std::filesystem::remove_all(spool);
+}
+
+TEST(CampaignCheckpoint, SizeDoesNotDependOnTheMlpaToggle) {
+  std::uintmax_t sizes[2] = {0, 0};
+  for (const bool mlpa : {false, true}) {
+    const std::string spool = fresh_spool(mlpa ? "mlpa-on" : "mlpa-off");
+    CampaignOptions o = small_options(spool);
+    o.mlpa = mlpa;
+    const CampaignResult r = run_campaign(o);
+    EXPECT_EQ(r.mlpa_rank >= 0, mlpa);
+    sizes[mlpa ? 1 : 0] = std::filesystem::file_size(spool + "/shard-0.ckpt");
+    std::filesystem::remove_all(spool);
+  }
+  EXPECT_GT(sizes[0], 0u);
+  EXPECT_EQ(sizes[0], sizes[1]);
 }
 
 TEST(Campaign, StaticAndMlpaDigestSeparatesCampaigns) {

@@ -5,8 +5,7 @@
 // from, so the exporter cannot silently drop or misscale a field).
 //
 // Regenerate the golden file after an intentional exporter change with:
-//   PGMCML_UPDATE_GOLDEN=1 ./tests/pgmcml_tests \
-//       --gtest_filter='LibertyGolden.*'
+//   PGMCML_UPDATE_GOLDEN=1 ./tests/pgmcml_tests --gtest_filter='LibertyGolden.*'
 #include <gtest/gtest.h>
 
 #include <cmath>

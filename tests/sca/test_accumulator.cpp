@@ -1,7 +1,7 @@
-// The streaming accumulator engine vs naive textbook references: the
-// single-pass Welford/co-moment statistics must agree with the two-pass
-// formulas to ~1e-12, batching must not change a single bit, merges must be
-// associative, and the checkpointed MTD must reproduce the prefix-rerun scan.
+// The binned statistic and its scorers vs naive textbook references: the
+// transform scores must agree with the two-pass formulas to ~1e-12, batching
+// must not change a single bit, merges must be associative, and the
+// checkpointed MTD must reproduce the prefix-rerun scan.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -82,12 +82,43 @@ std::array<double, 256> naive_cpa_peaks(const TraceSet& ts,
 
 TEST(CpaAccumulator, MatchesNaiveTwoPassReference) {
   const TraceSet ts = synthetic_traces(0xa7, 400, 1.0, 0.5);
-  const CpaResult streamed = accumulate_cpa(ts, 64).snapshot();
-  const auto naive = naive_cpa_peaks(ts, LeakageModel::kHammingWeight);
-  for (int k = 0; k < 256; ++k) {
-    EXPECT_NEAR(streamed.peak_correlation[k], naive[k], 1e-12) << "guess " << k;
+  // Every leakage model goes through the transform scorer.
+  for (const LeakageModel model :
+       {LeakageModel::kHammingWeight, LeakageModel::kSboxBit0,
+        LeakageModel::kIdentity}) {
+    const CpaResult streamed = accumulate_cpa(ts, 64, model).snapshot();
+    const auto naive = naive_cpa_peaks(ts, model);
+    for (int k = 0; k < 256; ++k) {
+      EXPECT_NEAR(streamed.peak_correlation[k], naive[k], 1e-12)
+          << "model " << static_cast<int>(model) << " guess " << k;
+    }
+    if (model == LeakageModel::kHammingWeight) {
+      EXPECT_EQ(streamed.best_guess, 0xa7);
+    }
   }
-  EXPECT_EQ(streamed.best_guess, 0xa7);
+}
+
+TEST(BinSpectrum, FirstPlaceChecksAgreeWithFullRanking) {
+  // Every key, carried rivals and growing prefixes: the single-guess
+  // shortcut must answer exactly as key_rank() == 0 on a full scoring.
+  const TraceSet ts = synthetic_traces(0x3d, 240, 0.4, 1.0, 24);
+  std::vector<int> cpa_rival(256, -1), mlpa_rival(256, -1);
+  BinnedMoments stat(ts.samples_per_trace());
+  std::size_t fed = 0;
+  for (const std::size_t upto : {3ul, 20ul, 60ul, 120ul, 240ul}) {
+    for (; fed < upto; ++fed) stat.add(ts.plaintext(fed), ts.trace(fed));
+    const BinSpectrum spectrum(stat);
+    const CpaResult cpa = spectrum.cpa(LeakageModel::kIdentity);
+    const MlpaResult mlpa = spectrum.mlpa();
+    for (int key = 0; key < 256; ++key) {
+      const auto k = static_cast<std::uint8_t>(key);
+      EXPECT_EQ(spectrum.cpa_first(LeakageModel::kIdentity, k, cpa_rival[k]),
+                cpa.key_rank(k) == 0)
+          << "key " << key << " after " << upto;
+      EXPECT_EQ(spectrum.mlpa_first(k, mlpa_rival[k]), mlpa.key_rank(k) == 0)
+          << "key " << key << " after " << upto;
+    }
+  }
 }
 
 TEST(CpaAccumulator, BatchingIsBitwiseIrrelevant) {
@@ -371,6 +402,19 @@ std::size_t prefix_rerun_mtd(const TraceSet& traces, std::uint8_t true_key,
   return 0;
 }
 
+/// A CPA tracker over `stat`, ranking `key` at each point from a full
+/// scoring.
+MtdTracker cpa_tracker(BinnedMoments& stat, std::uint8_t key,
+                       std::size_t expected, std::size_t grid_points) {
+  return MtdTracker(
+      expected, [&stat](const TraceBatch& b) { stat.add_batch(b); },
+      [&stat, key] {
+        const CpaResult r = BinSpectrum(stat).cpa(LeakageModel::kHammingWeight);
+        return std::vector<bool>{r.key_rank(key) == 0};
+      },
+      grid_points);
+}
+
 TEST(MtdTracker, CheckpointedScanMatchesPrefixRerun) {
   const std::uint8_t key = 0x42;
   const TraceSet ts = synthetic_traces(key, 2000, 1.0, 4.0, 20);
@@ -386,24 +430,26 @@ TEST(MtdTracker, CheckpointedScanMatchesPrefixRerun) {
   // ...and the tracker fed in awkward batch sizes that straddle every grid
   // boundary.
   for (std::size_t batch_size : {1ul, 97ul, 613ul}) {
-    MtdTracker tracker(LeakageModel::kHammingWeight, ts.samples_per_trace(),
-                       key, ts.num_traces(), 8);
+    BinnedMoments stat(ts.samples_per_trace());
+    MtdTracker tracker = cpa_tracker(stat, key, ts.num_traces(), 8);
     TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
     TraceBatch batch;
     while (source.next(batch)) tracker.add_batch(batch);
-    EXPECT_EQ(tracker.finish(), oracle) << "batch size " << batch_size;
+    tracker.finish();
+    EXPECT_EQ(tracker.mtd(), oracle) << "batch size " << batch_size;
   }
 }
 
 TEST(MtdTracker, FullSetSnapshotIsTheUnsplitAccumulator) {
   const TraceSet ts = synthetic_traces(0x42, 600, 1.0, 4.0, 20);
-  MtdTracker tracker(LeakageModel::kHammingWeight, ts.samples_per_trace(),
-                     0x42, ts.num_traces(), 16);
+  BinnedMoments stat(ts.samples_per_trace());
+  MtdTracker tracker = cpa_tracker(stat, 0x42, ts.num_traces(), 16);
   TraceSetSource source(ts, TraceSetSource::kNoLimit, 173);
   TraceBatch batch;
   while (source.next(batch)) tracker.add_batch(batch);
   // The checkpoint splits must not perturb the final statistics by one ulp.
-  const CpaResult via_tracker = tracker.snapshot();
+  const CpaResult via_tracker = BinSpectrum(stat).cpa(
+      LeakageModel::kHammingWeight);
   const CpaResult plain = accumulate_cpa(ts, 256).snapshot();
   for (int k = 0; k < 256; ++k) {
     EXPECT_EQ(via_tracker.peak_correlation[k], plain.peak_correlation[k]);
@@ -423,12 +469,28 @@ TEST(MtdTracker, NeverDisclosedAndDegenerateCampaigns) {
             prefix_rerun_mtd(ts, 0x11, LeakageModel::kHammingWeight, 4));
 
   // Sub-minimal campaigns report "never disclosed" without checkpointing.
-  MtdTracker tiny(LeakageModel::kHammingWeight, 10, 0x11, 3, 4);
-  tiny.add(0x01, std::vector<double>(10, 0.0));
-  EXPECT_EQ(tiny.finish(), 0u);
+  BinnedMoments stat(10);
+  MtdTracker tiny = cpa_tracker(stat, 0x11, 3, 4);
+  TraceBatch one;
+  const std::vector<double> zeros(10, 0.0);
+  one.add(0x01, zeros);
+  tiny.add_batch(one);
+  tiny.finish();
+  EXPECT_EQ(tiny.mtd(), 0u);
+  EXPECT_EQ(stat.num_traces(), 1u);
   EXPECT_EQ(measurements_to_disclosure(ts.prefix(3), 0x11,
                                        LeakageModel::kHammingWeight, 4),
             0u);
+}
+
+TEST(MtdTracker, DisclosureRuleIsTheLastUnbrokenRunOfFirstPlace) {
+  using Points = std::vector<std::pair<std::size_t, bool>>;
+  EXPECT_EQ(mtd_from_checkpoints(Points{}), 0u);
+  EXPECT_EQ(mtd_from_checkpoints(Points{{10, true}, {20, false}}), 0u);
+  EXPECT_EQ(mtd_from_checkpoints(
+                Points{{10, true}, {20, false}, {30, true}, {40, true}}),
+            30u);
+  EXPECT_EQ(mtd_from_checkpoints(Points{{10, true}, {20, true}}), 10u);
 }
 
 TEST(SecondOrderCpa, StreamingMatchesTraceSetEntryPoint) {

@@ -1,7 +1,8 @@
-// Accumulator snapshot serialization: the campaign checkpoint contract.
+// Attack-state serialization: the campaign checkpoint contract.
 // load(save(x)) must restore the IDENTICAL arithmetic state -- continuing a
-// loaded accumulator produces results bitwise equal to never having paused
-// -- and the reader must reject truncated or mismatched streams loudly.
+// loaded statistic produces scores bitwise equal to never having paused --
+// and the reader must reject truncated, mismatched or oversized streams
+// loudly.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -31,8 +32,8 @@ TraceSet synthetic_traces(std::uint8_t key, std::size_t n,
   return ts;
 }
 
-/// Serialized form of an accumulator -- byte equality of two saves is the
-/// strongest "identical state" check available without friend access.
+/// Serialized form of a state -- byte equality of two saves is the strongest
+/// "identical state" check available without friend access.
 template <typename Acc>
 std::string serialized(const Acc& acc) {
   SnapshotWriter w;
@@ -83,26 +84,36 @@ TEST(Snapshot, ReaderRejectsTruncationAndBadTags) {
   EXPECT_THROW(huge.f64_vector(), std::runtime_error);
 }
 
+/// Streams traces [lo, hi) of `ts` into `stat`.
+void feed(BinnedMoments& stat, const TraceSet& ts, std::size_t lo,
+          std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) stat.add(ts.plaintext(i), ts.trace(i));
+}
+
+/// Saves `stat`, loads it back (the whole stream must be consumed), and
+/// checks the loaded state is byte-identical.
+BinnedMoments round_trip(const BinnedMoments& stat) {
+  const std::string bytes = serialized(stat);
+  SnapshotReader r(bytes);
+  BinnedMoments loaded = BinnedMoments::load(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(serialized(loaded), bytes);
+  EXPECT_EQ(loaded.num_traces(), stat.num_traces());
+  return loaded;
+}
+
 TEST(Snapshot, CpaResumesBitwise) {
   const std::uint8_t key = 0x2b;
   const TraceSet ts = synthetic_traces(key, 120);
-  CpaAccumulator live(LeakageModel::kHammingWeight, ts.samples_per_trace());
-  for (std::size_t i = 0; i < 60; ++i) live.add(ts.plaintext(i), ts.trace(i));
+  BinnedMoments live(ts.samples_per_trace());
+  feed(live, ts, 0, 60);
+  BinnedMoments resumed = round_trip(live);
 
-  SnapshotWriter w;
-  live.save(w);
-  SnapshotReader r(w.buffer());
-  CpaAccumulator resumed = CpaAccumulator::load(r);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(serialized(resumed), serialized(live));
-
-  // The loaded accumulator continues the identical arithmetic sequence.
-  for (std::size_t i = 60; i < ts.num_traces(); ++i) {
-    live.add(ts.plaintext(i), ts.trace(i));
-    resumed.add(ts.plaintext(i), ts.trace(i));
-  }
-  const CpaResult a = live.snapshot();
-  const CpaResult b = resumed.snapshot();
+  // The loaded statistic continues the identical arithmetic sequence.
+  feed(live, ts, 60, ts.num_traces());
+  feed(resumed, ts, 60, ts.num_traces());
+  const CpaResult a = BinSpectrum(live).cpa(LeakageModel::kHammingWeight);
+  const CpaResult b = BinSpectrum(resumed).cpa(LeakageModel::kHammingWeight);
   EXPECT_EQ(std::memcmp(a.peak_correlation.data(), b.peak_correlation.data(),
                         sizeof(a.peak_correlation)),
             0);
@@ -111,80 +122,52 @@ TEST(Snapshot, CpaResumesBitwise) {
 
 TEST(Snapshot, DpaAndTvlaResumeBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 100);
-  DpaAccumulator dpa(ts.samples_per_trace());
+  BinnedMoments bins(ts.samples_per_trace());
   TvlaAccumulator tvla(ts.samples_per_trace());
-  for (std::size_t i = 0; i < 50; ++i) {
-    dpa.add(ts.plaintext(i), ts.trace(i));
-    tvla.add(i % 2 == 0, ts.trace(i));
-  }
+  feed(bins, ts, 0, 50);
+  for (std::size_t i = 0; i < 50; ++i) tvla.add(i % 2 == 0, ts.trace(i));
   SnapshotWriter w;
-  dpa.save(w);
+  bins.save(w);
   tvla.save(w);
   SnapshotReader r(w.buffer());
-  DpaAccumulator dpa2 = DpaAccumulator::load(r);
+  BinnedMoments bins2 = BinnedMoments::load(r);
   TvlaAccumulator tvla2 = TvlaAccumulator::load(r);
   EXPECT_TRUE(r.exhausted());
+  feed(bins, ts, 50, ts.num_traces());
+  feed(bins2, ts, 50, ts.num_traces());
   for (std::size_t i = 50; i < ts.num_traces(); ++i) {
-    dpa.add(ts.plaintext(i), ts.trace(i));
-    dpa2.add(ts.plaintext(i), ts.trace(i));
     tvla.add(i % 2 == 0, ts.trace(i));
     tvla2.add(i % 2 == 0, ts.trace(i));
   }
-  EXPECT_EQ(serialized(dpa2), serialized(dpa));
+  EXPECT_EQ(serialized(bins2), serialized(bins));
   EXPECT_EQ(serialized(tvla2), serialized(tvla));
+  const auto da = BinSpectrum(bins).dpa().peak_difference;
+  const auto db = BinSpectrum(bins2).dpa().peak_difference;
+  EXPECT_EQ(std::memcmp(da.data(), db.data(), sizeof(da)), 0);
   const double ta = tvla.snapshot().max_abs_t;
   const double tb = tvla2.snapshot().max_abs_t;
   EXPECT_EQ(std::memcmp(&ta, &tb, sizeof(ta)), 0);
 }
 
-TEST(Snapshot, MtdTrackerResumesToSameDisclosure) {
-  const std::uint8_t key = 0x2b;
-  const TraceSet ts = synthetic_traces(key, 160);
-
-  MtdTracker straight(LeakageModel::kHammingWeight, ts.samples_per_trace(),
-                      key, ts.num_traces());
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    straight.add(ts.plaintext(i), ts.trace(i));
-  }
-
-  MtdTracker first(LeakageModel::kHammingWeight, ts.samples_per_trace(), key,
-                   ts.num_traces());
-  for (std::size_t i = 0; i < 70; ++i) first.add(ts.plaintext(i), ts.trace(i));
-  SnapshotWriter w;
-  first.save(w);
-  SnapshotReader r(w.buffer());
-  MtdTracker resumed = MtdTracker::load(r);
-  EXPECT_TRUE(r.exhausted());
-  for (std::size_t i = 70; i < ts.num_traces(); ++i) {
-    resumed.add(ts.plaintext(i), ts.trace(i));
-  }
-  EXPECT_EQ(resumed.finish(), straight.finish());
-  EXPECT_EQ(serialized(resumed.accumulator()),
-            serialized(straight.accumulator()));
-}
-
 TEST(Snapshot, StaticPowerResumesBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 120);
-  StaticPowerAccumulator live(LeakageModel::kHammingWeight,
-                              ts.samples_per_trace(), StaticWindow::kAwake);
-  for (std::size_t i = 0; i < 60; ++i) live.add(ts.plaintext(i), ts.trace(i));
+  const auto feed_windows = [&](BinnedMoments& windows, std::size_t lo,
+                                std::size_t hi) {
+    TraceBatch batch;
+    for (std::size_t i = lo; i < hi; ++i) batch.add(ts.plaintext(i), ts.trace(i));
+    add_window_means(windows, kStaticWindows, ts.samples_per_trace(), batch);
+  };
+  BinnedMoments live(kStaticWindows.size());
+  feed_windows(live, 0, 60);
+  BinnedMoments resumed = round_trip(live);
 
-  SnapshotWriter w;
-  live.save(w);
-  SnapshotReader r(w.buffer());
-  StaticPowerAccumulator resumed = StaticPowerAccumulator::load(r);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(resumed.window(), StaticWindow::kAwake);
-  EXPECT_EQ(resumed.model(), LeakageModel::kHammingWeight);
+  feed_windows(live, 60, ts.num_traces());
+  feed_windows(resumed, 60, ts.num_traces());
   EXPECT_EQ(serialized(resumed), serialized(live));
-
-  for (std::size_t i = 60; i < ts.num_traces(); ++i) {
-    live.add(ts.plaintext(i), ts.trace(i));
-    resumed.add(ts.plaintext(i), ts.trace(i));
-  }
-  EXPECT_EQ(serialized(resumed), serialized(live));
-  const auto a = live.snapshot();
-  const auto b = resumed.snapshot();
+  const auto a = BinSpectrum(live).static_power(LeakageModel::kHammingWeight,
+                                                0, StaticWindow::kAwake);
+  const auto b = BinSpectrum(resumed).static_power(
+      LeakageModel::kHammingWeight, 0, StaticWindow::kAwake);
   EXPECT_EQ(std::memcmp(a.correlation.data(), b.correlation.data(),
                         sizeof(a.correlation)),
             0);
@@ -193,117 +176,80 @@ TEST(Snapshot, StaticPowerResumesBitwise) {
 
 TEST(Snapshot, MlpaResumesBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 100);
-  MlpaAccumulator live(ts.samples_per_trace());
-  for (std::size_t i = 0; i < 50; ++i) live.add(ts.plaintext(i), ts.trace(i));
+  BinnedMoments live(ts.samples_per_trace());
+  feed(live, ts, 0, 50);
+  BinnedMoments resumed = round_trip(live);
 
-  SnapshotWriter w;
-  live.save(w);
-  SnapshotReader r(w.buffer());
-  MlpaAccumulator resumed = MlpaAccumulator::load(r);
-  EXPECT_TRUE(r.exhausted());
+  feed(live, ts, 50, ts.num_traces());
+  feed(resumed, ts, 50, ts.num_traces());
   EXPECT_EQ(serialized(resumed), serialized(live));
-
-  for (std::size_t i = 50; i < ts.num_traces(); ++i) {
-    live.add(ts.plaintext(i), ts.trace(i));
-    resumed.add(ts.plaintext(i), ts.trace(i));
-  }
-  EXPECT_EQ(serialized(resumed), serialized(live));
-  const auto sa = live.snapshot().score;
-  const auto sb = resumed.snapshot().score;
+  const auto sa = BinSpectrum(live).mlpa().score;
+  const auto sb = BinSpectrum(resumed).mlpa().score;
   EXPECT_EQ(std::memcmp(sa.data(), sb.data(), sizeof(sa)), 0);
 }
 
-TEST(Snapshot, StaticAndMlpaMtdTrackersResumeToSameDisclosure) {
-  const std::uint8_t key = 0x2b;
-  const TraceSet ts = synthetic_traces(key, 160);
-
-  StaticMtdTracker s_straight(LeakageModel::kHammingWeight,
-                              ts.samples_per_trace(), StaticWindow::kAll, key,
-                              ts.num_traces());
-  MlpaMtdTracker m_straight(ts.samples_per_trace(), key, ts.num_traces());
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    s_straight.add(ts.plaintext(i), ts.trace(i));
-    m_straight.add(ts.plaintext(i), ts.trace(i));
-  }
-
-  StaticMtdTracker s_first(LeakageModel::kHammingWeight,
-                           ts.samples_per_trace(), StaticWindow::kAll, key,
-                           ts.num_traces());
-  MlpaMtdTracker m_first(ts.samples_per_trace(), key, ts.num_traces());
-  for (std::size_t i = 0; i < 70; ++i) {
-    s_first.add(ts.plaintext(i), ts.trace(i));
-    m_first.add(ts.plaintext(i), ts.trace(i));
-  }
-  SnapshotWriter w;
-  s_first.save(w);
-  m_first.save(w);
-  SnapshotReader r(w.buffer());
-  StaticMtdTracker s_resumed = StaticMtdTracker::load(r);
-  MlpaMtdTracker m_resumed = MlpaMtdTracker::load(r);
-  EXPECT_TRUE(r.exhausted());
-  for (std::size_t i = 70; i < ts.num_traces(); ++i) {
-    s_resumed.add(ts.plaintext(i), ts.trace(i));
-    m_resumed.add(ts.plaintext(i), ts.trace(i));
-  }
-  EXPECT_EQ(s_resumed.finish(), s_straight.finish());
-  EXPECT_EQ(m_resumed.finish(), m_straight.finish());
-  EXPECT_EQ(serialized(s_resumed.accumulator()),
-            serialized(s_straight.accumulator()));
-  EXPECT_EQ(serialized(m_resumed.accumulator()),
-            serialized(m_straight.accumulator()));
-}
-
 TEST(Snapshot, LoadRejectsCorruptStaticAndMlpaStreams) {
-  StaticPowerAccumulator sp(LeakageModel::kHammingWeight, 8,
-                            StaticWindow::kAsleep);
-  sp.add(0x10, std::vector<double>(8, 1.0));
-  SnapshotWriter ws;
-  sp.save(ws);
-  const std::string sp_bytes = ws.take();
+  // The static projection and the TVLA classes are the two other shapes of
+  // attack state a checkpoint carries.
+  BinnedMoments windows(kStaticWindows.size());
+  windows.add(0x10, std::vector<double>(2, 1.0));
+  const std::string bins_bytes = serialized(windows);
+  TvlaAccumulator tvla(8);
+  tvla.add(true, std::vector<double>(8, 1.0));
+  const std::string tvla_bytes = serialized(tvla);
 
   // Truncated mid-state.
-  SnapshotReader short_r(
-      std::string_view(sp_bytes.data(), sp_bytes.size() / 2));
-  EXPECT_THROW(StaticPowerAccumulator::load(short_r), std::runtime_error);
-
-  MlpaAccumulator ml(8);
-  ml.add(0x10, std::vector<double>(8, 1.0));
-  SnapshotWriter wm;
-  ml.save(wm);
-  const std::string ml_bytes = wm.take();
-  SnapshotReader ml_short(
-      std::string_view(ml_bytes.data(), ml_bytes.size() - 5));
-  EXPECT_THROW(MlpaAccumulator::load(ml_short), std::runtime_error);
+  SnapshotReader bins_short(
+      std::string_view(bins_bytes.data(), bins_bytes.size() / 2));
+  EXPECT_THROW(BinnedMoments::load(bins_short), std::runtime_error);
+  SnapshotReader tvla_short(
+      std::string_view(tvla_bytes.data(), tvla_bytes.size() - 5));
+  EXPECT_THROW(TvlaAccumulator::load(tvla_short), std::runtime_error);
 
   // Wrong leading tag in both directions: the streams are not confusable.
-  SnapshotReader sp_as_mlpa(sp_bytes);
-  EXPECT_THROW(MlpaAccumulator::load(sp_as_mlpa), std::runtime_error);
-  SnapshotReader mlpa_as_sp(ml_bytes);
-  EXPECT_THROW(StaticPowerAccumulator::load(mlpa_as_sp), std::runtime_error);
+  SnapshotReader bins_as_tvla(bins_bytes);
+  EXPECT_THROW(TvlaAccumulator::load(bins_as_tvla), std::runtime_error);
+  SnapshotReader tvla_as_bins(tvla_bytes);
+  EXPECT_THROW(BinnedMoments::load(tvla_as_bins), std::runtime_error);
 
-  // A corrupted window enum must be rejected, not trusted.
-  std::string bad_window = sp_bytes;
-  bad_window[8] = 0x7f;  // window u32 follows the 4-char tag + model u32
-  SnapshotReader bad_r(bad_window);
-  EXPECT_THROW(StaticPowerAccumulator::load(bad_r), std::runtime_error);
+  // A corrupted row length must be rejected, not trusted.
+  std::string bad_row = bins_bytes;
+  bad_row[4 + 8 + 8] = 0x7f;  // bin 0's mean length follows tag, m, count
+  SnapshotReader bad_r(bad_row);
+  EXPECT_THROW(BinnedMoments::load(bad_r), std::runtime_error);
 }
 
 TEST(Snapshot, LoadRejectsCorruptAccumulatorStreams) {
-  CpaAccumulator acc(LeakageModel::kHammingWeight, 8);
-  SnapshotWriter w;
-  acc.save(w);
-  std::string bytes = w.take();
+  BinnedMoments stat(8);
+  const std::string bytes = serialized(stat);
 
   // Truncated mid-state.
   SnapshotReader short_r(std::string_view(bytes.data(), bytes.size() / 2));
-  EXPECT_THROW(CpaAccumulator::load(short_r), std::runtime_error);
+  EXPECT_THROW(BinnedMoments::load(short_r), std::runtime_error);
 
-  // Wrong leading tag (a DPA stream is not a CPA stream).
-  DpaAccumulator dpa(8);
-  SnapshotWriter wd;
-  dpa.save(wd);
-  SnapshotReader wrong(wd.buffer());
-  EXPECT_THROW(CpaAccumulator::load(wrong), std::runtime_error);
+  // Wrong leading tag.
+  SnapshotWriter wt;
+  wt.tag("CPA1");
+  wt.u64(8);
+  SnapshotReader wrong(wt.buffer());
+  EXPECT_THROW(BinnedMoments::load(wrong), std::runtime_error);
+}
+
+TEST(Snapshot, OversizedSampleCountThrowsBeforeAllocating) {
+  // A tag plus a sample count of 2^40 and no payload: the loaders must
+  // report a corrupt stream, not try to allocate terabytes.
+  const auto header = [](const char(&tag)[5]) {
+    SnapshotWriter w;
+    w.tag(tag);
+    w.u64(std::uint64_t{1} << 40);
+    return w.take();
+  };
+  const std::string bins = header("BMS1");
+  SnapshotReader bins_r(bins);
+  EXPECT_THROW(BinnedMoments::load(bins_r), std::runtime_error);
+  const std::string tvla = header("TVL2");
+  SnapshotReader tvla_r(tvla);
+  EXPECT_THROW(TvlaAccumulator::load(tvla_r), std::runtime_error);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Static-power and MLPA accumulators vs naive textbook references: the
-// streaming Pearson / partition-sum statistics must agree with the two-pass
-// formulas to ~1e-12, batching and worker count must not change a single
-// bit, merges must be associative, and the grid MTD trackers must reproduce
-// the prefix-rerun scan.
+// Static-power and MLPA scorers vs naive textbook references: the transform
+// scores must agree with the two-pass formulas to ~1e-12, batching and worker
+// count must not change a single bit, merges must be associative, and the
+// grid MTD tracker must reproduce the prefix-rerun scan on both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,10 +66,11 @@ TraceSet synthetic_bit_traces(std::uint8_t key, std::size_t n, double alpha,
   return ts;
 }
 
+/// Byte form of an accumulator's statistic: the "identical state" check.
 template <typename Acc>
 std::string serialized(const Acc& acc) {
   SnapshotWriter w;
-  acc.save(w);
+  acc.moments().save(w);
   return w.take();
 }
 
@@ -301,8 +301,7 @@ TEST(MlpaAccumulator, BatchingAndWorkerCountAreBitwiseIrrelevant) {
     serial.add(ts.plaintext(i), ts.trace(i));
   }
   const auto golden = serialized(serial);
-  // add_batch fans the 256 guesses out over the worker pool; every worker
-  // count must fold the identical per-guess arithmetic sequence.
+  // Every worker count must fold the identical per-bin arithmetic sequence.
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
     const std::size_t prev = util::set_parallel_threads(threads);
     const auto batched =
@@ -328,8 +327,7 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   MlpaAccumulator a_bc = chunk(0, 100);
   a_bc.merge(bc);
 
-  // Partition sums merge by element-wise addition, so the two associations
-  // differ only in floating-point summation order.
+  // Chan merges associate only up to floating-point rounding.
   const MlpaResult streamed =
       accumulate(ts, MlpaAccumulator(ts.samples_per_trace()), 256).snapshot();
   const MlpaResult left = ab.snapshot();
@@ -339,7 +337,6 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
     EXPECT_NEAR(left.score[k], right.score[k], 1e-12);
     EXPECT_NEAR(left.score[k], streamed.score[k], 1e-12);
   }
-  // The partition counts, by contrast, are integers: exactly equal.
   EXPECT_EQ(left.best_guess, right.best_guess);
 
   MlpaAccumulator other_m(ts.samples_per_trace() + 1);
@@ -347,7 +344,7 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   EXPECT_THROW(ab.add(0, std::vector<double>(1, 0.0)), std::invalid_argument);
 }
 
-TEST(StaticMtdTracker, MatchesPrefixRerunScan) {
+TEST(MtdTracker, StaticWindowsMatchPrefixRerunScan) {
   const std::uint8_t key = 0x42;
   const TraceSet ts = synthetic_static_traces(key, 1200, 1.0, 4.0, 20, 3);
   // Prefix-rerun oracle on the same grid the tracker uses.
@@ -376,38 +373,52 @@ TEST(StaticMtdTracker, MatchesPrefixRerunScan) {
   ASSERT_GT(oracle, 0u);
   ASSERT_LT(oracle, ts.num_traces());
 
+  // One tracker over the two-window projection scores both windows; the
+  // asleep window never discloses, so its MTD is 0 by the same scan.
   for (std::size_t batch_size : {1ul, 97ul, 613ul}) {
-    StaticMtdTracker tracker(LeakageModel::kHammingWeight,
-                             ts.samples_per_trace(), StaticWindow::kAwake, key,
-                             ts.num_traces(), grid_points);
+    BinnedMoments windows(kStaticWindows.size());
+    MtdTracker tracker(
+        ts.num_traces(),
+        [&](const TraceBatch& b) {
+          add_window_means(windows, kStaticWindows, ts.samples_per_trace(), b);
+        },
+        [&] {
+          const BinSpectrum spectrum(windows);
+          std::vector<bool> first;
+          for (std::size_t c = 0; c < kStaticWindows.size(); ++c) {
+            first.push_back(spectrum
+                                .static_power(LeakageModel::kHammingWeight, c,
+                                              kStaticWindows[c])
+                                .key_rank(key) == 0);
+          }
+          return first;
+        },
+        grid_points);
     TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
     TraceBatch batch;
     while (source.next(batch)) tracker.add_batch(batch);
-    EXPECT_EQ(tracker.finish(), oracle) << "batch size " << batch_size;
+    tracker.finish();
+    EXPECT_EQ(tracker.mtd(0), oracle) << "batch size " << batch_size;
+    EXPECT_EQ(tracker.mtd(1), 0u) << "batch size " << batch_size;
   }
-
-  // The asleep window never discloses: MTD 0 by the same scan.
-  StaticMtdTracker starved(LeakageModel::kHammingWeight,
-                           ts.samples_per_trace(), StaticWindow::kAsleep, key,
-                           ts.num_traces(), grid_points);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 128);
-  TraceBatch batch;
-  while (source.next(batch)) starved.add_batch(batch);
-  EXPECT_EQ(starved.finish(), 0u);
 }
 
-TEST(MlpaMtdTracker, GridSplitsDoNotPerturbTheAccumulator) {
+TEST(MtdTracker, MlpaGridSplitsDoNotPerturbTheStatistic) {
   const std::uint8_t key = 0x66;
   const TraceSet ts = synthetic_bit_traces(key, 600, 1.0, 2.0, 16, 7);
-  MlpaMtdTracker tracker(ts.samples_per_trace(), key, ts.num_traces(), 16);
+  MlpaAccumulator acc(ts.samples_per_trace());
+  MtdTracker tracker(
+      ts.num_traces(), [&](const TraceBatch& b) { acc.add_batch(b); },
+      [&] { return std::vector<bool>{acc.snapshot().key_rank(key) == 0}; },
+      16);
   TraceSetSource source(ts, TraceSetSource::kNoLimit, 173);
   TraceBatch batch;
   while (source.next(batch)) tracker.add_batch(batch);
-  const std::size_t mtd = tracker.finish();
-  EXPECT_GT(mtd, 0u);
+  tracker.finish();
+  EXPECT_GT(tracker.mtd(), 0u);
 
   const auto plain = accumulate(ts, MlpaAccumulator(16), 256);
-  EXPECT_EQ(serialized(tracker.accumulator()), serialized(plain));
+  EXPECT_EQ(serialized(acc), serialized(plain));
 }
 
 }  // namespace
