@@ -140,7 +140,6 @@ void print_attack_modalities(pgmcml::bench::Manifest& manifest) {
     sopt.samples = 200;
     sopt.key = key;
     sopt.acquisition = core::AcquisitionMode::kStatic;
-    sopt.compute_static = true;
     sopt.compute_mtd = true;
     sopt.keep_traces = false;
     const core::DpaFlowResult sr = core::run_dpa_flow(lib, sopt);

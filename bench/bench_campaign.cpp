@@ -1,10 +1,11 @@
 // Distributed-campaign benchmark: throughput scaling of the forked-worker
 // coordinator against the serial reference, plus a crash-recovery run with
 // an injected worker SIGKILL.  Every distributed run is checked bitwise
-// against the serial reference (CPA peak correlations, DPA differences,
-// TVLA max |t|, key rank, MTD) -- the `campaign.*.bitwise_equal` metrics
-// are the receipt, and they gate regressions; the timing metrics are
-// machine-dependent and ignored by the CI compare.
+// against the serial reference with campaign::bitwise_equal (every
+// scorer's guess scores, TVLA max |t|, key rank, MTDs) -- the
+// `campaign.*.bitwise_equal` metrics are the receipt, and they gate
+// regressions; the timing metrics are machine-dependent and ignored by
+// the CI compare.
 //
 // PGMCML_BENCH_SMOKE=1 shrinks the workload to a CI-sized run.  The full
 // run defaults to a 100k-trace campaign; PGMCML_CAMPAIGN_BENCH_TRACES and
@@ -13,7 +14,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -35,21 +35,6 @@ double now_seconds() {
 bool smoke_mode() {
   const char* env = std::getenv("PGMCML_BENCH_SMOKE");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-/// The attack statistics two equal campaigns must share bit for bit.
-bool bitwise_equal(const campaign::CampaignResult& a,
-                   const campaign::CampaignResult& b) {
-  return std::memcmp(a.cpa.peak_correlation.data(),
-                     b.cpa.peak_correlation.data(),
-                     sizeof(a.cpa.peak_correlation)) == 0 &&
-         std::memcmp(a.dpa.peak_difference.data(),
-                     b.dpa.peak_difference.data(),
-                     sizeof(a.dpa.peak_difference)) == 0 &&
-         std::memcmp(&a.tvla.max_abs_t, &b.tvla.max_abs_t,
-                     sizeof(a.tvla.max_abs_t)) == 0 &&
-         a.key_rank == b.key_rank && a.mtd == b.mtd &&
-         a.traces_accumulated == b.traces_accumulated;
 }
 
 struct RunMeasurement {
@@ -111,7 +96,7 @@ int main() {
     const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
     m.seconds = now_seconds() - t0;
-    m.equal = bitwise_equal(m.result, serial);
+    m.equal = campaign::bitwise_equal(m.result, serial);
     table.row({m.label, std::to_string(workers),
                util::Table::num(m.seconds, 2),
                util::Table::num(m.traces_per_second(base.num_traces), 0),
@@ -140,7 +125,7 @@ int main() {
     const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
     m.seconds = now_seconds() - t0;
-    m.equal = bitwise_equal(m.result, serial);
+    m.equal = campaign::bitwise_equal(m.result, serial);
     table.row({"crash (shard 1)", "4", util::Table::num(m.seconds, 2),
                util::Table::num(m.traces_per_second(base.num_traces), 0),
                util::Table::num(serial_s / m.seconds, 2),

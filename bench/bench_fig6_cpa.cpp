@@ -199,7 +199,6 @@ void print_fig6(std::vector<StyleBench>& bench) {
     sopt.num_traces = std::min<std::size_t>(trace_budget() / 2, 1500);
     sopt.samples = 200;
     sopt.acquisition = core::AcquisitionMode::kStatic;
-    sopt.compute_static = true;
     sopt.compute_mtd = true;
     sopt.keep_traces = false;
     const core::DpaFlowResult sr = core::run_dpa_flow(lib, sopt);

@@ -25,8 +25,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr sca::LeakageModel kModel = sca::LeakageModel::kHammingWeight;
-
 const cells::CellLibrary& library_for(cells::LogicStyle style) {
   static const cells::CellLibrary cmos = cells::CellLibrary::cmos90();
   static const cells::CellLibrary mcml = cells::CellLibrary::mcml90();
@@ -93,6 +91,31 @@ WorkerCheckpoint fresh_state(const CampaignOptions& o, std::uint64_t shard) {
   return state;
 }
 
+/// Whether phase `p` runs under `o`: the one reading of the tvla and
+/// static_power toggles (phase VALUES stay stable whichever are off).
+bool phase_active(const CampaignOptions& o, std::uint32_t p) {
+  return p == kPhaseRandom || (p == kPhaseFixed && o.tvla) ||
+         (p == kPhaseStatic && o.static_power);
+}
+
+/// First global index of phase `p` that `st` has not attempted: its range
+/// start before the phase began, its cursor during it, its range end after.
+std::uint64_t first_unattempted(const WorkerCheckpoint& st, std::uint32_t p) {
+  return st.phase < p ? st.range_lo : st.phase == p ? st.next_index
+                                                    : st.range_hi;
+}
+
+/// One outcome per shard, holding its index and range.
+std::vector<ShardOutcome> shard_outcomes(const CampaignOptions& o) {
+  std::vector<ShardOutcome> out(o.shard_count());
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    out[s].shard = s;
+    out[s].range_lo = o.shard_lo(s);
+    out[s].range_hi = o.shard_hi(s);
+  }
+  return out;
+}
+
 /// The ONE per-shard fold, shared verbatim by the serial reference and the
 /// (possibly crashed-and-resumed) workers: stream the shard's remaining
 /// range phase by phase through the acquisition source into the checkpoint
@@ -105,12 +128,9 @@ void run_shard_range(
     const std::function<void(const WorkerCheckpoint&)>* on_checkpoint,
     const std::function<void()>* heartbeat) {
   for (std::uint32_t phase = state.phase; phase < kPhaseDone; ++phase) {
-    // Phase VALUES are stable; inactive phases are skipped over, so a
-    // checkpoint resumes into the same phase whatever toggles are off.
-    const bool active = phase == kPhaseRandom ||
-                        (phase == kPhaseFixed && o.tvla) ||
-                        (phase == kPhaseStatic && o.static_power);
-    if (!active) continue;
+    // Inactive phases are skipped over, so a checkpoint resumes into the
+    // same phase whatever toggles are off.
+    if (!phase_active(o, phase)) continue;
     if (state.phase != phase) {
       state.phase = phase;
       state.next_index = state.range_lo;
@@ -227,11 +247,13 @@ void worker_process(const CampaignOptions& o,
 // -------------------------------------------------------------------------
 // Index-ordered merge: the single arithmetic path both runs share.
 
-/// Merges per-shard states in ascending shard order into `result`.  Absent
-/// states (no durable checkpoint ever published) contribute nothing and
-/// their full range is reported skipped; partial states contribute their
-/// durable prefix.  MTD is evaluated at shard boundaries: the smallest
-/// cumulative trace count from which the true key's rank stays 0.
+/// Merges per-shard states in ascending shard order into `result`, whose
+/// shards are shard_outcomes(o).  Absent states (no durable checkpoint ever
+/// published) contribute nothing and their full range is reported skipped;
+/// partial states contribute their durable prefix.  Each shard's attempted
+/// counts come from its state.  MTD is evaluated at shard boundaries: the
+/// smallest cumulative trace count from which the true key ranks first at
+/// every later boundary.
 void merge_checkpoints(
     const CampaignOptions& o,
     const std::vector<std::optional<WorkerCheckpoint>>& states,
@@ -240,91 +262,49 @@ void merge_checkpoints(
   sca::BinnedMoments bins(o.samples);
   sca::Moments fixed(o.samples);
   sca::BinnedMoments windows(sca::kStaticWindows.size());
-  const auto static_result = [&](std::size_t column) {
-    return sca::BinSpectrum(windows).static_power(kModel, column,
-                                                  sca::kStaticWindows[column]);
-  };
+  const sca::BinnedMoments* projection =
+      phase_active(o, kPhaseStatic) ? &windows : nullptr;
   // (traces merged, whether the key ranks first) at each shard boundary,
-  // per scorer.
-  std::vector<std::pair<std::size_t, bool>> cpa_points, mlpa_points;
-  std::vector<std::pair<std::size_t, bool>> awake_points, asleep_points;
-  int cpa_rival = -1;
-  int mlpa_rival = -1;
+  // per scorer; the static scorers count quiescent holds.
+  sca::FirstPlace first = sca::first_place(o.key, o.mlpa);
+  std::vector<std::vector<std::pair<std::size_t, bool>>> points(
+      sca::AttackVerdicts::kScorers);
   for (std::size_t s = 0; s < states.size(); ++s) {
-    const std::uint64_t lo = o.shard_lo(s);
-    const std::uint64_t hi = o.shard_hi(s);
-    if (!states[s].has_value()) {
-      result.skipped_ranges.push_back({lo, hi, kPhaseRandom});
-      if (o.tvla) result.skipped_ranges.push_back({lo, hi, kPhaseFixed});
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
+    ShardOutcome& outcome = result.shards[s];
+    std::uint64_t* attempted[] = {&outcome.random_attempted,
+                                  &outcome.fixed_attempted,
+                                  &outcome.static_attempted};
+    for (std::uint32_t p = kPhaseRandom; p < kPhaseDone; ++p) {
+      if (!phase_active(o, p)) continue;
+      const std::uint64_t from =
+          states[s] ? first_unattempted(*states[s], p) : outcome.range_lo;
+      *attempted[p] = from - outcome.range_lo;
+      if (from < outcome.range_hi) {
+        result.skipped_ranges.push_back({from, outcome.range_hi, p});
       }
-      continue;
     }
+    if (!states[s].has_value()) continue;
     const WorkerCheckpoint& st = *states[s];
     bins.merge(st.bins);
     fixed.merge(st.fixed);
     windows.merge(st.windows);
     result.diagnostics.merge(st.diagnostics);
-    if (st.phase == kPhaseRandom) {
-      if (st.next_index < hi) {
-        result.skipped_ranges.push_back({st.next_index, hi, kPhaseRandom});
-      }
-      if (o.tvla) result.skipped_ranges.push_back({lo, hi, kPhaseFixed});
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
-      }
-    } else if (st.phase == kPhaseFixed) {
-      if (st.next_index < hi) {
-        result.skipped_ranges.push_back({st.next_index, hi, kPhaseFixed});
-      }
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
-      }
-    } else if (st.phase == kPhaseStatic && st.next_index < hi) {
-      result.skipped_ranges.push_back({st.next_index, hi, kPhaseStatic});
-    }
     if (o.compute_mtd) {
-      const sca::BinSpectrum spectrum(bins);
-      cpa_points.emplace_back(bins.num_traces(),
-                              spectrum.cpa_first(kModel, o.key, cpa_rival));
-      if (o.mlpa) {
-        mlpa_points.emplace_back(bins.num_traces(),
-                                 spectrum.mlpa_first(o.key, mlpa_rival));
-      }
-      if (o.static_power) {
-        awake_points.emplace_back(windows.num_traces(),
-                                  static_result(0).key_rank(o.key) == 0);
-        asleep_points.emplace_back(windows.num_traces(),
-                                   static_result(1).key_rank(o.key) == 0);
+      const std::vector<bool> now = first(bins, projection);
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        const bool held = i >= sca::AttackVerdicts::kAwake;
+        points[i].emplace_back((held ? windows : bins).num_traces(), now[i]);
       }
     }
   }
   result.traces_accumulated = bins.num_traces();
-  const sca::BinSpectrum spectrum(bins);
-  result.cpa = spectrum.cpa(kModel);
-  result.dpa = spectrum.dpa();
-  if (o.tvla) result.tvla = sca::welch_t(fixed, bins.pooled());
-  if (o.static_power) {
-    result.static_awake = static_result(0);
-    result.static_asleep = static_result(1);
-    result.static_traces_accumulated = windows.num_traces();
-    result.static_awake_rank = result.static_awake.key_rank(o.key);
-    result.static_asleep_rank = result.static_asleep.key_rank(o.key);
-    result.static_awake_margin = result.static_awake.margin(o.key);
-    result.static_asleep_margin = result.static_asleep.margin(o.key);
+  result.static_traces_accumulated = windows.num_traces();
+  result.score(bins, projection, o.key, o.mlpa, [&](std::size_t i) {
+    return sca::mtd_from_checkpoints(points[i]);
+  });
+  if (phase_active(o, kPhaseFixed)) {
+    result.tvla = sca::welch_t(fixed, bins.pooled());
   }
-  if (o.mlpa) {
-    result.mlpa = spectrum.mlpa();
-    result.mlpa_rank = result.mlpa.key_rank(o.key);
-    result.mlpa_margin = result.mlpa.margin(o.key);
-  }
-  result.key_rank = result.cpa.key_rank(o.key);
-  result.margin = result.cpa.margin(o.key);
-  result.mtd = sca::mtd_from_checkpoints(cpa_points);
-  result.mlpa_mtd = sca::mtd_from_checkpoints(mlpa_points);
-  result.static_awake_mtd = sca::mtd_from_checkpoints(awake_points);
-  result.static_asleep_mtd = sca::mtd_from_checkpoints(asleep_points);
   obs::Registry::global()
       .counter("campaign.traces_merged")
       .add(result.traces_accumulated);
@@ -434,24 +414,13 @@ CampaignResult run_campaign_serial(const CampaignOptions& user_options) {
   options.post_checkpoint_hook = nullptr;
   options.worker_fault_hook = nullptr;
   const cells::CellLibrary& library = library_for(options.style);
-  const std::size_t shards = options.shard_count();
-  std::vector<std::optional<WorkerCheckpoint>> states;
-  states.reserve(shards);
   CampaignResult result;
-  for (std::size_t s = 0; s < shards; ++s) {
-    WorkerCheckpoint state = fresh_state(options, s);
+  result.shards = shard_outcomes(options);
+  std::vector<std::optional<WorkerCheckpoint>> states;
+  for (ShardOutcome& outcome : result.shards) {
+    WorkerCheckpoint state = fresh_state(options, outcome.shard);
     run_shard_range(options, library, state, /*restart=*/0, nullptr, nullptr);
-    ShardOutcome outcome;
-    outcome.shard = s;
-    outcome.range_lo = state.range_lo;
-    outcome.range_hi = state.range_hi;
     outcome.completed = true;
-    outcome.random_attempted = state.range_hi - state.range_lo;
-    outcome.fixed_attempted =
-        options.tvla ? state.range_hi - state.range_lo : 0;
-    outcome.static_attempted =
-        options.static_power ? state.range_hi - state.range_lo : 0;
-    result.shards.push_back(outcome);
     states.push_back(std::move(state));
   }
   merge_checkpoints(options, states, result);
@@ -486,14 +455,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
               "campaign.checkpoint_bytes_read")) {}
   } handles;
 
-  const std::size_t shards = options.shard_count();
   CampaignResult result;
-  result.shards.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    result.shards[s].shard = s;
-    result.shards[s].range_lo = options.shard_lo(s);
-    result.shards[s].range_hi = options.shard_hi(s);
-  }
+  result.shards = shard_outcomes(options);
+  const std::size_t shards = result.shards.size();
 
   // fork() and a live thread pool do not mix: the child would inherit a
   // pool whose threads died at the fork.  Tear the pool down for the whole
@@ -628,22 +592,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       const auto bytes = std::filesystem::file_size(
           checkpoint_path(options, s), size_ec);
       if (!size_ec) handles.ckpt_bytes.add(bytes);
-      ShardOutcome& outcome = result.shards[s];
-      const std::uint64_t span_lo = outcome.range_lo;
-      const std::uint64_t full = outcome.range_hi - span_lo;
-      const std::uint64_t partial = state->next_index - span_lo;
-      outcome.random_attempted =
-          state->phase == kPhaseRandom ? partial : full;
-      if (options.tvla) {
-        outcome.fixed_attempted = state->phase < kPhaseFixed  ? 0
-                                  : state->phase == kPhaseFixed ? partial
-                                                                : full;
-      }
-      if (options.static_power) {
-        outcome.static_attempted = state->phase < kPhaseStatic  ? 0
-                                   : state->phase == kPhaseStatic ? partial
-                                                                  : full;
-      }
     }
     states.push_back(std::move(state));
   }
@@ -652,6 +600,23 @@ CampaignResult run_campaign(const CampaignOptions& options) {
 }
 
 // -------------------------------------------------------------------------
+
+bool bitwise_equal(const CampaignResult& a, const CampaignResult& b) {
+  const auto same = [](const auto& x, const auto& y) {
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  };
+  return same(a.cpa.peak_correlation, b.cpa.peak_correlation) &&
+         same(a.dpa.peak_difference, b.dpa.peak_difference) &&
+         same(a.tvla.max_abs_t, b.tvla.max_abs_t) &&
+         same(a.static_awake.correlation, b.static_awake.correlation) &&
+         same(a.static_asleep.correlation, b.static_asleep.correlation) &&
+         same(a.mlpa.score, b.mlpa.score) && a.key_rank == b.key_rank &&
+         a.mtd == b.mtd && a.static_awake_mtd == b.static_awake_mtd &&
+         a.static_asleep_mtd == b.static_asleep_mtd &&
+         a.mlpa_mtd == b.mlpa_mtd &&
+         a.traces_accumulated == b.traces_accumulated &&
+         a.static_traces_accumulated == b.static_traces_accumulated;
+}
 
 obs::json::Value CampaignResult::to_json() const {
   using obs::json::Array;
@@ -663,32 +628,7 @@ obs::json::Value CampaignResult::to_json() const {
   root.emplace_back("mtd", Value(static_cast<std::uint64_t>(mtd)));
   root.emplace_back("tvla_max_abs_t", Value(tvla.max_abs_t));
   root.emplace_back("tvla_leaks", Value(tvla.leaks()));
-  if (static_awake_rank >= 0) {
-    Array windows;
-    const auto window_json = [](const sca::StaticPowerResult& w, int rank,
-                                double margin, std::size_t mtd) {
-      Object o;
-      o.emplace_back("window", Value(std::string(sca::to_string(w.window))));
-      o.emplace_back("key_rank", Value(rank));
-      o.emplace_back("margin", Value(margin));
-      o.emplace_back("mtd", Value(static_cast<std::uint64_t>(mtd)));
-      return Value(std::move(o));
-    };
-    windows.push_back(window_json(static_awake, static_awake_rank,
-                                  static_awake_margin, static_awake_mtd));
-    windows.push_back(window_json(static_asleep, static_asleep_rank,
-                                  static_asleep_margin, static_asleep_mtd));
-    root.emplace_back("static_power", Value(std::move(windows)));
-    root.emplace_back("static_traces_accumulated",
-                      Value(static_traces_accumulated));
-  }
-  if (mlpa_rank >= 0) {
-    Object m;
-    m.emplace_back("key_rank", Value(mlpa_rank));
-    m.emplace_back("margin", Value(mlpa_margin));
-    m.emplace_back("mtd", Value(static_cast<std::uint64_t>(mlpa_mtd)));
-    root.emplace_back("mlpa", Value(std::move(m)));
-  }
+  add_json(root, static_traces_accumulated);
   root.emplace_back("traces_accumulated", Value(traces_accumulated));
   root.emplace_back("workers_spawned", Value(workers_spawned));
   root.emplace_back("restarts", Value(restarts));

@@ -24,10 +24,7 @@
 #include <vector>
 
 #include "pgmcml/cells/library.hpp"
-#include "pgmcml/obs/json.hpp"
-#include "pgmcml/sca/attack.hpp"
-#include "pgmcml/sca/trace_source.hpp"
-#include "pgmcml/sca/tvla.hpp"
+#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/spice/solve_error.hpp"
 
 namespace pgmcml::campaign {
@@ -114,29 +111,11 @@ struct SkippedRange {
   std::uint32_t phase = 0;  ///< kPhaseRandom, kPhaseFixed or kPhaseStatic
 };
 
-struct CampaignResult {
-  sca::CpaResult cpa;
-  sca::DpaResult dpa;
+/// The verdicts against the campaign key (MLPA when mlpa, the static windows
+/// when static_power), scored at merge time so to_json needs no key; MTDs at
+/// shard-boundary granularity.
+struct CampaignResult : sca::AttackVerdicts {
   sca::TvlaResult tvla;
-  int key_rank = -1;
-  double margin = 0.0;
-  std::size_t mtd = 0;  ///< shard-boundary granularity; 0 = never disclosed
-  /// Static-power verdicts per gating window (static_power only), and the
-  /// MLPA verdict (mlpa only); MTDs at shard-boundary granularity.  The
-  /// rank/margin scalars are evaluated against the campaign key at merge
-  /// time, so to_json needs no key.
-  sca::StaticPowerResult static_awake;
-  sca::StaticPowerResult static_asleep;
-  int static_awake_rank = -1;
-  int static_asleep_rank = -1;
-  double static_awake_margin = 0.0;
-  double static_asleep_margin = 0.0;
-  std::size_t static_awake_mtd = 0;
-  std::size_t static_asleep_mtd = 0;
-  sca::MlpaResult mlpa;
-  int mlpa_rank = -1;
-  double mlpa_margin = 0.0;
-  std::size_t mlpa_mtd = 0;
   /// Quiescent holds folded into the merged static accumulators.
   std::uint64_t static_traces_accumulated = 0;
   /// Random-class traces folded into the merged CPA accumulator.
@@ -154,6 +133,11 @@ struct CampaignResult {
   /// ranges, per-shard outcomes, diagnostics).
   obs::json::Value to_json() const;
 };
+
+/// Whether two campaigns share their attack statistics bit for bit: every
+/// scorer's guess scores, TVLA max |t|, the key rank, every MTD and the
+/// trace counts.  The distributed-vs-serial acceptance check.
+bool bitwise_equal(const CampaignResult& a, const CampaignResult& b);
 
 /// Digest of every option that shapes the trace stream or the shard layout;
 /// stamped into checkpoints so a spool from different options reads as

@@ -58,32 +58,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool bitwise_equal(const campaign::CampaignResult& a,
-                   const campaign::CampaignResult& b) {
-  return std::memcmp(a.cpa.peak_correlation.data(),
-                     b.cpa.peak_correlation.data(),
-                     sizeof(a.cpa.peak_correlation)) == 0 &&
-         std::memcmp(a.dpa.peak_difference.data(),
-                     b.dpa.peak_difference.data(),
-                     sizeof(a.dpa.peak_difference)) == 0 &&
-         std::memcmp(&a.tvla.max_abs_t, &b.tvla.max_abs_t,
-                     sizeof(double)) == 0 &&
-         std::memcmp(a.static_awake.correlation.data(),
-                     b.static_awake.correlation.data(),
-                     sizeof(a.static_awake.correlation)) == 0 &&
-         std::memcmp(a.static_asleep.correlation.data(),
-                     b.static_asleep.correlation.data(),
-                     sizeof(a.static_asleep.correlation)) == 0 &&
-         std::memcmp(a.mlpa.score.data(), b.mlpa.score.data(),
-                     sizeof(a.mlpa.score)) == 0 &&
-         a.key_rank == b.key_rank && a.mtd == b.mtd &&
-         a.static_awake_mtd == b.static_awake_mtd &&
-         a.static_asleep_mtd == b.static_asleep_mtd &&
-         a.mlpa_mtd == b.mlpa_mtd &&
-         a.traces_accumulated == b.traces_accumulated &&
-         a.static_traces_accumulated == b.static_traces_accumulated;
-}
-
 void print_summary(const char* label, const campaign::CampaignResult& r) {
   std::printf(
       "%s: traces=%llu key_rank=%d margin=%.6g mtd=%llu tvla_max_t=%.6g "
@@ -94,19 +68,12 @@ void print_summary(const char* label, const campaign::CampaignResult& r) {
       static_cast<unsigned long long>(r.restarts),
       static_cast<unsigned long long>(r.heartbeat_timeouts),
       static_cast<unsigned long long>(r.shards_skipped));
-  if (r.static_awake_rank >= 0) {
-    std::printf(
-        "%s: static_power awake rank=%d mtd=%llu | asleep rank=%d mtd=%llu "
-        "(holds=%llu)\n",
-        label, r.static_awake_rank,
-        static_cast<unsigned long long>(r.static_awake_mtd),
-        r.static_asleep_rank,
-        static_cast<unsigned long long>(r.static_asleep_mtd),
-        static_cast<unsigned long long>(r.static_traces_accumulated));
-  }
-  if (r.mlpa_rank >= 0) {
-    std::printf("%s: mlpa rank=%d margin=%.6g mtd=%llu\n", label, r.mlpa_rank,
-                r.mlpa_margin, static_cast<unsigned long long>(r.mlpa_mtd));
+  // The static-window and MLPA verdicts, as the JSON report writes them.
+  obs::json::Object modalities;
+  r.add_json(modalities, r.static_traces_accumulated);
+  if (!modalities.empty()) {
+    std::printf("%s: %s\n", label,
+                obs::json::Value(std::move(modalities)).dump().c_str());
   }
 }
 
@@ -260,7 +227,7 @@ int main(int argc, char** argv) {
                            result.shards_skipped));
           return 1;
         }
-        if (!bitwise_equal(result, reference)) {
+        if (!campaign::bitwise_equal(result, reference)) {
           std::fprintf(stderr,
                        "verify-serial: FAILED -- distributed result is not "
                        "bitwise equal to the serial reference\n");

@@ -119,7 +119,6 @@ void add_plan_to_key(cache::KeyBuilder& kb, const Plan& p) {
       kb.add("plan.acquisition",
              o.acquisition == core::AcquisitionMode::kStatic ? "static"
                                                              : "dynamic");
-      kb.add("plan.static_power", o.compute_static);
       kb.add("plan.mlpa", o.compute_mlpa);
       break;
     }
@@ -293,29 +292,7 @@ obs::json::Value run_experiment(const Experiment& e,
       out.emplace_back("mean_current", r.mean_current);
       out.emplace_back("traces",
                        static_cast<std::uint64_t>(e.plan.dpa_flow.num_traces));
-      const std::uint8_t key = e.plan.dpa_flow.key;
-      if (e.plan.dpa_flow.compute_static) {
-        const auto window_json = [key](const sca::StaticPowerResult& w,
-                                       std::size_t mtd) {
-          obs::json::Object o;
-          o.emplace_back("window", std::string(sca::to_string(w.window)));
-          o.emplace_back("key_rank", w.key_rank(key));
-          o.emplace_back("margin", w.margin(key));
-          o.emplace_back("mtd", static_cast<std::uint64_t>(mtd));
-          return obs::json::Value(std::move(o));
-        };
-        obs::json::Array windows;
-        windows.push_back(window_json(r.static_awake, r.static_awake_mtd));
-        windows.push_back(window_json(r.static_asleep, r.static_asleep_mtd));
-        out.emplace_back("static_power", obs::json::Value(std::move(windows)));
-      }
-      if (e.plan.dpa_flow.compute_mlpa) {
-        obs::json::Object m;
-        m.emplace_back("key_rank", r.mlpa.key_rank(key));
-        m.emplace_back("margin", r.mlpa.margin(key));
-        m.emplace_back("mtd", static_cast<std::uint64_t>(r.mlpa_mtd));
-        out.emplace_back("mlpa", obs::json::Value(std::move(m)));
-      }
+      r.add_json(out);
       report.emplace_back("dpa_flow", obs::json::Value(std::move(out)));
       break;
     }

@@ -43,13 +43,14 @@
 //
 // In both attack lists "cpa" and "dpa" are always computed and accepted for
 // self-documentation; "mtd" maps to compute_mtd, "tvla" (campaign only) to
-// CampaignOptions::tvla, "mlpa" to the multi-linear partitioning attack, and
-// "static_power" to the quiescent-leakage attack.  A dpa_flow plan that
-// lists "static_power" must also set "acquisition": "static" (the attack
-// averages quiescent holds, not transient traces); a campaign runs the
-// static phase as its own seed+2 acquisition, so no acquisition key exists
-// there.  Every numeric member is optional and defaults to the option
-// struct's own default.
+// CampaignOptions::tvla, and "mlpa" to the multi-linear partitioning attack.
+// "static_power" is the quiescent-leakage attack.  A dpa_flow mounts it on
+// every "acquisition": "static" run, so there it is self-documentation and
+// is rejected without a static acquisition (the attack averages quiescent
+// holds, not transient traces); a campaign maps it to
+// CampaignOptions::static_power and runs the static phase as its own seed+2
+// acquisition, so no acquisition key exists there.  Every numeric member is
+// optional and defaults to the option struct's own default.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 #include "pgmcml/config/plan.hpp"
 
 #include <limits>
+#include <utility>
 
 namespace pgmcml::config {
 
@@ -28,38 +29,30 @@ std::vector<mcml::CellKind> parse_cells(const Reader& r) {
   return out;
 }
 
-/// Optional toggles the "attacks" array can switch on, beyond the always-on
-/// cpa/dpa pair.  Null pointers mark toggles the plan kind does not offer.
-struct AttackToggles {
-  bool* mtd = nullptr;
-  bool* tvla = nullptr;
-  bool* static_power = nullptr;
-  bool* mlpa = nullptr;
-};
+/// An optional attack the "attacks" array can switch on, beyond the
+/// always-on cpa/dpa pair, and the flag it sets.
+using AttackToggle = std::pair<std::string_view, bool*>;
 
 /// Reads the "attacks" array.  "cpa"/"dpa" are always-on and accepted for
-/// self-documentation; the other names toggle the matching flag.  Names
-/// whose toggle is null are still recognized, with a kind-specific error.
-void parse_attacks(const Reader& r, const AttackToggles& t) {
+/// self-documentation; the plan kind's `toggles` are set to whether they are
+/// listed.  Names the kind does not offer are still recognized, with a
+/// kind-specific error.
+void parse_attacks(const Reader& r,
+                   std::initializer_list<AttackToggle> toggles) {
   const std::optional<Reader> member = r.optional_child("attacks");
   if (!member.has_value()) return;
-  if (t.mtd != nullptr) *t.mtd = false;
-  if (t.tvla != nullptr) *t.tvla = false;
-  if (t.static_power != nullptr) *t.static_power = false;
-  if (t.mlpa != nullptr) *t.mlpa = false;
+  for (const AttackToggle& t : toggles) *t.second = false;
   for (const Reader& e : member->elements()) {
     const std::string& a = e.as_string();
     if (a == "cpa" || a == "dpa") continue;
-    if (a == "mtd" && t.mtd != nullptr) {
-      *t.mtd = true;
-    } else if (a == "tvla" && t.tvla != nullptr) {
-      *t.tvla = true;
+    bool* flag = nullptr;
+    for (const AttackToggle& t : toggles) {
+      if (t.first == a) flag = t.second;
+    }
+    if (flag != nullptr) {
+      *flag = true;
     } else if (a == "tvla") {
       e.fail("'tvla' is only available in campaign plans");
-    } else if (a == "static_power" && t.static_power != nullptr) {
-      *t.static_power = true;
-    } else if (a == "mlpa" && t.mlpa != nullptr) {
-      *t.mlpa = true;
     } else {
       e.fail("unknown attack '" + a +
              "' (expected one of: cpa | dpa | tvla | mtd | static_power | "
@@ -172,13 +165,13 @@ Plan plan_from_json(const obs::json::Value& doc,
       o.acquisition = r.enum_or("acquisition", {"dynamic", "static"}, 0) == 1
                           ? core::AcquisitionMode::kStatic
                           : core::AcquisitionMode::kDynamic;
-      AttackToggles toggles;
-      toggles.mtd = &o.compute_mtd;
-      toggles.static_power = &o.compute_static;
-      toggles.mlpa = &o.compute_mlpa;
-      parse_attacks(r, toggles);
-      if (o.compute_static &&
-          o.acquisition != core::AcquisitionMode::kStatic) {
+      // A static acquisition always mounts the static-power attack, so
+      // listing it only documents the plan -- and contradicts a dynamic one.
+      bool static_power = false;
+      parse_attacks(r, {{"mtd", &o.compute_mtd},
+                        {"static_power", &static_power},
+                        {"mlpa", &o.compute_mlpa}});
+      if (static_power && o.acquisition != core::AcquisitionMode::kStatic) {
         r.child("attacks").fail(
             "'static_power' requires \"acquisition\": \"static\" (the attack "
             "averages quiescent holds, not transient traces)");
@@ -195,12 +188,10 @@ Plan plan_from_json(const obs::json::Value& doc,
       campaign::CampaignOptions& o = p.campaign;
       parse_acquisition(r, o);
       o.fixed_plaintext = byte_or(r, "fixed_plaintext", o.fixed_plaintext);
-      AttackToggles toggles;
-      toggles.mtd = &o.compute_mtd;
-      toggles.tvla = &o.tvla;
-      toggles.static_power = &o.static_power;
-      toggles.mlpa = &o.mlpa;
-      parse_attacks(r, toggles);
+      parse_attacks(r, {{"mtd", &o.compute_mtd},
+                        {"tvla", &o.tvla},
+                        {"static_power", &o.static_power},
+                        {"mlpa", &o.mlpa}});
       o.shard_size = static_cast<std::size_t>(r.int_or(
           "shard_size", static_cast<std::int64_t>(o.shard_size), 0,
           kMaxCount));

@@ -1,7 +1,6 @@
 #include "pgmcml/core/dpa_flow.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/obs/obs.hpp"
 #include "pgmcml/power/kernels.hpp"
-#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/util/parallel.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
@@ -326,12 +324,6 @@ sca::TraceSet acquire_reduced_aes_traces(const cells::CellLibrary& library,
 DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
                            const DpaFlowOptions& options) {
   obs::ScopedTimer span("core.dpa_flow");
-  if (options.compute_static &&
-      options.acquisition != AcquisitionMode::kStatic) {
-    throw std::invalid_argument(
-        "run_dpa_flow: the static-power attack needs a static (quiescent) "
-        "acquisition");
-  }
   auto source = make_acquisition_source(library, options);
   DpaFlowResult result;
   result.stats = source->design_stats();
@@ -339,40 +331,22 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   // One streamed pass feeds one statistic (plus, for quiescent holds, the
   // static projection of its window means) and -- only when the caller
   // wants the matrix -- the materialized trace copy.  Every attack is scored
-  // on the statistic afterwards; the MTD tracker scores CPA, MLPA and the
-  // static windows at its grid points.
-  const auto model = sca::LeakageModel::kHammingWeight;
-  const std::uint8_t key = options.key;
+  // on the statistic afterwards; the MTD tracker checks first place at its
+  // grid points.
   sca::BinnedMoments bins(options.samples);
-  std::optional<sca::BinnedMoments> windows;
-  if (options.compute_static) windows.emplace(sca::kStaticWindows.size());
+  sca::BinnedMoments windows(sca::kStaticWindows.size());
+  const sca::BinnedMoments* projection =
+      options.acquisition == AcquisitionMode::kStatic ? &windows : nullptr;
   const auto fold = [&](const sca::TraceBatch& batch) {
     bins.add_batch(batch);
-    if (windows) {
-      sca::add_window_means(*windows, sca::kStaticWindows, options.samples,
+    if (projection != nullptr) {
+      sca::add_window_means(windows, sca::kStaticWindows, options.samples,
                             batch);
     }
   };
-  const auto static_result = [&](std::size_t column) {
-    return sca::BinSpectrum(*windows).static_power(
-        model, column, sca::kStaticWindows[column]);
-  };
-  // Scorer indices of the MTD tracker; a scorer that is off never ranks
-  // the key first.
-  enum { kCpa, kMlpa, kAwake, kAsleep };
-  int cpa_rival = -1;
-  int mlpa_rival = -1;
-  sca::MtdTracker mtd(options.num_traces, fold, [&] {
-    const sca::BinSpectrum spectrum(bins);
-    std::vector<bool> first(4, false);
-    first[kCpa] = spectrum.cpa_first(model, key, cpa_rival);
-    if (options.compute_mlpa) first[kMlpa] = spectrum.mlpa_first(key, mlpa_rival);
-    if (windows) {
-      first[kAwake] = static_result(0).key_rank(key) == 0;
-      first[kAsleep] = static_result(1).key_rank(key) == 0;
-    }
-    return first;
-  });
+  sca::FirstPlace first = sca::first_place(options.key, options.compute_mlpa);
+  sca::MtdTracker mtd(options.num_traces, fold,
+                      [&] { return first(bins, projection); });
   if (options.keep_traces) {
     result.traces = sca::TraceSet(options.samples);
     result.traces.reserve(options.num_traces);
@@ -395,23 +369,10 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
 
   result.mean_current = source->mean_current();
   result.diagnostics = source->diagnostics();
-  const sca::BinSpectrum spectrum(bins);
-  result.cpa = spectrum.cpa(model, options.keep_time_curves);
-  result.dpa = spectrum.dpa();
-  if (options.compute_mlpa) result.mlpa = spectrum.mlpa();
-  if (windows) {
-    result.static_awake = static_result(0);
-    result.static_asleep = static_result(1);
-  }
-  if (options.compute_mtd) {
-    mtd.finish();
-    result.mtd = mtd.mtd(kCpa);
-    result.mlpa_mtd = mtd.mtd(kMlpa);
-    result.static_awake_mtd = mtd.mtd(kAwake);
-    result.static_asleep_mtd = mtd.mtd(kAsleep);
-  }
-  result.key_rank = result.cpa.key_rank(options.key);
-  result.margin = result.cpa.margin(options.key);
+  if (options.compute_mtd) mtd.finish();  // else it checked nothing: MTD 0
+  result.score(
+      bins, projection, options.key, options.compute_mlpa,
+      [&](std::size_t s) { return mtd.mtd(s); }, options.keep_time_curves);
   return result;
 }
 

@@ -17,7 +17,7 @@
 #include "pgmcml/cells/library.hpp"
 #include "pgmcml/netlist/design.hpp"
 #include "pgmcml/power/tracer.hpp"
-#include "pgmcml/sca/attack.hpp"
+#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/trace_source.hpp"
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/spice/solve_error.hpp"
@@ -58,13 +58,9 @@ struct DpaFlowOptions {
   bool gate_per_operation = true;
   bool keep_time_curves = false;
   bool compute_mtd = false;
-  /// Transient traces (dynamic attacks) or quiescent holds (static attacks).
+  /// Transient traces (dynamic attacks) or quiescent holds, on which the
+  /// flow also mounts the static-power attack on both gating windows.
   AcquisitionMode acquisition = AcquisitionMode::kDynamic;
-  /// Mount the static-power attack on both gating windows of a quiescent
-  /// acquisition.  Requires acquisition == kStatic (run_dpa_flow throws
-  /// std::invalid_argument otherwise -- the config layer rejects such plans
-  /// with a path-qualified error before they get here).
-  bool compute_static = false;
   /// Mount the MLPA multi-bit attack on the acquired traces (any mode).
   bool compute_mlpa = false;
   /// When >= 0, every acquisition uses this fixed plaintext byte (for the
@@ -89,21 +85,11 @@ struct DpaFlowOptions {
   std::function<void(std::size_t, int)> acquisition_fault_hook;
 };
 
-struct DpaFlowResult {
+/// The verdicts against options.key (MLPA when compute_mlpa, the static
+/// windows for a kStatic acquisition, MTDs when compute_mtd), plus what the
+/// acquisition produced.
+struct DpaFlowResult : sca::AttackVerdicts {
   sca::TraceSet traces;
-  sca::CpaResult cpa;
-  sca::DpaResult dpa;
-  int key_rank = -1;       ///< 0 = key disclosed
-  double margin = 0.0;     ///< true-key peak minus best wrong guess
-  std::size_t mtd = 0;     ///< measurements to disclosure (0 = never)
-  /// Static-power verdicts per gating window (compute_static only).
-  sca::StaticPowerResult static_awake;
-  sca::StaticPowerResult static_asleep;
-  std::size_t static_awake_mtd = 0;   ///< MTD of the awake-window attack
-  std::size_t static_asleep_mtd = 0;  ///< MTD of the asleep-window attack
-  /// MLPA verdict (compute_mlpa only).
-  sca::MlpaResult mlpa;
-  std::size_t mlpa_mtd = 0;
   netlist::Design::Stats stats;
   double mean_current = 0.0;  ///< average supply current over all traces [A]
   /// Aggregated acquisition outcomes: kernel-extraction retries, per-trace
@@ -140,8 +126,8 @@ std::unique_ptr<AcquisitionSource> make_acquisition_source(
     const cells::CellLibrary& library, const DpaFlowOptions& options = {});
 
 /// Acquires traces of the reduced AES target and mounts the attacks.
-/// Single-pass: one streamed acquisition feeds the CPA/DPA accumulators and
-/// the checkpointed MTD tracker simultaneously.
+/// Single-pass: one streamed acquisition feeds the statistic and the
+/// checkpointed MTD tracker simultaneously.
 DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
                            const DpaFlowOptions& options = {});
 

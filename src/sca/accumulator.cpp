@@ -443,10 +443,10 @@ bool key_first(std::uint8_t key, int& rival, One one, All all) {
 
 bool BinSpectrum::cpa_first(LeakageModel model, std::uint8_t key,
                             int& rival) const {
+  if (n_ < 2 || m_ == 0) return false;
   return key_first(
       key, rival,
       [&](int k) {
-        if (n_ < 2 || m_ == 0) return 0.0;
         double peak = 0.0;
         correlations(model, k, [&](std::size_t, const Row& corr) {
           peak = std::max(peak, std::fabs(corr[0]));
@@ -457,9 +457,9 @@ bool BinSpectrum::cpa_first(LeakageModel model, std::uint8_t key,
 }
 
 bool BinSpectrum::mlpa_first(std::uint8_t key, int& rival) const {
+  if (n_ < 2 || m_ == 0) return false;
   return key_first(
-      key, rival,
-      [&](int k) { return n_ < 2 || m_ == 0 ? 0.0 : partition_peaks(8, k)[0]; },
+      key, rival, [&](int k) { return partition_peaks(8, k)[0]; },
       [&] { return mlpa().score; });
 }
 
@@ -611,6 +611,88 @@ void MtdTracker::finish() {
 std::size_t MtdTracker::mtd(std::size_t scorer) const {
   return scorer < checkpoints_.size() ? mtd_from_checkpoints(checkpoints_[scorer])
                                       : 0;
+}
+
+// ---------------------------------------------------------------------------
+// Verdicts
+
+void AttackVerdicts::score(
+    const BinnedMoments& bins, const BinnedMoments* windows, std::uint8_t key,
+    bool with_mlpa, const std::function<std::size_t(std::size_t)>& mtd_of,
+    bool keep_time_curves) {
+  const BinSpectrum spectrum(bins);
+  cpa = spectrum.cpa(kModel, keep_time_curves);
+  dpa = spectrum.dpa();
+  key_rank = cpa.key_rank(key);
+  margin = cpa.margin(key);
+  mtd = mtd_of(kCpa);
+  mlpa_mtd = mtd_of(kMlpa);
+  static_awake_mtd = mtd_of(kAwake);
+  static_asleep_mtd = mtd_of(kAsleep);
+  mlpa_mounted = with_mlpa;
+  if (with_mlpa) {
+    mlpa = spectrum.mlpa();
+    mlpa_rank = mlpa.key_rank(key);
+    mlpa_margin = mlpa.margin(key);
+  }
+  static_mounted = windows != nullptr;
+  if (static_mounted) {
+    const BinSpectrum held(*windows);
+    static_awake = held.static_power(kModel, 0, kStaticWindows[0]);
+    static_asleep = held.static_power(kModel, 1, kStaticWindows[1]);
+    static_awake_rank = static_awake.key_rank(key);
+    static_asleep_rank = static_asleep.key_rank(key);
+    static_awake_margin = static_awake.margin(key);
+    static_asleep_margin = static_asleep.margin(key);
+  }
+}
+
+void AttackVerdicts::add_json(obs::json::Object& report,
+                              std::optional<std::uint64_t> static_holds) const {
+  // One scorer's verdict, after the members `o` already holds.
+  const auto verdict = [](obs::json::Object o, int rank, double m,
+                          std::size_t at) {
+    o.emplace_back("key_rank", rank);
+    o.emplace_back("margin", m);
+    o.emplace_back("mtd", static_cast<std::uint64_t>(at));
+    return o;
+  };
+  const auto window = [](const StaticPowerResult& w) {
+    return obs::json::Object{{"window", std::string(to_string(w.window))}};
+  };
+  if (static_mounted) {
+    obs::json::Array held;
+    held.emplace_back(verdict(window(static_awake), static_awake_rank,
+                              static_awake_margin, static_awake_mtd));
+    held.emplace_back(verdict(window(static_asleep), static_asleep_rank,
+                              static_asleep_margin, static_asleep_mtd));
+    report.emplace_back("static_power", std::move(held));
+    if (static_holds) {
+      report.emplace_back("static_traces_accumulated", *static_holds);
+    }
+  }
+  if (mlpa_mounted) {
+    report.emplace_back("mlpa", verdict({}, mlpa_rank, mlpa_margin, mlpa_mtd));
+  }
+}
+
+FirstPlace first_place(std::uint8_t key, bool mlpa, LeakageModel model) {
+  using V = AttackVerdicts;
+  return [=, cpa_rival = -1, mlpa_rival = -1](
+             const BinnedMoments& bins, const BinnedMoments* windows) mutable {
+    std::vector<bool> first(V::kScorers, false);
+    const BinSpectrum spectrum(bins);
+    first[V::kCpa] = spectrum.cpa_first(model, key, cpa_rival);
+    if (mlpa) first[V::kMlpa] = spectrum.mlpa_first(key, mlpa_rival);
+    if (windows != nullptr) {
+      const BinSpectrum held(*windows);
+      for (std::size_t c = 0; c < kStaticWindows.size(); ++c) {
+        first[V::kAwake + c] =
+            held.static_power(model, c, kStaticWindows[c]).key_rank(key) == 0;
+      }
+    }
+    return first;
+  };
 }
 
 // ---------------------------------------------------------------------------

@@ -24,30 +24,22 @@ double predict_leakage(LeakageModel model, std::uint8_t plaintext,
   return 0.0;
 }
 
-int CpaResult::key_rank(std::uint8_t true_key) const {
+int rank_of(const std::array<double, 256>& scores, int best_guess,
+            std::uint8_t key) {
+  if (best_guess < 0) return -1;
   int rank = 0;
-  const double mine = peak_correlation[true_key];
   for (int k = 0; k < 256; ++k) {
-    if (k != true_key && peak_correlation[k] > mine) ++rank;
+    if (k != key && scores[k] > scores[key]) ++rank;
   }
   return rank;
 }
 
-double CpaResult::margin(std::uint8_t true_key) const {
+double margin_of(const std::array<double, 256>& scores, std::uint8_t key) {
   double best_wrong = 0.0;
   for (int k = 0; k < 256; ++k) {
-    if (k != true_key) best_wrong = std::max(best_wrong, peak_correlation[k]);
+    if (k != key) best_wrong = std::max(best_wrong, scores[k]);
   }
-  return peak_correlation[true_key] - best_wrong;
-}
-
-int DpaResult::key_rank(std::uint8_t true_key) const {
-  int rank = 0;
-  const double mine = peak_difference[true_key];
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key && peak_difference[k] > mine) ++rank;
-  }
-  return rank;
+  return scores[key] - best_wrong;
 }
 
 std::pair<std::size_t, std::size_t> static_window_bounds(StaticWindow window,
@@ -70,40 +62,6 @@ std::string_view to_string(StaticWindow window) {
     case StaticWindow::kAsleep: return "asleep";
   }
   return "all";
-}
-
-int StaticPowerResult::key_rank(std::uint8_t true_key) const {
-  int rank = 0;
-  const double mine = correlation[true_key];
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key && correlation[k] > mine) ++rank;
-  }
-  return rank;
-}
-
-double StaticPowerResult::margin(std::uint8_t true_key) const {
-  double best_wrong = 0.0;
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key) best_wrong = std::max(best_wrong, correlation[k]);
-  }
-  return correlation[true_key] - best_wrong;
-}
-
-int MlpaResult::key_rank(std::uint8_t true_key) const {
-  int rank = 0;
-  const double mine = score[true_key];
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key && score[k] > mine) ++rank;
-  }
-  return rank;
-}
-
-double MlpaResult::margin(std::uint8_t true_key) const {
-  double best_wrong = 0.0;
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key) best_wrong = std::max(best_wrong, score[k]);
-  }
-  return score[true_key] - best_wrong;
 }
 
 namespace {
@@ -197,14 +155,10 @@ std::size_t measurements_to_disclosure(TraceSource& source,
         "checkpoint grid from");
   }
   BinnedMoments stat(source.samples_per_trace());
-  int rival = -1;
+  FirstPlace first = first_place(true_key, /*mlpa=*/false, model);
   MtdTracker tracker(
       n, [&](const TraceBatch& b) { stat.add_batch(b); },
-      [&] {
-        return std::vector<bool>{
-            BinSpectrum(stat).cpa_first(model, true_key, rival)};
-      },
-      grid_points);
+      [&] { return first(stat, nullptr); }, grid_points);
   TraceBatch batch;
   while (source.next(batch)) tracker.add_batch(batch);
   tracker.finish();

@@ -39,10 +39,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "pgmcml/obs/json.hpp"
 #include "pgmcml/sca/attack.hpp"
 #include "pgmcml/sca/snapshot.hpp"
 #include "pgmcml/sca/trace_source.hpp"
@@ -139,11 +141,12 @@ class BinSpectrum {
                                  StaticWindow window) const;
 
   /// Whether `key` ranks first under CPA (resp. MLPA), as key_rank() == 0
-  /// on cpa() (resp. mlpa()) would say.  `rival` carries the best wrong
-  /// guess from one checkpoint to the next (start at -1).  While it still
-  /// leads the key by more than rounding, scoring just those two guesses,
-  /// summed directly over the occupied bins, settles the answer without the
-  /// transform.  Otherwise every guess is scored and `rival` is renewed.
+  /// on cpa() (resp. mlpa()) would say: never below 2 traces.  `rival`
+  /// carries the best wrong guess from one checkpoint to the next (start at
+  /// -1).  While it still leads the key by more than rounding, scoring just
+  /// those two guesses, summed directly over the occupied bins, settles the
+  /// answer without the transform.  Otherwise every guess is scored and
+  /// `rival` is renewed.
   bool cpa_first(LeakageModel model, std::uint8_t key, int& rival) const;
   bool mlpa_first(std::uint8_t key, int& rival) const;
 
@@ -184,13 +187,11 @@ TvlaResult welch_t(const Moments& fixed, const Moments& random);
 // ---------------------------------------------------------------------------
 // Per-attack accumulators: a statistic plus one scorer, nothing else.
 
-/// Streaming CPA over a BinnedMoments.
-class CpaAccumulator {
+/// What the binned per-attack accumulators share: the statistic itself.
+class BinnedAccumulator {
  public:
-  CpaAccumulator(LeakageModel model, std::size_t samples)
-      : model_(model), bins_(samples) {}
+  explicit BinnedAccumulator(std::size_t samples) : bins_(samples) {}
 
-  LeakageModel model() const { return model_; }
   std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
   std::size_t num_traces() const { return bins_.num_traces(); }
   const BinnedMoments& moments() const { return bins_; }
@@ -199,6 +200,18 @@ class CpaAccumulator {
     bins_.add(plaintext, trace);
   }
   void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+
+ protected:
+  BinnedMoments bins_;
+};
+
+/// Streaming CPA over a BinnedMoments.
+class CpaAccumulator : public BinnedAccumulator {
+ public:
+  CpaAccumulator(LeakageModel model, std::size_t samples)
+      : BinnedAccumulator(samples), model_(model) {}
+
+  LeakageModel model() const { return model_; }
   /// Throws std::invalid_argument on a model or sample-count mismatch.
   void merge(const CpaAccumulator& other);
   CpaResult snapshot(bool keep_time_curves = false) const {
@@ -207,47 +220,22 @@ class CpaAccumulator {
 
  private:
   LeakageModel model_;
-  BinnedMoments bins_;
 };
 
 /// Streaming difference-of-means DPA over a BinnedMoments.
-class DpaAccumulator {
+class DpaAccumulator : public BinnedAccumulator {
  public:
-  explicit DpaAccumulator(std::size_t samples) : bins_(samples) {}
-
-  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
-  std::size_t num_traces() const { return bins_.num_traces(); }
-  const BinnedMoments& moments() const { return bins_; }
-
-  void add(std::uint8_t plaintext, std::span<const double> trace) {
-    bins_.add(plaintext, trace);
-  }
-  void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+  using BinnedAccumulator::BinnedAccumulator;
   void merge(const DpaAccumulator& other) { bins_.merge(other.bins_); }
   DpaResult snapshot() const { return BinSpectrum(bins_).dpa(); }
-
- private:
-  BinnedMoments bins_;
 };
 
 /// Streaming MLPA over a BinnedMoments.
-class MlpaAccumulator {
+class MlpaAccumulator : public BinnedAccumulator {
  public:
-  explicit MlpaAccumulator(std::size_t samples) : bins_(samples) {}
-
-  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
-  std::size_t num_traces() const { return bins_.num_traces(); }
-  const BinnedMoments& moments() const { return bins_; }
-
-  void add(std::uint8_t plaintext, std::span<const double> trace) {
-    bins_.add(plaintext, trace);
-  }
-  void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
+  using BinnedAccumulator::BinnedAccumulator;
   void merge(const MlpaAccumulator& other) { bins_.merge(other.bins_); }
   MlpaResult snapshot() const { return BinSpectrum(bins_).mlpa(); }
-
- private:
-  BinnedMoments bins_;
 };
 
 /// Streaming static-power CPA: each quiescent trace collapses to its mean
@@ -358,6 +346,63 @@ class MtdTracker {
   std::vector<std::vector<std::pair<std::size_t, bool>>> checkpoints_;
   TraceBatch piece_;
 };
+
+// ---------------------------------------------------------------------------
+// Verdicts: the record, scorer, MTD check and report writer that
+// core::run_dpa_flow and the campaign merge share.
+
+/// The first-order verdicts against one key: each attack's result and, per
+/// reported scorer, the key's rank (0 = disclosed, -1 = not mounted or too
+/// few traces), its margin over the best wrong guess and its MTD (0 = never
+/// disclosed).  CPA and DPA are always mounted, MLPA and the two
+/// kStaticWindows when asked for.
+struct AttackVerdicts {
+  /// The scorers of a first-place check (FirstPlace), in order.
+  enum Scorer : std::size_t { kCpa, kMlpa, kAwake, kAsleep, kScorers };
+  static constexpr LeakageModel kModel = LeakageModel::kHammingWeight;
+
+  CpaResult cpa;
+  DpaResult dpa;
+  int key_rank = -1;  ///< CPA
+  double margin = 0.0;
+  std::size_t mtd = 0;
+  bool mlpa_mounted = false;
+  MlpaResult mlpa;
+  int mlpa_rank = -1;
+  double mlpa_margin = 0.0;
+  std::size_t mlpa_mtd = 0;
+  bool static_mounted = false;
+  StaticPowerResult static_awake;
+  int static_awake_rank = -1;
+  double static_awake_margin = 0.0;
+  std::size_t static_awake_mtd = 0;
+  StaticPowerResult static_asleep;
+  int static_asleep_rank = -1;
+  double static_asleep_margin = 0.0;
+  std::size_t static_asleep_mtd = 0;
+
+  /// Scores `bins` and, when non-null, their static projection `windows`
+  /// against `key` (MLPA when `with_mlpa`); mtd_of(s) is the MTD of each
+  /// Scorer s.
+  void score(const BinnedMoments& bins, const BinnedMoments* windows,
+             std::uint8_t key, bool with_mlpa,
+             const std::function<std::size_t(std::size_t)>& mtd_of,
+             bool keep_time_curves = false);
+  /// Adds the "static_power" array and the "mlpa" object of the mounted
+  /// scorers to `report`; `static_holds`, when given, follows the array as
+  /// "static_traces_accumulated".
+  void add_json(obs::json::Object& report,
+                std::optional<std::uint64_t> static_holds = {}) const;
+};
+
+/// The MTD check on a growing statistic and, when non-null, its static
+/// projection: whether the key ranks first under each AttackVerdicts::Scorer
+/// (an unmounted one never does).  A first_place() callable owns the CPA and
+/// MLPA rivals it carries from one checkpoint to the next (cpa_first).
+using FirstPlace = std::function<std::vector<bool>(const BinnedMoments&,
+                                                   const BinnedMoments*)>;
+FirstPlace first_place(std::uint8_t key, bool mlpa,
+                       LeakageModel model = AttackVerdicts::kModel);
 
 /// Shard-parallel CPA: cuts `traces` into fixed `shard_size`-trace shards,
 /// accumulates each shard on the util::parallel_for pool, and merges the

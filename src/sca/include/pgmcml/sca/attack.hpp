@@ -36,6 +36,13 @@ enum class LeakageModel {
 double predict_leakage(LeakageModel model, std::uint8_t plaintext,
                        std::uint8_t key_guess);
 
+/// Rank of `key` among the 256 guess scores (0 = ranked first, the attack
+/// succeeded); -1 without a verdict (best_guess < 0: too few traces).
+int rank_of(const std::array<double, 256>& scores, int best_guess,
+            std::uint8_t key);
+/// Score of `key` minus the best wrong guess's (positive = distinguishable).
+double margin_of(const std::array<double, 256>& scores, std::uint8_t key);
+
 struct CpaResult {
   /// max_t |corr(guess, t)| for each key guess.
   std::array<double, 256> peak_correlation{};
@@ -43,11 +50,12 @@ struct CpaResult {
   std::vector<std::array<double, 256>> correlation_vs_time;
   int best_guess = -1;
 
-  /// Rank of the true key (0 = attack succeeded).
-  int key_rank(std::uint8_t true_key) const;
-  /// Margin between the true key's peak and the best wrong guess
-  /// (positive = distinguishable).
-  double margin(std::uint8_t true_key) const;
+  int key_rank(std::uint8_t key) const {
+    return rank_of(peak_correlation, best_guess, key);
+  }
+  double margin(std::uint8_t key) const {
+    return margin_of(peak_correlation, key);
+  }
 };
 
 /// Runs CPA over the trace set.  `keep_time_curves` retains the full
@@ -65,7 +73,9 @@ struct DpaResult {
   /// max_t |mean1(t) - mean0(t)| for each key guess.
   std::array<double, 256> peak_difference{};
   int best_guess = -1;
-  int key_rank(std::uint8_t true_key) const;
+  int key_rank(std::uint8_t key) const {
+    return rank_of(peak_difference, best_guess, key);
+  }
 };
 
 /// Which gating phase of a quiescent trace the static-power attack reads.
@@ -95,8 +105,10 @@ struct StaticPowerResult {
   StaticWindow window = StaticWindow::kAll;
   std::size_t traces = 0;
 
-  int key_rank(std::uint8_t true_key) const;
-  double margin(std::uint8_t true_key) const;
+  int key_rank(std::uint8_t key) const {
+    return rank_of(correlation, best_guess, key);
+  }
+  double margin(std::uint8_t key) const { return margin_of(correlation, key); }
 };
 
 /// MLPA verdict (Roche & Tavernier): the 8 single-bit partition biases of
@@ -106,8 +118,10 @@ struct MlpaResult {
   std::array<double, 256> score{};
   int best_guess = -1;
 
-  int key_rank(std::uint8_t true_key) const;
-  double margin(std::uint8_t true_key) const;
+  int key_rank(std::uint8_t key) const {
+    return rank_of(score, best_guess, key);
+  }
+  double margin(std::uint8_t key) const { return margin_of(score, key); }
 };
 
 /// Kocher-style difference of means, partitioning on a predicted S-box bit.

@@ -56,6 +56,7 @@ CampaignOptions small_options(const std::string& spool) {
 }
 
 void expect_bitwise_equal(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_TRUE(bitwise_equal(a, b));
   EXPECT_EQ(std::memcmp(a.cpa.peak_correlation.data(),
                         b.cpa.peak_correlation.data(),
                         sizeof(a.cpa.peak_correlation)),
@@ -371,33 +372,46 @@ TEST(Campaign, HungWorkerIsKilledByHeartbeatAndRestarted) {
 }
 
 TEST(Campaign, RetryBudgetExhaustionDegradesGracefully) {
-  const std::string spool = fresh_spool("degrade");
-  CampaignOptions o = small_options(spool);
-  o.max_restarts = 1;
-  // Shard 3 dies right after EVERY durable publish: each incarnation makes
-  // one checkpoint of progress, the budget (1 restart = 2 incarnations)
-  // runs out, the shard is skipped -- but its durable 16-trace prefix must
-  // still be merged and the lost tail reported, per phase.
-  o.post_checkpoint_hook = [](std::uint64_t shard, int /*restart*/,
-                              std::uint64_t ordinal) {
-    if (shard == 3 && ordinal >= 1) ::_Exit(7);
-  };
-  const CampaignResult r = run_campaign(o);
-  EXPECT_EQ(r.shards_skipped, 1u);
-  EXPECT_TRUE(r.degraded());
-  EXPECT_FALSE(r.shards[3].completed);
-  // Durable prefix (two incarnations x one checkpoint of 8 traces) merged.
-  EXPECT_EQ(r.traces_accumulated, 96u - 24u + 16u);
-  ASSERT_EQ(r.skipped_ranges.size(), 2u);
-  EXPECT_EQ(r.skipped_ranges[0].lo, 88u);  // 72 + 16 durable
-  EXPECT_EQ(r.skipped_ranges[0].hi, 96u);
-  EXPECT_EQ(r.skipped_ranges[0].phase, kPhaseRandom);
-  EXPECT_EQ(r.skipped_ranges[1].lo, 72u);  // fixed phase never started
-  EXPECT_EQ(r.skipped_ranges[1].hi, 96u);
-  EXPECT_EQ(r.skipped_ranges[1].phase, kPhaseFixed);
-  // The three healthy shards still produced a full analysis.
-  EXPECT_GE(r.tvla.random_traces, 72u);
-  std::filesystem::remove_all(spool);
+  for (const bool static_power : {false, true}) {
+    SCOPED_TRACE(static_power ? "static phase on" : "static phase off");
+    const std::string spool = fresh_spool("degrade");
+    CampaignOptions o = small_options(spool);
+    o.max_restarts = 1;
+    o.static_power = static_power;
+    // Shard 3 dies right after EVERY durable publish: each incarnation makes
+    // one checkpoint of progress, the budget (1 restart = 2 incarnations)
+    // runs out, the shard is skipped -- but its durable 16-trace prefix must
+    // still be merged and the lost tail reported, per phase.
+    o.post_checkpoint_hook = [](std::uint64_t shard, int /*restart*/,
+                                std::uint64_t ordinal) {
+      if (shard == 3 && ordinal >= 1) ::_Exit(7);
+    };
+    const CampaignResult r = run_campaign(o);
+    EXPECT_EQ(r.shards_skipped, 1u);
+    EXPECT_TRUE(r.degraded());
+    EXPECT_FALSE(r.shards[3].completed);
+    // Durable prefix (two incarnations x one checkpoint of 8 traces) merged.
+    EXPECT_EQ(r.traces_accumulated, 96u - 24u + 16u);
+    EXPECT_EQ(r.shards[3].random_attempted, 16u);
+    EXPECT_EQ(r.shards[3].fixed_attempted, 0u);
+    EXPECT_EQ(r.shards[3].static_attempted, 0u);
+    ASSERT_EQ(r.skipped_ranges.size(), static_power ? 3u : 2u);
+    EXPECT_EQ(r.skipped_ranges[0].lo, 88u);  // 72 + 16 durable
+    EXPECT_EQ(r.skipped_ranges[0].hi, 96u);
+    EXPECT_EQ(r.skipped_ranges[0].phase, kPhaseRandom);
+    EXPECT_EQ(r.skipped_ranges[1].lo, 72u);  // fixed phase never started
+    EXPECT_EQ(r.skipped_ranges[1].hi, 96u);
+    EXPECT_EQ(r.skipped_ranges[1].phase, kPhaseFixed);
+    if (static_power) {
+      EXPECT_EQ(r.skipped_ranges[2].lo, 72u);  // nor did the static phase
+      EXPECT_EQ(r.skipped_ranges[2].hi, 96u);
+      EXPECT_EQ(r.skipped_ranges[2].phase, kPhaseStatic);
+      EXPECT_EQ(r.static_traces_accumulated, 72u);
+    }
+    // The three healthy shards still produced a full analysis.
+    EXPECT_GE(r.tvla.random_traces, 72u);
+    std::filesystem::remove_all(spool);
+  }
 }
 
 TEST(Campaign, ResumesAcrossSeparateCoordinatorRuns) {

@@ -358,7 +358,8 @@ TEST(PlanConfig, ParsesEveryTask) {
 }
 
 TEST(PlanConfig, ParsesStaticPowerAndMlpaAttacks) {
-  // A static-acquisition dpa_flow with both new modalities.
+  // A static-acquisition dpa_flow with both new modalities ("static_power"
+  // documents the attack every static acquisition mounts).
   const Plan stat = plan_from_json(
       parse(R"({"pgmcml_schema": 1, "kind": "plan", "name": "sp",
                 "task": "dpa_flow", "traces": 256, "samples": 200,
@@ -366,7 +367,6 @@ TEST(PlanConfig, ParsesStaticPowerAndMlpaAttacks) {
                 "attacks": ["cpa", "dpa", "static_power", "mlpa", "mtd"]})"),
       "sp.json");
   EXPECT_EQ(stat.dpa_flow.acquisition, core::AcquisitionMode::kStatic);
-  EXPECT_TRUE(stat.dpa_flow.compute_static);
   EXPECT_TRUE(stat.dpa_flow.compute_mlpa);
   EXPECT_TRUE(stat.dpa_flow.compute_mtd);
 
@@ -376,7 +376,6 @@ TEST(PlanConfig, ParsesStaticPowerAndMlpaAttacks) {
                 "task": "dpa_flow", "attacks": ["cpa", "mlpa"]})"),
       "m.json");
   EXPECT_EQ(mlpa.dpa_flow.acquisition, core::AcquisitionMode::kDynamic);
-  EXPECT_FALSE(mlpa.dpa_flow.compute_static);
   EXPECT_TRUE(mlpa.dpa_flow.compute_mlpa);
 
   // Campaign toggles: static_power and mlpa map to their option flags and

@@ -191,8 +191,7 @@ TEST(StreamingFlow, StaticAcquisitionMountsTheQuiescentAttack) {
   DpaFlowOptions opt;
   opt.num_traces = 400;
   opt.samples = 200;
-  opt.acquisition = AcquisitionMode::kStatic;
-  opt.compute_static = true;
+  opt.acquisition = AcquisitionMode::kStatic;  // mounts the static attack
   opt.compute_mtd = true;
   opt.keep_traces = false;
 
@@ -239,15 +238,6 @@ TEST(StreamingFlow, StaticSourceIsBatchInvariantAndResumable) {
     }
   }
   EXPECT_EQ(seen, 50u);
-}
-
-TEST(StreamingFlow, ComputeStaticRequiresStaticAcquisition) {
-  DpaFlowOptions opt;
-  opt.num_traces = 8;
-  opt.samples = 100;
-  opt.compute_static = true;  // acquisition left at kDynamic
-  EXPECT_THROW(run_dpa_flow(CellLibrary::cmos90(), opt),
-               std::invalid_argument);
 }
 
 TEST(StreamingFlow, MlpaRidesTheDynamicFlow) {

@@ -100,12 +100,13 @@ TEST(CpaAccumulator, MatchesNaiveTwoPassReference) {
 
 TEST(BinSpectrum, FirstPlaceChecksAgreeWithFullRanking) {
   // Every key, carried rivals and growing prefixes: the single-guess
-  // shortcut must answer exactly as key_rank() == 0 on a full scoring.
+  // shortcut must answer exactly as key_rank() == 0 on a full scoring --
+  // "no" on a 1-trace prefix, where there is no verdict at all.
   const TraceSet ts = synthetic_traces(0x3d, 240, 0.4, 1.0, 24);
   std::vector<int> cpa_rival(256, -1), mlpa_rival(256, -1);
   BinnedMoments stat(ts.samples_per_trace());
   std::size_t fed = 0;
-  for (const std::size_t upto : {3ul, 20ul, 60ul, 120ul, 240ul}) {
+  for (const std::size_t upto : {1ul, 3ul, 20ul, 60ul, 120ul, 240ul}) {
     for (; fed < upto; ++fed) stat.add(ts.plaintext(fed), ts.trace(fed));
     const BinSpectrum spectrum(stat);
     const CpaResult cpa = spectrum.cpa(LeakageModel::kIdentity);
@@ -185,10 +186,13 @@ TEST(CpaAccumulator, ShardedAccumulationMatchesStreaming) {
 TEST(CpaAccumulator, EmptyAndSingleTraceSnapshots) {
   CpaAccumulator acc(LeakageModel::kHammingWeight, 10);
   EXPECT_EQ(acc.snapshot().best_guess, -1);
+  EXPECT_EQ(acc.snapshot().key_rank(0x2b), -1);
   acc.add(0x12, std::vector<double>(10, 1.0));
   EXPECT_EQ(acc.num_traces(), 1u);
-  // A single trace has no variance: still no verdict, matching cpa_attack.
+  // A single trace has no variance: still no verdict, matching cpa_attack,
+  // and no rank that would read as a disclosure.
   EXPECT_EQ(acc.snapshot().best_guess, -1);
+  EXPECT_EQ(acc.snapshot().key_rank(0x2b), -1);
 }
 
 TEST(CpaAccumulator, RaggedTraceThrows) {

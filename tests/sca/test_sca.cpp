@@ -122,6 +122,9 @@ TEST(Cpa, TimeCurvesLocateTheLeak) {
 TEST(Cpa, EmptyTraceSetIsHandled) {
   const CpaResult r = cpa_attack(TraceSet(10));
   EXPECT_EQ(r.best_guess, -1);
+  // No verdict is not a disclosure: the key has no rank.
+  EXPECT_EQ(r.key_rank(0x2b), -1);
+  EXPECT_EQ(dpa_attack(TraceSet(10)).key_rank(0x2b), -1);
 }
 
 TEST(Dpa, RecoversKeyFromBitLeak) {
@@ -146,6 +149,7 @@ TEST(Metrics, KeyRankCountsStrictlyBetterGuesses) {
   r.peak_correlation.fill(0.1);
   r.peak_correlation[5] = 0.9;
   r.peak_correlation[7] = 0.5;
+  r.best_guess = 5;  // a scored result (best_guess < 0 would rank nothing)
   EXPECT_EQ(r.key_rank(5), 0);
   EXPECT_EQ(r.key_rank(7), 1);
   EXPECT_GT(r.key_rank(0), 1);

@@ -262,9 +262,10 @@ TEST(StaticPowerAccumulator, RejectsRaggedAndMismatchedInputs) {
   StaticPowerAccumulator other_m(LeakageModel::kHammingWeight, 11,
                                  StaticWindow::kAwake);
   EXPECT_THROW(acc.merge(other_m), std::invalid_argument);
-  // Sub-minimal populations report no verdict.
+  // Sub-minimal populations report no verdict, and so no key rank.
   acc.add(0x12, std::vector<double>(10, 1.0));
   EXPECT_EQ(acc.snapshot().best_guess, -1);
+  EXPECT_EQ(acc.snapshot().key_rank(0x12), -1);
 }
 
 TEST(StaticWindowBounds, PartitionTheTrace) {
