@@ -256,6 +256,25 @@ void write_bench_json(pgmcml::bench::Manifest& manifest,
     manifest.metric("static." + s.style + ".asleep.key_rank",
                     static_cast<double>(s.static_asleep_rank),
                     pgmcml::bench::Better::kNone);
+    // The gated headline verdicts (exact 0/1, compared at full strictness):
+    // CPA discloses CMOS and neither MCML style, and the PG-MCML gated-off
+    // window starves the static-power attack.
+    if (s.style == "CMOS") {
+      manifest.metric("cpa." + s.style + ".discloses",
+                      s.key_rank == 0 ? 1.0 : 0.0,
+                      pgmcml::bench::Better::kHigher);
+    } else {
+      manifest.metric("cpa." + s.style + ".undisclosed",
+                      s.key_rank != 0 ? 1.0 : 0.0,
+                      pgmcml::bench::Better::kHigher);
+    }
+    if (s.style == "PG-MCML") {
+      manifest.metric("static." + s.style + ".asleep_starved",
+                      s.static_asleep_rank != 0 && s.static_asleep_mtd == 0
+                          ? 1.0
+                          : 0.0,
+                      pgmcml::bench::Better::kHigher);
+    }
     obs::json::Object row;
     row.emplace_back("style", s.style);
     row.emplace_back("traces", static_cast<std::uint64_t>(s.traces));

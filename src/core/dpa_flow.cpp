@@ -1,6 +1,9 @@
 #include "pgmcml/core/dpa_flow.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,16 +49,21 @@ int parse_bus_index(const std::string& name, char prefix, int width) {
 }
 
 /// The concrete streaming acquisition: synthesis, port lookup, and tracer
-/// construction happen once, then every next() call simulates one batch of
+/// construction happen once, then every next() call produces one batch of
 /// traces into reused per-slot buffers.
 ///
-/// Every trace is an independent simulation: its own LogicSim and its own
-/// RNG stream derived from (seed, global trace index), so the stream is
-/// bitwise identical at any thread count, any batch size, and to the old
-/// materialize-everything acquisition.  A trace whose simulation throws (a
-/// real solver failure or the test-only fault hook) is retried once, then
-/// skipped and recorded — per-trace outcomes live in index-addressed slots
-/// merged in index order, so the aggregate stays deterministic too.
+/// With the key and the precharge state fixed, everything a simulation
+/// yields -- the noiseless composed trace and its noise key, or the awake
+/// and asleep quiescent currents -- is a function of the plaintext byte
+/// alone.  So the source simulates each plaintext once, on first use, into
+/// a 256-entry memo, and a trace is that entry plus its own noise from an
+/// RNG stream derived from (seed, global trace index).  The stream is
+/// bitwise identical at any thread count, any batch size, and to a fresh
+/// simulation per trace.  A trace that fails (a real solver failure during
+/// a fill, or the test-only fault hook) is retried once, then skipped and
+/// recorded; a failed fill caches nothing.  Per-trace outcomes live in
+/// index-addressed slots merged in index order, so the aggregate stays
+/// deterministic too.
 class ReducedAesSource final : public AcquisitionSource {
  public:
   ReducedAesSource(const cells::CellLibrary& library,
@@ -63,6 +71,13 @@ class ReducedAesSource final : public AcquisitionSource {
       : options_(options), library_(library), mapped_(map_reduced_aes(library)) {
     if (options_.batch_size == 0) {
       throw std::invalid_argument("dpa_flow: batch_size must be > 0");
+    }
+    if (options_.samples == 0) {
+      throw std::invalid_argument("dpa_flow: samples must be > 0");
+    }
+    if (options_.fixed_plaintext < -1 || options_.fixed_plaintext > 255) {
+      throw std::invalid_argument(
+          "dpa_flow: fixed_plaintext must be -1 (random) or in [0, 255]");
     }
     power::TraceOptions topt;
     topt.t_start = 0.4e-9;
@@ -113,6 +128,12 @@ class ReducedAesSource final : public AcquisitionSource {
 
     stats_ = design.stats(library_);
     diagnostics_ = baseline_diagnostics_;
+    if (options_.acquisition == AcquisitionMode::kDynamic) {
+      // Left uninitialized: a row's pages are touched only when its
+      // plaintext is first simulated.
+      memo_rows_ = std::make_unique_for_overwrite<double[]>(
+          256 * options_.samples);
+    }
 
     const std::size_t slots =
         std::min(options_.batch_size, options_.num_traces);
@@ -189,6 +210,21 @@ class ReducedAesSource final : public AcquisitionSource {
   }
 
  private:
+  /// What one simulation of a plaintext yields: for a dynamic acquisition
+  /// the noise key of its event stream (the noiseless row sits in
+  /// memo_rows_), for a static one the two quiescent currents.
+  struct MemoEntry {
+    std::mutex fill;
+    std::atomic<bool> ready{false};
+    std::uint64_t noise_key = 0;
+    double i_awake = 0.0;
+    double i_asleep = 0.0;
+  };
+
+  double* memo_row(std::uint8_t plaintext) const {
+    return memo_rows_.get() + std::size_t{plaintext} * options_.samples;
+  }
+
   void simulate_slot(std::size_t base, std::size_t i) {
     // Global campaign index: everything per-trace (Rng stream, noise nonce,
     // fault hook, diagnostics stage label) keys on it, never on the local
@@ -206,30 +242,15 @@ class ReducedAesSource final : public AcquisitionSource {
             options_.fixed_plaintext >= 0
                 ? static_cast<std::uint8_t>(options_.fixed_plaintext)
                 : static_cast<std::uint8_t>(rng.bounded(256));
-
-        const netlist::Design& design = mapped_.design;
-        LogicSim sim(design, &library_);
-        std::vector<std::pair<NetId, bool>> init;
-        for (int b = 0; b < 8; ++b) {
-          init.emplace_back(k_nets_[b], (options_.key >> b) & 1);
-          init.emplace_back(p_nets_[b], false);
-        }
-        if (const_net_ != netlist::kNoNet) init.emplace_back(const_net_, false);
-        sim.apply_and_settle(init);  // precharge state: p = 0, key applied
-        sim.clear_events();
-        sim.run_until(0.5e-9);
-
-        std::vector<std::pair<NetId, bool>> stimulus;
-        for (int b = 0; b < 8; ++b) {
-          stimulus.emplace_back(p_nets_[b], (plaintext >> b) & 1);
-        }
-        sim.apply_and_settle(stimulus);
+        const MemoEntry& entry = memoized(plaintext, rows_[i]);
 
         plaintexts_[i] = plaintext;
         if (options_.acquisition == AcquisitionMode::kStatic) {
-          compose_static_trace(sim, t, rows_[i]);
+          compose_static_trace(entry.i_awake, entry.i_asleep, t, rows_[i]);
         } else {
-          tracer_->trace_into(sim.events(), schedule_, t, rows_[i]);
+          const double* row = memo_row(plaintext);
+          rows_[i].assign(row, row + options_.samples);
+          tracer_->add_noise(schedule_, t, entry.noise_key, rows_[i]);
         }
         if (attempt > 0) trace_diag_[i].record_recovery(stage);
         return;
@@ -244,20 +265,68 @@ class ReducedAesSource final : public AcquisitionSource {
     }
   }
 
+  /// The memo entry of `plaintext`, simulated first (through `scratch`) if
+  /// no trace has filled it yet.  One lock per entry, so concurrent slots
+  /// wait only for the plaintext they need; a fill that throws leaves the
+  /// entry empty for the retry or a later trace.
+  const MemoEntry& memoized(std::uint8_t plaintext,
+                            std::vector<double>& scratch) {
+    static obs::Counter simulations =
+        obs::Registry::global().counter("core.acquisition.simulations");
+    MemoEntry& entry = memo_[plaintext];
+    if (entry.ready.load(std::memory_order_acquire)) return entry;
+    const std::lock_guard<std::mutex> lock(entry.fill);
+    if (!entry.ready.load(std::memory_order_relaxed)) {
+      simulate(plaintext, entry, scratch);
+      entry.ready.store(true, std::memory_order_release);
+      simulations.add(1);
+    }
+    return entry;
+  }
+
+  /// One logic simulation of `plaintext` from the precharge state into
+  /// `entry` (and its memo row, composed through `scratch`).
+  void simulate(std::uint8_t plaintext, MemoEntry& entry,
+                std::vector<double>& scratch) {
+    LogicSim sim(mapped_.design, &library_);
+    std::vector<std::pair<NetId, bool>> init;
+    for (int b = 0; b < 8; ++b) {
+      init.emplace_back(k_nets_[b], (options_.key >> b) & 1);
+      init.emplace_back(p_nets_[b], false);
+    }
+    if (const_net_ != netlist::kNoNet) init.emplace_back(const_net_, false);
+    sim.apply_and_settle(init);  // precharge state: p = 0, key applied
+    sim.clear_events();
+    sim.run_until(0.5e-9);
+
+    std::vector<std::pair<NetId, bool>> stimulus;
+    for (int b = 0; b < 8; ++b) {
+      stimulus.emplace_back(p_nets_[b], (plaintext >> b) & 1);
+    }
+    sim.apply_and_settle(stimulus);
+
+    if (options_.acquisition == AcquisitionMode::kStatic) {
+      entry.i_awake = tracer_->quiescent_current(sim, true);
+      entry.i_asleep = tracer_->quiescent_current(sim, false);
+    } else {
+      tracer_->compose_into(sim.events(), schedule_, scratch);
+      std::copy(scratch.begin(), scratch.end(), memo_row(plaintext));
+      entry.noise_key = power::PowerTracer::noise_key(sim.events());
+    }
+  }
+
   /// Quiescent acquisition: the circuit holds the evaluated state and every
-  /// sample is one DC measurement of the supply leakage -- awake for the
-  /// first window, gated off (where the library can gate) for the second.
-  /// Noise is drawn per sample from a stream keyed on the GLOBAL trace
-  /// index, decorrelated from the plaintext stream, so static traces carry
-  /// the same shard/resume determinism as dynamic ones.
-  void compose_static_trace(const LogicSim& sim, std::size_t t,
+  /// sample is one DC measurement of the supply leakage -- `i_awake` for the
+  /// first window, `i_asleep` (gated off, where the library can gate) for
+  /// the second.  Noise is drawn per sample from a stream keyed on the
+  /// GLOBAL trace index, decorrelated from the plaintext stream, so static
+  /// traces carry the same shard/resume determinism as dynamic ones.
+  void compose_static_trace(double i_awake, double i_asleep, std::size_t t,
                             std::vector<double>& out) const {
     const std::size_t m = options_.samples;
     out.resize(m);
     const auto awake_window =
         sca::static_window_bounds(sca::StaticWindow::kAwake, m);
-    const double i_awake = tracer_->quiescent_current(sim, true);
-    const double i_asleep = tracer_->quiescent_current(sim, false);
     const power::TraceOptions& topt = tracer_->options();
     util::Rng noise = util::Rng::stream(options_.seed ^ kStaticNoiseStream, t);
     for (std::size_t j = 0; j < m; ++j) {
@@ -273,10 +342,6 @@ class ReducedAesSource final : public AcquisitionSource {
       }
     }
   }
-
-  /// Seed perturbation for the static-noise stream (distinct from the
-  /// plaintext stream keyed on the raw seed).
-  static constexpr std::uint64_t kStaticNoiseStream = 0x57a71cc0ffeeULL;
 
   DpaFlowOptions options_;
   cells::CellLibrary library_;  ///< by value: the source owns its target
@@ -297,6 +362,11 @@ class ReducedAesSource final : public AcquisitionSource {
   std::vector<std::vector<double>> rows_;
   std::vector<char> skipped_;
   std::vector<spice::FlowDiagnostics> trace_diag_;
+  // Per-plaintext memo; it outlives reset(), since nothing it holds depends
+  // on the trace index.
+  std::array<MemoEntry, 256> memo_;
+  /// Dynamic only: 256 noiseless rows of `samples`, row p for plaintext p.
+  std::unique_ptr<double[]> memo_rows_;
 };
 
 }  // namespace

@@ -37,6 +37,12 @@ enum class AcquisitionMode {
   kStatic,
 };
 
+/// Seed perturbation of a static acquisition's noise: sample j of trace t
+/// adds gaussian(0, noise_sigma + supply_noise_ratio * level) drawn in order
+/// from util::Rng::stream(seed ^ kStaticNoiseStream, t), decorrelated from
+/// the plaintext stream util::Rng::stream(seed, t).
+inline constexpr std::uint64_t kStaticNoiseStream = 0x57a71cc0ffeeULL;
+
 struct DpaFlowOptions {
   std::size_t num_traces = 2000;
   /// Global index of the first trace this source produces.  Rng streams,
@@ -63,14 +69,16 @@ struct DpaFlowOptions {
   AcquisitionMode acquisition = AcquisitionMode::kDynamic;
   /// Mount the MLPA multi-bit attack on the acquired traces (any mode).
   bool compute_mlpa = false;
-  /// When >= 0, every acquisition uses this fixed plaintext byte (for the
-  /// TVLA fixed class); -1 = random plaintexts.
+  /// When in [0, 255], every acquisition uses this fixed plaintext byte
+  /// (for the TVLA fixed class); -1 = random plaintexts.  Other values are
+  /// rejected.
   int fixed_plaintext = -1;
   /// Use SPICE-extracted current kernels instead of the analytic defaults.
   bool spice_kernels = false;
-  /// Traces simulated (and resident) per streaming batch: the acquisition
-  /// source holds one batch of row buffers, so this bounds the flow's trace
-  /// memory at batch_size * samples doubles regardless of num_traces.
+  /// Traces produced (and resident) per streaming batch.  The acquisition
+  /// source holds one batch of row buffers plus, for a dynamic acquisition,
+  /// its 256-row per-plaintext memo, so the flow's trace memory is at most
+  /// (batch_size + 256) * samples doubles regardless of num_traces.
   std::size_t batch_size = sca::kDefaultTraceBatch;
   /// Copy the streamed traces into DpaFlowResult::traces.  Disable for large
   /// campaigns that only need the attack statistics: the flow then never
@@ -98,13 +106,17 @@ struct DpaFlowResult : sca::AttackVerdicts {
 };
 
 /// Streaming acquisition of the reduced AES target: a TraceSource that
-/// simulates `options.batch_size` traces per next() call into reused row
-/// buffers, so an arbitrarily long campaign holds one batch in memory.
+/// produces `options.batch_size` traces per next() call into reused row
+/// buffers, so an arbitrarily long campaign holds one batch in memory, plus
+/// a memo of at most 256 noiseless rows (one simulation per plaintext byte;
+/// the key is fixed).
 /// Trace indices are global -- Rng streams, noise nonces, and the fault hook
 /// are keyed on the campaign index -- so the stream is bitwise identical to
 /// the materialized acquisition at any thread count and any batch size.
 /// Failed traces are retried once, then skipped (excluded from the batch)
 /// and recorded in diagnostics(), exactly as the batch flow did.
+/// The constructor throws std::invalid_argument when batch_size or samples
+/// is 0, or fixed_plaintext lies outside [-1, 255].
 class AcquisitionSource : public sca::TraceSource {
  public:
   /// Aggregated outcomes so far: kernel extraction plus every batch

@@ -78,10 +78,27 @@ class PowerTracer {
 
   /// Same, but composes into `out`, recycling its heap buffer: streaming
   /// acquisition reuses one buffer per batch slot instead of allocating a
-  /// fresh samples-sized vector for every trace.
+  /// fresh samples-sized vector for every trace.  Exactly
+  /// compose_into(events, schedule, out) then
+  /// add_noise(schedule, nonce, noise_key(events), out).
   void trace_into(const std::vector<netlist::SimEvent>& events,
                   const SleepSchedule& schedule, std::uint64_t nonce,
                   std::vector<double>& out) const;
+
+  /// The noiseless part of trace_into(): the composed supply current, a
+  /// pure function of `events` and `schedule`.
+  void compose_into(const std::vector<netlist::SimEvent>& events,
+                    const SleepSchedule& schedule,
+                    std::vector<double>& out) const;
+  /// The noise part of trace_into(): adds the measurement noise of one
+  /// acquisition to a composed trace, drawn from a stream seeded by the
+  /// tracer seed, `nonce` and `noise_key`.
+  void add_noise(const SleepSchedule& schedule, std::uint64_t nonce,
+                 std::uint64_t noise_key, std::vector<double>& out) const;
+  /// What the noise seed reads of an event stream: its length plus its last
+  /// event time in fs (just the length when empty).  A caller that keeps a
+  /// composed trace keeps this beside it instead of the events.
+  static std::uint64_t noise_key(const std::vector<netlist::SimEvent>& events);
 
   /// Quiescent (DC) supply current of the block holding the state of `sim`
   /// [A] -- the observable of the static-power side channel.  Unlike the

@@ -85,6 +85,18 @@ void PowerTracer::trace_into(const std::vector<SimEvent>& events,
                              const SleepSchedule& schedule,
                              std::uint64_t nonce,
                              std::vector<double>& out) const {
+  compose_into(events, schedule, out);
+  add_noise(schedule, nonce, noise_key(events), out);
+}
+
+std::uint64_t PowerTracer::noise_key(const std::vector<SimEvent>& events) {
+  if (events.empty()) return 0;
+  return events.size() + static_cast<std::uint64_t>(events.back().time * 1e15);
+}
+
+void PowerTracer::compose_into(const std::vector<SimEvent>& events,
+                               const SleepSchedule& schedule,
+                               std::vector<double>& out) const {
   const double t0 = options_.t_start;
   const double t_end =
       t0 + options_.dt * static_cast<double>(options_.samples - 1);
@@ -137,29 +149,35 @@ void PowerTracer::trace_into(const std::vector<SimEvent>& events,
   }
 
   out = acc.take();
-  if (options_.include_noise &&
-      (options_.noise_sigma > 0.0 || options_.supply_noise_ratio > 0.0)) {
-    // Fresh noise per trace, seeded from the event stream so repeated calls
-    // with different data see independent noise.
-    util::Rng noise(options_.seed * 0x9e3779b97f4a7c15ULL + events.size() +
-                    nonce * 0xd1b54a32d192ed03ULL +
-                    (events.empty() ? 0 : static_cast<std::uint64_t>(
-                                              events.back().time * 1e15)));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      // Regulator/thermal noise grows with the static current flowing at
-      // that instant: the floor of the style (and sleep state) at play.
-      double floor_current = 0.0;
-      if (style == LogicStyle::kCmos) {
-        floor_current = leakage_power_ / library_.vdd();
-      } else if (schedule.is_awake(acc.time_of(i))) {
-        floor_current = awake_current_;
-      } else {
-        floor_current = sleep_current_;
-      }
-      const double sigma =
-          options_.noise_sigma + options_.supply_noise_ratio * floor_current;
-      out[i] += noise.gaussian(0.0, sigma);
+}
+
+void PowerTracer::add_noise(const SleepSchedule& schedule, std::uint64_t nonce,
+                            std::uint64_t noise_key,
+                            std::vector<double>& out) const {
+  if (!options_.include_noise ||
+      !(options_.noise_sigma > 0.0 || options_.supply_noise_ratio > 0.0)) {
+    return;
+  }
+  const LogicStyle style = library_.style();
+  // Fresh noise per trace, seeded from the event stream so repeated calls
+  // with different data see independent noise.
+  util::Rng noise(options_.seed * 0x9e3779b97f4a7c15ULL +
+                  nonce * 0xd1b54a32d192ed03ULL + noise_key);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    // Regulator/thermal noise grows with the static current flowing at
+    // that instant: the floor of the style (and sleep state) at play.
+    double floor_current = 0.0;
+    if (style == LogicStyle::kCmos) {
+      floor_current = leakage_power_ / library_.vdd();
+    } else if (schedule.is_awake(options_.t_start +
+                                 options_.dt * static_cast<double>(i))) {
+      floor_current = awake_current_;
+    } else {
+      floor_current = sleep_current_;
     }
+    const double sigma =
+        options_.noise_sigma + options_.supply_noise_ratio * floor_current;
+    out[i] += noise.gaussian(0.0, sigma);
   }
 }
 

@@ -248,37 +248,43 @@ void add_window_means(BinnedMoments& projection,
 // BinSpectrum: the scorers
 
 BinSpectrum::BinSpectrum(const BinnedMoments& stat)
-    : m_(stat.samples_per_trace()),
-      n_(stat.num_traces()),
-      deviations_((m_ + kLanes - 1) / kLanes, Block{}) {
-  const Moments pooled = stat.pooled();
-  m2_ = pooled.m2;
+    : m_(stat.samples_per_trace()), n_(stat.num_traces()) {
+  Moments pooled = stat.pooled();
+  mean_ = std::move(pooled.mean);
+  m2_ = std::move(pooled.m2);
   for (int p = 0; p < 256; ++p) {
     const Moments& bin = stat.bin(static_cast<std::uint8_t>(p));
     counts_[p] = static_cast<double>(bin.n);
-    if (bin.n == 0) continue;
-    occupied_.push_back(p);
-    for (std::size_t j = 0; j < m_; ++j) {
-      deviations_[j / kLanes][p * kLanes + j % kLanes] =
-          counts_[p] * (bin.mean[j] - pooled.mean[j]);
-    }
+    bin_mean_[p] = bin.mean.data();
+    if (bin.n > 0) occupied_.push_back(p);
   }
 }
 
 void BinSpectrum::correlate(const Row& g, const Row& g_hat, std::size_t blk,
                             int guess, Block& out) const {
   if (guess >= 0) {
-    const Block& d = deviations_[blk];
+    const std::size_t j0 = blk * kLanes;
+    const std::size_t lanes = std::min(kLanes, m_ - j0);
+    const double* pooled = mean_.data() + j0;
     std::array<double, kLanes> sum{};
     for (const int p : occupied_) {
       const double w = g[p ^ guess];
-      for (std::size_t l = 0; l < kLanes; ++l) sum[l] += w * d[p * kLanes + l];
+      const double c = counts_[p];
+      const double* mean = bin_mean_[p] + j0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        sum[l] += w * (c * (mean[l] - pooled[l]));
+      }
     }
     for (std::size_t l = 0; l < kLanes; ++l) out[l] = 256.0 * sum[l];
     return;
   }
   if (spectrum_.empty()) {
-    spectrum_ = deviations_;
+    spectrum_.assign(blocks(), Block{});
+    for (const int p : occupied_) {
+      for (std::size_t j = 0; j < m_; ++j) {
+        spectrum_[j / kLanes][p * kLanes + j % kLanes] = deviation(p, j);
+      }
+    }
     for (Block& b : spectrum_) wht<kLanes>(b.data());
   }
   const Block& s = spectrum_[blk];
@@ -315,7 +321,7 @@ void BinSpectrum::correlations(
   }
   Block out;
   Row corr{};
-  for (std::size_t blk = 0; blk < deviations_.size(); ++blk) {
+  for (std::size_t blk = 0; blk < blocks(); ++blk) {
     correlate(g_c, g_hat, blk, guess, out);
     for (std::size_t l = 0; l < kLanes && blk * kLanes + l < m_; ++l) {
       const std::size_t j = blk * kLanes + l;
@@ -352,7 +358,7 @@ BinSpectrum::Row BinSpectrum::partition_peaks(int bits, int guess) const {
   Row peak_sq{};
   Block sq;
   Block diff;
-  for (std::size_t blk = 0; blk < deviations_.size(); ++blk) {
+  for (std::size_t blk = 0; blk < blocks(); ++blk) {
     sq.fill(0.0);
     for (int b = 0; b < bits; ++b) {
       correlate(g_c[b], g_hat[b], blk, guess, diff);

@@ -78,7 +78,8 @@ BinnedMoments bin_traces(TraceSource& source) {
 
 CpaResult cpa_attack(TraceSource& source, LeakageModel model,
                      bool keep_time_curves) {
-  return BinSpectrum(bin_traces(source)).cpa(model, keep_time_curves);
+  const BinnedMoments stat = bin_traces(source);
+  return BinSpectrum(stat).cpa(model, keep_time_curves);
 }
 
 CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
@@ -88,7 +89,8 @@ CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
 }
 
 DpaResult dpa_attack(TraceSource& source) {
-  return BinSpectrum(bin_traces(source)).dpa();
+  const BinnedMoments stat = bin_traces(source);
+  return BinSpectrum(stat).dpa();
 }
 
 DpaResult dpa_attack(const TraceSet& traces) {

@@ -117,10 +117,12 @@ void add_window_means(BinnedMoments& projection,
                       std::span<const StaticWindow> windows,
                       std::size_t samples, const TraceBatch& batch);
 
-/// A snapshot of a BinnedMoments prepared for scoring: the pooled M2, the
-/// bin deviations D_p per sample column and, computed on the first full
-/// scoring and shared by every later one (so one BinSpectrum is not for
-/// concurrent use), their Walsh-Hadamard transform.
+/// A BinnedMoments prepared for scoring: the bin counts, the pooled mean
+/// and M2 and, computed on the first full scoring and shared by every later
+/// one (so one BinSpectrum is not for concurrent use), the Walsh-Hadamard
+/// transform of the bin deviations D_p per sample column.  The deviations
+/// themselves are read from the referenced statistic, which must outlive
+/// the spectrum and stay unchanged while it is scored.
 /// Each full scorer then costs one inverse transform per column and model
 /// bit.  Columns are transformed kLanes at a time, so every butterfly runs
 /// over a contiguous vector of columns.  Below 2 traces every scorer returns
@@ -128,6 +130,8 @@ void add_window_means(BinnedMoments& projection,
 class BinSpectrum {
  public:
   explicit BinSpectrum(const BinnedMoments& stat);
+  /// A spectrum reads its statistic: it cannot outlive a temporary one.
+  explicit BinSpectrum(BinnedMoments&&) = delete;
 
   /// Pearson correlation of `model` with every sample column.
   CpaResult cpa(LeakageModel model, bool keep_time_curves = false) const;
@@ -159,7 +163,7 @@ class BinSpectrum {
   /// Row k of `out` = 256 * sum_p g(p ^ k) * D_p at columns blk * kLanes +
   /// l, for a model g centred over the 256 values with transform g_hat: for
   /// every k by the transform when guess < 0, else only k = guess, summed
-  /// directly, in row 0.
+  /// directly, in row 0.  Lanes past the last column read 0.
   void correlate(const Row& g, const Row& g_hat, std::size_t blk, int guess,
                  Block& out) const;
   /// Per column, the Pearson correlation of every guess (guess < 0) or of
@@ -171,12 +175,19 @@ class BinSpectrum {
   /// differences, per guess (guess < 0) or of one guess (entry 0).
   Row partition_peaks(int bits, int guess) const;
 
+  std::size_t blocks() const { return (m_ + kLanes - 1) / kLanes; }
+  /// D_p at column j: counts_[p] * (mean of bin p - pooled mean).
+  double deviation(int p, std::size_t j) const {
+    return counts_[p] * (bin_mean_[p][j] - mean_[j]);
+  }
+
   std::size_t m_;
   std::size_t n_;
   Row counts_{};
   std::vector<int> occupied_;       ///< bins holding traces
+  std::array<const double*, 256> bin_mean_{};  ///< the statistic's bin means
+  std::vector<double> mean_;        ///< pooled mean per column
   std::vector<double> m2_;          ///< pooled M2 per column
-  std::vector<Block> deviations_;   ///< D, kLanes columns per block
   mutable std::vector<Block> spectrum_;  ///< H D once a full scorer ran
 };
 

@@ -95,7 +95,8 @@ class GridAccumulator {
   /// Adds `value` to the sample nearest `t` (ignored when out of range).
   void deposit(double t, double value);
 
-  /// Adds a piecewise-linear kernel starting at time `t_start`.
+  /// Adds a piecewise-linear kernel starting at time `t_start`.  Like
+  /// add_level(), clipped to the grid: a no-op on an empty one.
   void add_kernel(double t_start, const Waveform& kernel, double scale = 1.0);
 
   /// Adds a constant level over [t_on, t_off).

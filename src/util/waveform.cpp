@@ -207,7 +207,7 @@ void GridAccumulator::deposit(double t, double value) {
 
 void GridAccumulator::add_kernel(double t_start, const Waveform& kernel,
                                  double scale) {
-  if (kernel.empty()) return;
+  if (kernel.empty() || values_.empty()) return;
   const double k_begin = t_start + kernel.t_begin();
   const double k_end = t_start + kernel.t_end();
   // Clip the kernel support to the grid.
@@ -225,7 +225,7 @@ void GridAccumulator::add_kernel(double t_start, const Waveform& kernel,
 }
 
 void GridAccumulator::add_level(double t_on, double t_off, double level) {
-  if (t_off <= t_on || level == 0.0) return;
+  if (t_off <= t_on || level == 0.0 || values_.empty()) return;
   const double grid_end = t0_ + dt_ * static_cast<double>(values_.size() - 1);
   const double lo = std::max(t_on, t0_);
   const double hi = std::min(t_off, grid_end);

@@ -4,12 +4,21 @@
 // flow through the streaming path unchanged.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pgmcml/core/dpa_flow.hpp"
+#include "pgmcml/core/sbox_unit.hpp"
+#include "pgmcml/netlist/logicsim.hpp"
+#include "pgmcml/obs/obs.hpp"
+#include "pgmcml/power/kernels.hpp"
+#include "pgmcml/power/tracer.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/util/parallel.hpp"
+#include "pgmcml/util/rng.hpp"
 
 namespace pgmcml::core {
 namespace {
@@ -266,6 +275,255 @@ TEST(StreamingFlow, RejectsZeroBatchSize) {
   opt.batch_size = 0;
   EXPECT_THROW(make_acquisition_source(CellLibrary::cmos90(), opt),
                std::invalid_argument);
+}
+
+TEST(StreamingFlow, RejectsZeroSamples) {
+  DpaFlowOptions opt;
+  opt.samples = 0;
+  opt.num_traces = 8;
+  EXPECT_THROW(make_acquisition_source(CellLibrary::cmos90(), opt),
+               std::invalid_argument);
+  EXPECT_THROW(run_dpa_flow(CellLibrary::cmos90(), opt), std::invalid_argument);
+}
+
+TEST(StreamingFlow, RejectsOutOfRangeFixedPlaintext) {
+  for (const int bad : {256, -2, 1000, -100}) {
+    DpaFlowOptions opt;
+    opt.fixed_plaintext = bad;
+    EXPECT_THROW(make_acquisition_source(CellLibrary::cmos90(), opt),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const int good : {-1, 0, 255}) {
+    DpaFlowOptions opt;
+    opt.fixed_plaintext = good;
+    EXPECT_NO_THROW(make_acquisition_source(CellLibrary::cmos90(), opt))
+        << good;
+  }
+}
+
+/// One acquired trace: its plaintext and its samples.
+using Trace = std::pair<std::uint8_t, std::vector<double>>;
+
+/// The oracle for the memoized source, built without it: every trace is a
+/// fresh LogicSim from the precharge state.  A dynamic trace is the
+/// tracer's trace_into(); a static one is the two quiescent currents plus
+/// the noise documented at kStaticNoiseStream.
+std::vector<Trace> per_trace_reference(const CellLibrary& library,
+                                       const DpaFlowOptions& opt) {
+  const synth::MapResult mapped = map_reduced_aes(library);
+  const netlist::Design& design = mapped.design;
+  std::vector<netlist::NetId> p_nets(8, netlist::kNoNet);
+  std::vector<netlist::NetId> k_nets(8, netlist::kNoNet);
+  netlist::NetId const_net = netlist::kNoNet;
+  for (std::size_t i = 0; i < design.inputs().size(); ++i) {
+    const std::string& name = design.port_name(i, true);
+    if (name[0] == 'p' || name[0] == 'k') {
+      auto& nets = name[0] == 'p' ? p_nets : k_nets;
+      nets[std::stoi(name.substr(2))] = design.inputs()[i];
+    } else {
+      const_net = design.inputs()[i];
+    }
+  }
+
+  power::TraceOptions topt;
+  topt.t_start = 0.4e-9;
+  topt.dt = opt.dt;
+  topt.samples = opt.samples;
+  topt.noise_sigma = opt.noise_sigma;
+  topt.seed = opt.seed;
+  const power::PowerTracer tracer(design, library, power::default_kernels(),
+                                  topt);
+  power::SleepSchedule schedule;
+  if (library.power_gated() && opt.gate_per_operation) {
+    schedule.awake.push_back({0.2e-9, 0.4e-9 + opt.dt * opt.samples});
+  }
+  const std::size_t awake_end =
+      sca::static_window_bounds(sca::StaticWindow::kAwake, opt.samples).second;
+
+  std::vector<Trace> out;
+  for (std::size_t t = opt.first_trace; t < opt.first_trace + opt.num_traces;
+       ++t) {
+    util::Rng rng = util::Rng::stream(opt.seed, t);
+    const auto plaintext =
+        opt.fixed_plaintext >= 0
+            ? static_cast<std::uint8_t>(opt.fixed_plaintext)
+            : static_cast<std::uint8_t>(rng.bounded(256));
+    netlist::LogicSim sim(design, &library);
+    std::vector<std::pair<netlist::NetId, bool>> init;
+    for (int b = 0; b < 8; ++b) {
+      init.emplace_back(k_nets[b], (opt.key >> b) & 1);
+      init.emplace_back(p_nets[b], false);
+    }
+    if (const_net != netlist::kNoNet) init.emplace_back(const_net, false);
+    sim.apply_and_settle(init);
+    sim.clear_events();
+    sim.run_until(0.5e-9);
+    std::vector<std::pair<netlist::NetId, bool>> stimulus;
+    for (int b = 0; b < 8; ++b) {
+      stimulus.emplace_back(p_nets[b], (plaintext >> b) & 1);
+    }
+    sim.apply_and_settle(stimulus);
+
+    std::vector<double> row;
+    if (opt.acquisition == AcquisitionMode::kStatic) {
+      const double awake = tracer.quiescent_current(sim, true);
+      const double asleep = tracer.quiescent_current(sim, false);
+      util::Rng noise = util::Rng::stream(opt.seed ^ kStaticNoiseStream, t);
+      for (std::size_t j = 0; j < opt.samples; ++j) {
+        const double level = j < awake_end ? awake : asleep;
+        const double sigma =
+            topt.noise_sigma + topt.supply_noise_ratio * level;
+        row.push_back(level + noise.gaussian(0.0, sigma));
+      }
+    } else {
+      tracer.trace_into(sim.events(), schedule, t, row);
+    }
+    out.emplace_back(plaintext, std::move(row));
+  }
+  return out;
+}
+
+/// Every trace a source produces, in order.
+std::vector<Trace> drain(AcquisitionSource& source) {
+  std::vector<Trace> out;
+  sca::TraceBatch batch;
+  while (source.next(batch)) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      out.emplace_back(batch.plaintexts[i],
+                       std::vector<double>(batch.traces[i].begin(),
+                                           batch.traces[i].end()));
+    }
+  }
+  return out;
+}
+
+/// Bitwise equality of two trace streams (vector == compares doubles with
+/// ==, and no trace here holds a NaN).
+void expect_same_stream(const std::vector<Trace>& got,
+                        const std::vector<Trace>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << what << " trace " << i;
+    EXPECT_TRUE(got[i].second == want[i].second) << what << " trace " << i;
+  }
+}
+
+TEST(StreamingFlow, MemoizedSourceMatchesPerTraceSimulation) {
+  for (const CellLibrary& library :
+       {CellLibrary::cmos90(), CellLibrary::mcml90(),
+        CellLibrary::pgmcml90()}) {
+    for (const AcquisitionMode mode :
+         {AcquisitionMode::kDynamic, AcquisitionMode::kStatic}) {
+      for (const int fixed : {-1, 0x52}) {
+        DpaFlowOptions opt;
+        opt.num_traces = 48;  // random plaintexts repeat: memo hits
+        opt.samples = 120;
+        opt.acquisition = mode;
+        opt.fixed_plaintext = fixed;
+        const std::vector<Trace> reference =
+            per_trace_reference(library, opt);
+        for (const std::size_t threads : {1u, 4u}) {
+          util::set_parallel_threads(threads);
+          for (const std::size_t batch : {1u, 7u, 256u}) {
+            DpaFlowOptions run = opt;
+            run.batch_size = batch;
+            auto source = make_acquisition_source(library, run);
+            expect_same_stream(
+                drain(*source), reference,
+                library.name() + (mode == AcquisitionMode::kStatic
+                                      ? " static"
+                                      : " dynamic") +
+                    " fixed=" + std::to_string(fixed) +
+                    " threads=" + std::to_string(threads) +
+                    " batch=" + std::to_string(batch));
+          }
+        }
+      }
+    }
+  }
+  util::set_parallel_threads(0);
+}
+
+TEST(StreamingFlow, FaultedTracesLeaveNoPoisonedMemoEntry) {
+  for (const AcquisitionMode mode :
+       {AcquisitionMode::kDynamic, AcquisitionMode::kStatic}) {
+    DpaFlowOptions opt;
+    opt.num_traces = 64;
+    opt.samples = 120;
+    opt.acquisition = mode;
+    const std::vector<Trace> reference =
+        per_trace_reference(CellLibrary::pgmcml90(), opt);
+
+    // Two traces that are each the first of their plaintext, which a later
+    // trace repeats: `flaky` fails only its first attempt, `dead` both.
+    const auto first_repeated = [&](std::size_t from, int other) {
+      for (std::size_t a = from; a < reference.size(); ++a) {
+        bool first = true;
+        bool repeated = false;
+        for (std::size_t b = 0; b < reference.size(); ++b) {
+          if (reference[b].first != reference[a].first) continue;
+          first = first && b >= a;
+          repeated = repeated || b > a;
+        }
+        if (first && repeated && reference[a].first != other) return a;
+      }
+      return reference.size();
+    };
+    const std::size_t flaky = first_repeated(0, -1);
+    ASSERT_LT(flaky, reference.size());
+    const std::size_t dead = first_repeated(flaky + 1, reference[flaky].first);
+    ASSERT_LT(dead, reference.size());
+
+    opt.batch_size = 7;
+    opt.acquisition_fault_hook = [&](std::size_t t, int attempt) {
+      if (t == dead || (t == flaky && attempt == 0)) {
+        throw std::runtime_error("injected: trace " + std::to_string(t));
+      }
+    };
+    std::vector<Trace> expect = reference;
+    expect.erase(expect.begin() + static_cast<std::ptrdiff_t>(dead));
+    for (const std::size_t threads : {1u, 4u}) {
+      util::set_parallel_threads(threads);
+      auto source = make_acquisition_source(CellLibrary::pgmcml90(), opt);
+      expect_same_stream(drain(*source), expect,
+                         "threads=" + std::to_string(threads));
+      EXPECT_EQ(source->diagnostics().attempts, opt.num_traces);
+      EXPECT_EQ(source->diagnostics().retries, 2u);
+      EXPECT_EQ(source->diagnostics().recovered, 1u);
+      EXPECT_EQ(source->diagnostics().skipped, 1u);
+    }
+    util::set_parallel_threads(0);
+  }
+}
+
+TEST(StreamingFlow, SimulationsCountMemoFillsNotTraces) {
+  const obs::Counter simulations =
+      obs::Registry::global().counter("core.acquisition.simulations");
+  const auto simulated_by = [&](AcquisitionSource& source) {
+    const std::uint64_t before = simulations.value();
+    drain(source);
+    return simulations.value() - before;
+  };
+
+  DpaFlowOptions opt;
+  opt.samples = 60;
+  opt.num_traces = 300;
+  opt.fixed_plaintext = 0x52;
+  auto fixed = make_acquisition_source(CellLibrary::cmos90(), opt);
+  EXPECT_EQ(simulated_by(*fixed), 1u);
+  fixed->reset();
+  EXPECT_EQ(simulated_by(*fixed), 0u);  // the memo survives reset()
+
+  opt.fixed_plaintext = -1;
+  opt.num_traces = 1000;
+  auto random = make_acquisition_source(CellLibrary::cmos90(), opt);
+  const std::uint64_t fills = simulated_by(*random);
+  EXPECT_GT(fills, 0u);
+  EXPECT_LE(fills, 256u);
+  random->reset();
+  EXPECT_EQ(simulated_by(*random), 0u);
 }
 
 }  // namespace

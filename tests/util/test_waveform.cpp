@@ -164,6 +164,17 @@ TEST(GridAccumulator, KernelClippedAtGridEdges) {
   for (double v : acc.values()) EXPECT_DOUBLE_EQ(v, 1.0);
 }
 
+TEST(GridAccumulator, EmptyGridIgnoresLevelsAndKernels) {
+  GridAccumulator acc(0.0, 0.1, 0);
+  Waveform kernel;
+  kernel.append(0.0, 1.0);
+  kernel.append(1.0, 1.0);
+  acc.add_level(0.0, 1.0, 1.0);
+  acc.add_kernel(0.0, kernel, 2.0);
+  acc.deposit(0.0, 1.0);
+  EXPECT_TRUE(acc.values().empty());
+}
+
 TEST(GridAccumulator, RejectsNonPositiveDt) {
   EXPECT_THROW(GridAccumulator(0.0, 0.0, 4), std::invalid_argument);
 }
