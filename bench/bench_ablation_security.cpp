@@ -15,9 +15,8 @@
 // CI-sized run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "bench_manifest.hpp"
@@ -34,11 +33,6 @@ namespace {
 
 using namespace pgmcml;
 using cells::CellLibrary;
-
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 /// Mounts CPA on PG-MCML with explicit tracer knobs, streaming each trace
 /// into the accumulator through one reused row buffer -- the sweep's memory
@@ -58,40 +52,15 @@ sca::CpaResult run_cpa(double residual_sigma, double supply_noise_ratio,
   const power::PowerTracer tracer(mapped.design, lib,
                                   power::default_kernels(), topt);
 
-  // Safe bus-index parsing ("p[3]" -> 3); malformed or out-of-range names
-  // throw instead of silently indexing with garbage.
-  const auto bus_index = [](const std::string& name, char prefix) -> int {
-    if (name.empty() || name[0] != prefix) return -1;
-    if (name.size() < 4 || name[1] != '[' || name.back() != ']') {
-      throw std::invalid_argument("malformed port name '" + name + "'");
-    }
-    const std::string digits = name.substr(2, name.size() - 3);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument("non-numeric index in port '" + name + "'");
-    }
-    const int idx = std::stoi(digits);
-    if (idx >= 8) {
-      throw std::out_of_range("port index out of range in '" + name + "'");
-    }
-    return idx;
-  };
-
-  std::vector<netlist::NetId> p_nets(8), k_nets(8);
+  const netlist::Design& design = mapped.design;
+  const std::vector<netlist::NetId> p_nets = design.input_bus("p", 8);
+  const std::vector<netlist::NetId> k_nets = design.input_bus("k", 8);
   netlist::NetId const_net = netlist::kNoNet;
-  for (std::size_t i = 0; i < mapped.design.inputs().size(); ++i) {
-    const std::string& name = mapped.design.port_name(i, true);
-    int idx = bus_index(name, 'p');
-    if (idx >= 0) {
-      p_nets[idx] = mapped.design.inputs()[i];
-      continue;
+  for (const netlist::NetId n : design.inputs()) {
+    if (std::find(p_nets.begin(), p_nets.end(), n) == p_nets.end() &&
+        std::find(k_nets.begin(), k_nets.end(), n) == k_nets.end()) {
+      const_net = n;
     }
-    idx = bus_index(name, 'k');
-    if (idx >= 0) {
-      k_nets[idx] = mapped.design.inputs()[i];
-      continue;
-    }
-    const_net = mapped.design.inputs()[i];
   }
 
   util::Rng rng(13);
@@ -125,7 +94,7 @@ sca::CpaResult run_cpa(double residual_sigma, double supply_noise_ratio,
 /// rides a dynamic acquisition of the same budget.  MTD 0 = never disclosed.
 void print_attack_modalities(pgmcml::bench::Manifest& manifest) {
   const std::uint8_t key = 0x2b;
-  const std::size_t budget = smoke_mode() ? 600 : 2000;
+  const std::size_t budget = bench::smoke_mode() ? 600 : 2000;
 
   util::Table t("Static-power and MLPA attack modalities (" +
                 std::to_string(budget) + " traces/holds per style)");
@@ -203,7 +172,7 @@ void print_attack_modalities(pgmcml::bench::Manifest& manifest) {
 
 void print_security_ablation(pgmcml::bench::Manifest& manifest) {
   const std::uint8_t key = 0x2b;
-  const std::size_t sweep_traces = smoke_mode() ? 400 : 2000;
+  const std::size_t sweep_traces = bench::smoke_mode() ? 400 : 2000;
 
   util::Table t1("PG-MCML security vs leg-imbalance residual (" +
                  std::to_string(sweep_traces) + " traces)");

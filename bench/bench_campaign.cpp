@@ -13,7 +13,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -32,11 +31,6 @@ double now_seconds() {
   return std::chrono::duration<double>(t).count();
 }
 
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 struct RunMeasurement {
   std::string label;
   std::size_t workers = 0;
@@ -52,7 +46,7 @@ struct RunMeasurement {
 
 int main() {
   bench::Manifest manifest("campaign");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
 
   campaign::CampaignOptions base;
   base.style = cells::LogicStyle::kCmos;  // disclosing style: MTD is live

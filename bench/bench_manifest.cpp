@@ -63,6 +63,11 @@ std::size_t peak_rss_kb() {
   return kb;
 }
 
+bool smoke_mode() {
+  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
+}
+
 Manifest::Manifest(std::string bench_name)
     : name_(std::move(bench_name)),
       wall_start_(wall_seconds()),

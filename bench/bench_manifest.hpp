@@ -34,6 +34,11 @@ const char* to_string(Better b);
 /// /proc/self/status is unavailable.
 std::size_t peak_rss_kb();
 
+/// CI smoke mode: PGMCML_BENCH_SMOKE set to anything but empty or "0".
+/// Benches that honour it shrink their workloads so they finish in seconds
+/// while exercising the same code paths.
+bool smoke_mode();
+
 /// Collects one benchmark run.  Construct at the top of main() (wall/cpu
 /// clocks start there), record metrics and sections as they are produced,
 /// then write() the envelope.

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <span>
 #include <memory>
@@ -81,13 +80,6 @@ double checksum(const sca::TraceSet& ts) {
   return sum;
 }
 
-/// CI smoke mode: shrink the workloads so the whole bench finishes in
-/// seconds while exercising the same code paths.
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 /// Swept circuit for the dc_sweep_batch stage: a CMOS inverter chain gives
 /// each sweep point a real Newton solve (several nonlinear iterations over
 /// a dozen unknowns), so the batch parallelism has work to amortize.
@@ -153,7 +145,7 @@ std::unique_ptr<spice::Circuit> make_mcml_chain(int stages) {
 
 int main() {
   bench::Manifest manifest("pipeline");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   const std::size_t nthreads = util::parallel_threads();
   std::printf("Pipeline benchmark: 1 thread vs %zu threads%s\n\n", nthreads,
               smoke ? " (smoke mode)" : "");

@@ -44,11 +44,6 @@ double now_seconds() {
   return std::chrono::duration<double>(t).count();
 }
 
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 std::string make_temp_dir() {
   char tmpl[] = "/tmp/pgmcml-bench-service-XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
@@ -98,7 +93,7 @@ json::Value make_experiment(bool smoke) {
 
 int main() {
   bench::Manifest manifest("service");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
 
   const std::string dir = make_temp_dir();
   if (std::getenv("PGMCML_CACHE_DIR") == nullptr) {

@@ -79,6 +79,22 @@ class ResultCache {
   /// still serves from memory for this process's lifetime.
   void put(const CacheKey& key, const obs::json::Value& payload);
 
+  /// The cache-or-compute step every cached flow goes through: returns
+  /// `decode(payload)` on a hit, otherwise `compute()`, storing
+  /// `encode(result)` under `key`.  A payload `decode` rejects (nullopt) is
+  /// recomputed and overwritten; a disabled cache just computes.
+  template <typename Compute, typename Encode, typename Decode>
+  auto get_or_compute(const CacheKey& key, Compute&& compute, Encode&& encode,
+                      Decode&& decode) -> decltype(compute()) {
+    if (!enabled()) return compute();
+    if (std::optional<obs::json::Value> hit = get(key)) {
+      if (auto value = decode(*hit)) return *std::move(value);
+    }
+    auto value = compute();
+    put(key, encode(value));
+    return value;
+  }
+
   /// Drops the in-memory front (the disk store is untouched).  Tests use
   /// this to force the disk-load path.
   void clear_memory();

@@ -1,5 +1,6 @@
 #include "pgmcml/core/aes_core.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "pgmcml/netlist/logicsim.hpp"
@@ -212,15 +213,10 @@ FullCoreCpaResult run_full_core_cpa(const cells::CellLibrary& library,
   result.cells = design.num_instances();
 
   // Port lookup by name.
-  std::vector<netlist::NetId> st(128, netlist::kNoNet);
+  const std::vector<netlist::NetId> st = design.input_bus("st", 128);
   std::vector<netlist::NetId> others;
-  for (std::size_t i = 0; i < design.inputs().size(); ++i) {
-    const std::string& name = design.port_name(i, true);
-    if (name.rfind("st[", 0) == 0) {
-      st[std::stoi(name.substr(3, name.size() - 4))] = design.inputs()[i];
-    } else {
-      others.push_back(design.inputs()[i]);
-    }
+  for (const netlist::NetId n : design.inputs()) {
+    if (std::find(st.begin(), st.end(), n) == st.end()) others.push_back(n);
   }
 
   power::TraceOptions topt;

@@ -23,31 +23,6 @@ using netlist::NetId;
 
 namespace {
 
-/// Parses a bus port name of the form `<prefix>[<index>]` (e.g. "p[3]").
-/// Returns -1 when the name has a different prefix or shape; throws when it
-/// matches the prefix but the index is malformed or out of range — the
-/// fragile `name[2] - '0'` this replaces read garbage indices silently.
-int parse_bus_index(const std::string& name, char prefix, int width) {
-  if (name.empty() || name[0] != prefix) return -1;
-  if (name.size() < 4 || name[1] != '[' || name.back() != ']') {
-    throw std::invalid_argument("dpa_flow: malformed port name '" + name +
-                                "' (expected " + prefix + "[<index>])");
-  }
-  const std::string digits = name.substr(2, name.size() - 3);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("dpa_flow: non-numeric index in port name '" +
-                                name + "'");
-  }
-  const int idx = std::stoi(digits);
-  if (idx < 0 || idx >= width) {
-    throw std::out_of_range("dpa_flow: port index " + std::to_string(idx) +
-                            " out of range [0, " + std::to_string(width) +
-                            ") in '" + name + "'");
-  }
-  return idx;
-}
-
 /// The concrete streaming acquisition: synthesis, port lookup, and tracer
 /// construction happen once, then every next() call produces one batch of
 /// traces into reused per-slot buffers.
@@ -87,34 +62,19 @@ class ReducedAesSource final : public AcquisitionSource {
     topt.seed = options_.seed;
     const power::CurrentKernels kernels =
         options_.spice_kernels
-            ? power::kernels_from_spice({}, &baseline_diagnostics_)
+            ? power::kernels_from_spice({}, baseline_diagnostics_)
             : power::default_kernels();
     tracer_ = std::make_unique<power::PowerTracer>(mapped_.design, library_,
                                                    kernels, topt);
 
     // Port lookup: p[0..7], k[0..7] inputs (plus possibly const0).
     const netlist::Design& design = mapped_.design;
-    p_nets_.assign(8, netlist::kNoNet);
-    k_nets_.assign(8, netlist::kNoNet);
-    for (std::size_t i = 0; i < design.inputs().size(); ++i) {
-      const std::string& name = design.port_name(i, true);
-      int idx = parse_bus_index(name, 'p', 8);
-      if (idx >= 0) {
-        p_nets_[idx] = design.inputs()[i];
-        continue;
-      }
-      idx = parse_bus_index(name, 'k', 8);
-      if (idx >= 0) {
-        k_nets_[idx] = design.inputs()[i];
-        continue;
-      }
-      const_net_ = design.inputs()[i];
-    }
-    for (int b = 0; b < 8; ++b) {
-      if (p_nets_[b] == netlist::kNoNet || k_nets_[b] == netlist::kNoNet) {
-        throw std::runtime_error(
-            "dpa_flow: mapped design is missing input bit " +
-            std::to_string(b) + " of p[] or k[]");
+    p_nets_ = design.input_bus("p", 8);
+    k_nets_ = design.input_bus("k", 8);
+    for (const NetId n : design.inputs()) {
+      if (std::find(p_nets_.begin(), p_nets_.end(), n) == p_nets_.end() &&
+          std::find(k_nets_.begin(), k_nets_.end(), n) == k_nets_.end()) {
+        const_net_ = n;
       }
     }
 
@@ -231,7 +191,8 @@ class ReducedAesSource final : public AcquisitionSource {
     // offset, so range-sharded sources reproduce the [0, N) stream exactly.
     const std::size_t t = options_.first_trace + base + i;
     trace_diag_[i].record_attempt();
-    const std::string stage = "trace:" + std::to_string(t);
+    // The stage label is only built when an incident is recorded.
+    const auto stage = [t] { return "trace:" + std::to_string(t); };
     for (int attempt = 0; attempt < 2; ++attempt) {
       try {
         if (options_.acquisition_fault_hook) {
@@ -252,13 +213,13 @@ class ReducedAesSource final : public AcquisitionSource {
           rows_[i].assign(row, row + options_.samples);
           tracer_->add_noise(schedule_, t, entry.noise_key, rows_[i]);
         }
-        if (attempt > 0) trace_diag_[i].record_recovery(stage);
+        if (attempt > 0) trace_diag_[i].record_recovery(stage());
         return;
       } catch (const std::exception& e) {
         if (attempt == 0) {
-          trace_diag_[i].record_retry(stage, e.what());
+          trace_diag_[i].record_retry(stage(), e.what());
         } else {
-          trace_diag_[i].record_skip(stage, e.what());
+          trace_diag_[i].record_skip(stage(), e.what());
           skipped_[i] = 1;
         }
       }

@@ -26,19 +26,18 @@ struct IsePorts {
 
 IsePorts find_ports(const netlist::Design& d) {
   IsePorts ports;
-  ports.in.fill(netlist::kNoNet);
   for (std::size_t i = 0; i < d.inputs().size(); ++i) {
     const std::string& name = d.port_name(i, true);
     if (name == "clk") {
       ports.clk = d.inputs()[i];
     } else if (name == "const0") {
       ports.const0 = d.inputs()[i];
-    } else if (name.size() >= 6 && name.rfind("in", 0) == 0) {
-      // "inL[B]": lane L, bit B.
-      const int lane = name[2] - '0';
-      const int bit = std::stoi(name.substr(4, name.size() - 5));
-      ports.in[8 * lane + bit] = d.inputs()[i];
     }
+  }
+  // "inL[B]": lane L, bit B.
+  for (int lane = 0; lane < 4; ++lane) {
+    const std::vector<NetId> bus = d.input_bus("in" + std::to_string(lane), 8);
+    std::copy(bus.begin(), bus.end(), ports.in.begin() + 8 * lane);
   }
   return ports;
 }

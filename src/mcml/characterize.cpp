@@ -53,17 +53,17 @@ StimPlan stim_plan(CellKind kind) {
   return {};
 }
 
-/// Retry-once-then-record policy shared by every testbench transient in this
-/// file: a failed first attempt is re-run with tightened options; the
-/// outcome (recovery or skip) lands in `diag` either way.
-spice::TranResult run_with_retry(McmlTestbench& bench, const std::string& stage,
-                                 spice::FlowDiagnostics& diag) {
+}  // namespace
+
+spice::TranResult run_with_retry(
+    const std::function<spice::TranResult(bool tightened)>& attempt,
+    const std::string& stage, spice::FlowDiagnostics& diag) {
   diag.record_attempt();
-  spice::TranResult tr = bench.run();
+  spice::TranResult tr = attempt(false);
   diag.engine.merge(tr.stats);
   if (tr.ok) return tr;
   diag.record_retry(stage, tr.failure.describe());
-  tr = bench.run(/*tightened=*/true);
+  tr = attempt(true);
   diag.engine.merge(tr.stats);
   if (tr.ok) {
     diag.record_recovery(stage);
@@ -72,8 +72,6 @@ spice::TranResult run_with_retry(McmlTestbench& bench, const std::string& stage,
   }
   return tr;
 }
-
-}  // namespace
 
 void add_technology_to_key(cache::KeyBuilder& kb,
                            const spice::Technology& tech) {
@@ -349,6 +347,11 @@ util::Waveform McmlTestbench::supply_current(
   return spice::supply_current(circuit_, tr, "VDD");
 }
 
+double McmlTestbench::supply_current(const spice::DcResult& dc) const {
+  const spice::Solution sol(dc.x, circuit_.num_nodes());
+  return -circuit_.device(circuit_.find_device("VDD")).probe_current(sol);
+}
+
 util::Waveform McmlTestbench::diff_output(const spice::TranResult& tr,
                                           int index) const {
   const DiffNet out = outputs_.at(index);
@@ -364,6 +367,27 @@ util::Waveform McmlTestbench::diff_output(const spice::TranResult& tr,
   const util::Waveform p = tr.node_waveform(out.p);
   const util::Waveform n = tr.node_waveform(out.n);
   return p.plus(n.scaled(-1.0));
+}
+
+std::optional<AwakeFigures> McmlTestbench::awake_figures(
+    const spice::TranResult& tr) const {
+  const util::Waveform vout = diff_output(tr);
+  std::vector<double> delays;
+  // Skip the first combinational edge (startup transients).
+  for (std::size_t i = sequential_ ? 0 : 1; i < stimulus_edges_.size(); ++i) {
+    const auto cross = vout.crossing(0.0, 0, stimulus_edges_[i]);
+    if (!cross.has_value()) continue;
+    const double dt = *cross - stimulus_edges_[i];
+    if (dt > 0.0 && dt < 1.8e-9) delays.push_back(dt);
+  }
+  if (delays.empty()) return std::nullopt;
+  AwakeFigures out;
+  out.delay = util::mean(delays);
+  out.swing = 0.5 * (vout.max_value() - vout.min_value());
+  const double quiet_lo = sequential_ ? 3.6e-9 : 1.0e-9;
+  const double quiet_hi = sequential_ ? 4.4e-9 : 1.9e-9;
+  out.static_current = supply_current(tr).average(quiet_lo, quiet_hi);
+  return out;
 }
 
 namespace {
@@ -387,34 +411,20 @@ CellCharacterization characterize_cell_uncached(CellKind kind,
   McmlTestbench bench(kind, d, opt);
   out.transistors = bench.mosfets();
   const spice::TranResult tr =
-      run_with_retry(bench, "characterize:awake", out.diagnostics);
+      run_with_retry([&bench](bool tightened) { return bench.run(tightened); },
+                     "characterize:awake", out.diagnostics);
   if (!tr.ok) {
     out.error = "transient: " + tr.error;
     return out;
   }
-  const util::Waveform vout = bench.diff_output(tr);
-
-  std::vector<double> delays;
-  const auto edges = bench.stimulus_edges();
-  // Skip the first combinational edge (startup transients).
-  const std::size_t first = bench.sequential() ? 0 : 1;
-  for (std::size_t i = first; i < edges.size(); ++i) {
-    const auto cross = vout.crossing(0.0, 0, edges[i]);
-    if (!cross.has_value()) continue;
-    const double dt = *cross - edges[i];
-    if (dt > 0.0 && dt < 1.8e-9) delays.push_back(dt);
-  }
-  if (delays.empty()) {
+  const std::optional<AwakeFigures> awake = bench.awake_figures(tr);
+  if (!awake.has_value()) {
     out.error = "no output transition found";
     return out;
   }
-  out.delay = util::mean(delays);
-  out.swing = 0.5 * (vout.max_value() - vout.min_value());
-
-  const util::Waveform isupply = bench.supply_current(tr);
-  const double quiet_lo = bench.sequential() ? 3.6e-9 : 1.0e-9;
-  const double quiet_hi = bench.sequential() ? 4.4e-9 : 1.9e-9;
-  out.static_current = isupply.average(quiet_lo, quiet_hi);
+  out.delay = awake->delay;
+  out.swing = awake->swing;
+  out.static_current = awake->static_current;
   out.static_power = out.static_current * d.tech.vdd();
 
   // --- gated-off leakage ----------------------------------------------------
@@ -427,9 +437,7 @@ CellCharacterization characterize_cell_uncached(CellKind kind,
     const spice::DcResult dc = sleeping.run_dc();
     out.diagnostics.engine.merge(dc.stats);
     if (dc.converged) {
-      spice::Solution sol(dc.x, sleeping.circuit().num_nodes());
-      const auto id = sleeping.circuit().find_device("VDD");
-      out.sleep_current = -sleeping.circuit().device(id).probe_current(sol);
+      out.sleep_current = sleeping.supply_current(dc);
     } else {
       // Leakage is reported as 0 but the miss is recorded, not silent.
       out.diagnostics.record_skip("characterize:sleep-dc",
@@ -442,8 +450,9 @@ CellCharacterization characterize_cell_uncached(CellKind kind,
     wake_opt.sleep_pulse = true;
     wake_opt.sleep_rise_time = 1e-9;
     McmlTestbench waking(kind, d, wake_opt);
-    const spice::TranResult wr =
-        run_with_retry(waking, "characterize:wake", out.diagnostics);
+    const spice::TranResult wr = run_with_retry(
+        [&waking](bool tightened) { return waking.run(tightened); },
+        "characterize:wake", out.diagnostics);
     if (wr.ok) {
       const util::Waveform w = waking.diff_output(wr);
       const double final_v = w.value_at(waking.t_stop());
@@ -465,29 +474,21 @@ CellCharacterization characterize_cell_uncached(CellKind kind,
 
 CellCharacterization characterize_cell(CellKind kind, const McmlDesign& design,
                                        int fanout) {
-  cache::ResultCache& rc = cache::ResultCache::global();
+  const auto compute = [&] {
+    return characterize_cell_uncached(kind, design, fanout);
+  };
   // Mismatch draws come from the caller's Rng stream and are not part of the
   // key, so perturbed designs always solve fresh (Monte-Carlo keys the draw
   // by (seed, sample) instead; see montecarlo.cpp).
-  if (!rc.enabled() || design.mismatch_rng != nullptr) {
-    return characterize_cell_uncached(kind, design, fanout);
-  }
-
+  if (design.mismatch_rng != nullptr) return compute();
   cache::KeyBuilder kb("mcml.characterize_cell");
   kb.add("kind", static_cast<std::int64_t>(kind));
   kb.add("fanout", fanout);
   add_design_to_key(kb, design);
-  const cache::CacheKey key = kb.key();
-
-  if (std::optional<obs::json::Value> hit = rc.get(key)) {
-    if (std::optional<CellCharacterization> ch =
-            characterization_from_json(*hit)) {
-      return *std::move(ch);
-    }
-  }
-  CellCharacterization out = characterize_cell_uncached(kind, design, fanout);
-  rc.put(key, to_json(out));
-  return out;
+  return cache::ResultCache::global().get_or_compute(
+      kb.key(), compute,
+      [](const CellCharacterization& ch) { return to_json(ch); },
+      characterization_from_json);
 }
 
 namespace {
@@ -518,27 +519,20 @@ BufferSweepPoint characterize_buffer_at_uncached(const McmlDesign& base,
     TestbenchOptions opt;
     opt.fanout = fanout;
     McmlTestbench bench(CellKind::kBuf, d, opt);
-    const std::string stage = "sweep:fo" + std::to_string(fanout);
-    const spice::TranResult tr = run_with_retry(bench, stage, pt.diagnostics);
+    const spice::TranResult tr = run_with_retry(
+        [&bench](bool tightened) { return bench.run(tightened); },
+        "sweep:fo" + std::to_string(fanout), pt.diagnostics);
     if (!tr.ok) {
       pt.error = "transient: " + tr.error;
       return std::nullopt;
     }
-    const util::Waveform vout = bench.diff_output(tr);
-    std::vector<double> delays;
-    const auto edges = bench.stimulus_edges();
-    for (std::size_t i = 1; i < edges.size(); ++i) {
-      const auto cross = vout.crossing(0.0, 0, edges[i]);
-      if (cross.has_value() && *cross - edges[i] < 1.8e-9) {
-        delays.push_back(*cross - edges[i]);
-      }
-    }
-    if (delays.empty()) {
+    const std::optional<AwakeFigures> awake = bench.awake_figures(tr);
+    if (!awake.has_value()) {
       pt.error = "no output transition found at fan-out " +
                  std::to_string(fanout);
       return std::nullopt;
     }
-    return util::mean(delays);
+    return awake->delay;
   };
 
   const std::optional<double> fo1 = delay_at(1);
@@ -561,22 +555,16 @@ BufferSweepPoint characterize_buffer_at_uncached(const McmlDesign& base,
 }  // namespace
 
 BufferSweepPoint characterize_buffer_at(const McmlDesign& base, double iss) {
-  cache::ResultCache& rc = cache::ResultCache::global();
-  if (!rc.enabled() || base.mismatch_rng != nullptr) {
+  const auto compute = [&] {
     return characterize_buffer_at_uncached(base, iss);
-  }
+  };
+  if (base.mismatch_rng != nullptr) return compute();
   cache::KeyBuilder kb("mcml.characterize_buffer_at");
   add_design_to_key(kb, base);
   kb.add("point_iss", iss);
-  const cache::CacheKey key = kb.key();
-  if (std::optional<obs::json::Value> hit = rc.get(key)) {
-    if (std::optional<BufferSweepPoint> pt = sweep_point_from_json(*hit)) {
-      return *std::move(pt);
-    }
-  }
-  BufferSweepPoint pt = characterize_buffer_at_uncached(base, iss);
-  rc.put(key, to_json(pt));
-  return pt;
+  return cache::ResultCache::global().get_or_compute(
+      kb.key(), compute, [](const BufferSweepPoint& pt) { return to_json(pt); },
+      sweep_point_from_json);
 }
 
 std::vector<BufferSweepPoint> sweep_buffer_bias(
@@ -613,9 +601,7 @@ std::optional<double> held_state_current(CellKind kind, const McmlDesign& d,
                             : "awake DC solve diverged");
     return std::nullopt;
   }
-  spice::Solution sol(dc.x, bench.circuit().num_nodes());
-  const auto id = bench.circuit().find_device("VDD");
-  return -bench.circuit().device(id).probe_current(sol);
+  return bench.supply_current(dc);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 // montecarlo.cpp.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,6 +149,22 @@ StateLeakageResult measure_state_leakage(CellKind kind,
                                          const McmlDesign& design,
                                          std::uint64_t mismatch_seed = 0);
 
+/// The retry step behind every characterization transient: runs
+/// `attempt(false)`, and when that fails records a retry under `stage` and
+/// runs `attempt(true)` -- the tightened solver options -- recording a
+/// recovery or a skip.  Each attempt's engine effort is merged into `diag`.
+spice::TranResult run_with_retry(
+    const std::function<spice::TranResult(bool tightened)>& attempt,
+    const std::string& stage, spice::FlowDiagnostics& diag);
+
+/// The library figures one awake transient yields (McmlTestbench::
+/// awake_figures): Table 2, Fig. 3 and Monte-Carlo all measure them here.
+struct AwakeFigures {
+  double delay = 0.0;           ///< mean stimulus-edge -> output delay [s]
+  double swing = 0.0;           ///< half the peak-to-peak output [V]
+  double static_current = 0.0;  ///< quiet-window supply current [A]
+};
+
 /// Reusable testbench: cell + rails + stimulus, for tests and benches that
 /// need waveform-level access.
 /// Testbench construction options.  `sleep_pulse` replaces the DC-awake
@@ -192,8 +209,16 @@ class McmlTestbench {
 
   /// Supply-current waveform of the last run.
   util::Waveform supply_current(const spice::TranResult& tr) const;
+  /// VDD supply current of a converged DC solve of this bench.
+  double supply_current(const spice::DcResult& dc) const;
   /// Differential output voltage of the last run (primary output).
   util::Waveform diff_output(const spice::TranResult& tr, int index = 0) const;
+  /// Measures a successful transient.  The delay averages the zero
+  /// crossings of the primary output that follow the stimulus edges by
+  /// (0, 1.8 ns), skipping a combinational bench's first (start-up) edge;
+  /// the static current averages the supply over a quiet window before the
+  /// next edge.  nullopt when no edge is followed by an output transition.
+  std::optional<AwakeFigures> awake_figures(const spice::TranResult& tr) const;
 
  private:
   void build(CellKind kind, const McmlDesign& design,

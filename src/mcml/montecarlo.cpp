@@ -78,64 +78,31 @@ cache::CacheKey sample_key(CellKind kind, const McmlDesign& nominal,
 SampleOutcome run_sample(CellKind kind, const McmlDesign& nominal,
                          const util::Rng& stream, std::size_t i) {
   SampleOutcome out;
-  const std::string stage = "montecarlo:" + std::to_string(i);
   util::Rng sample_rng = stream;
   McmlDesign sample = nominal;
 
-  TestbenchOptions opt;
-  opt.fanout = 1;
-
-  // At most two build-and-run attempts; the retry re-copies the sample's
-  // pre-forked stream so it sees the identical mismatch draw and differs
-  // only in the tightened solver options.
+  // Each attempt rebuilds the bench from a fresh copy of the sample's
+  // pre-forked stream, so the retry sees the identical mismatch draw and
+  // differs only in the tightened solver options.
   std::optional<McmlTestbench> bench;
-  spice::TranResult tr;
-  out.diagnostics.record_attempt();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    sample_rng = stream;
-    sample = nominal;
-    sample.mismatch_rng = &sample_rng;
-    bench.emplace(kind, sample, opt);
-    tr = bench->run(/*tightened=*/attempt > 0);
-    out.diagnostics.engine.merge(tr.stats);
-    if (tr.ok) {
-      if (attempt > 0) out.diagnostics.record_recovery(stage);
-      break;
-    }
-    if (attempt == 0) {
-      out.diagnostics.record_retry(stage, tr.failure.describe());
-    } else {
-      out.diagnostics.record_skip(stage, tr.failure.describe());
-    }
-  }
-  if (!tr.ok) {
+  const spice::TranResult tr = run_with_retry(
+      [&](bool tightened) {
+        sample_rng = stream;
+        sample = nominal;
+        sample.mismatch_rng = &sample_rng;
+        bench.emplace(kind, sample, TestbenchOptions{});
+        return bench->run(tightened);
+      },
+      "montecarlo:" + std::to_string(i), out.diagnostics);
+  const std::optional<AwakeFigures> awake =
+      tr.ok ? bench->awake_figures(tr) : std::nullopt;
+  if (!awake.has_value()) {
     out.failed = true;
     return out;
   }
-  const util::Waveform vout = bench->diff_output(tr);
-  const auto edges = bench->stimulus_edges();
-  const std::size_t first = bench->sequential() ? 0 : 1;
-  // Average rise and fall, like the nominal characterization.
-  double delay_sum = 0.0;
-  int delay_n = 0;
-  for (std::size_t e = first; e < edges.size(); ++e) {
-    const auto cross = vout.crossing(0.0, 0, edges[e]);
-    if (cross.has_value() && *cross - edges[e] > 0 &&
-        *cross - edges[e] < 1.8e-9) {
-      delay_sum += *cross - edges[e];
-      ++delay_n;
-    }
-  }
-  if (delay_n == 0) {
-    out.failed = true;
-    return out;
-  }
-  out.delay = delay_sum / delay_n;
-  out.swing = 0.5 * (vout.max_value() - vout.min_value());
-  const util::Waveform isup = bench->supply_current(tr);
-  const double lo = bench->sequential() ? 3.6e-9 : 1.0e-9;
-  const double hi = bench->sequential() ? 4.4e-9 : 1.9e-9;
-  out.static_current = isup.average(lo, hi);
+  out.delay = awake->delay;
+  out.swing = awake->swing;
+  out.static_current = awake->static_current;
 
   if (sample.power_gated()) {
     util::Rng sleep_rng = sample_rng;  // same devices would need the same
@@ -148,10 +115,8 @@ SampleOutcome run_sample(CellKind kind, const McmlDesign& nominal,
     McmlTestbench sleeping(kind, sleep_sample, sopt);
     const spice::DcResult dc = sleeping.run_dc();
     if (dc.converged) {
-      spice::Solution sol(dc.x, sleeping.circuit().num_nodes());
-      const auto id = sleeping.circuit().find_device("VDD");
       out.has_sleep = true;
-      out.sleep_current = -sleeping.circuit().device(id).probe_current(sol);
+      out.sleep_current = sleeping.supply_current(dc);
     }
   }
   return out;
@@ -185,21 +150,11 @@ MonteCarloResult monte_carlo_characterize(CellKind kind,
   for (std::size_t i = 0; i < count; ++i) streams.push_back(master.fork());
 
   std::vector<SampleOutcome> outcomes(count);
-  cache::ResultCache& rc = cache::ResultCache::global();
   util::parallel_for(count, [&](std::size_t i) {
-    if (rc.enabled()) {
-      const cache::CacheKey key = sample_key(kind, nominal, seed, i);
-      if (std::optional<obs::json::Value> hit = rc.get(key)) {
-        if (std::optional<SampleOutcome> cached = outcome_from_json(*hit)) {
-          outcomes[i] = *std::move(cached);
-          return;
-        }
-      }
-      outcomes[i] = run_sample(kind, nominal, streams[i], i);
-      rc.put(key, outcome_to_json(outcomes[i]));
-      return;
-    }
-    outcomes[i] = run_sample(kind, nominal, streams[i], i);
+    outcomes[i] = cache::ResultCache::global().get_or_compute(
+        sample_key(kind, nominal, seed, i),
+        [&] { return run_sample(kind, nominal, streams[i], i); },
+        outcome_to_json, outcome_from_json);
   });
 
   for (const SampleOutcome& out : outcomes) {

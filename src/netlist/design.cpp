@@ -51,6 +51,43 @@ const std::string& Design::port_name(std::size_t i, bool is_input) const {
   return is_input ? input_names_.at(i) : output_names_.at(i);
 }
 
+std::vector<NetId> Design::input_bus(const std::string& prefix,
+                                     int width) const {
+  std::vector<NetId> bus(static_cast<std::size_t>(width), kNoNet);
+  const std::string open = prefix + "[";
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    const std::string& name = input_names_[i];
+    if (name.rfind(open, 0) != 0) continue;
+    const std::string digits =
+        name.substr(open.size(), name.size() - open.size() - 1);
+    if (name.back() != ']' || digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument("Design::input_bus: malformed port name '" +
+                                  name + "' (expected " + prefix +
+                                  "[<index>])");
+    }
+    // Nine digits cannot overflow an int; longer indices are out of range.
+    const int idx = digits.size() > 9 ? width : std::stoi(digits);
+    if (idx >= width) {
+      throw std::out_of_range("Design::input_bus: index out of range [0, " +
+                              std::to_string(width) + ") in '" + name + "'");
+    }
+    NetId& bit = bus[static_cast<std::size_t>(idx)];
+    if (bit != kNoNet) {
+      throw std::invalid_argument("Design::input_bus: duplicate port '" +
+                                  name + "'");
+    }
+    bit = inputs_[i];
+  }
+  for (int b = 0; b < width; ++b) {
+    if (bus[static_cast<std::size_t>(b)] == kNoNet) {
+      throw std::invalid_argument("Design::input_bus: missing input bit " +
+                                  prefix + "[" + std::to_string(b) + "]");
+    }
+  }
+  return bus;
+}
+
 std::vector<InstId> Design::driver_map() const {
   std::vector<InstId> driver(num_nets(), -1);
   for (std::size_t i = 0; i < instances_.size(); ++i) {

@@ -65,6 +65,10 @@ class Design {
   const std::vector<NetId>& outputs() const { return outputs_; }
   bool output_inverted(std::size_t i) const { return output_inverted_.at(i); }
   const std::string& port_name(std::size_t i, bool is_input) const;
+  /// The nets of input bus `prefix`, bit i from port "prefix[i]".  Throws
+  /// when a "prefix[...]" port has a malformed, duplicate or out-of-range
+  /// index, or when any of the `width` bits is missing.
+  std::vector<NetId> input_bus(const std::string& prefix, int width) const;
 
   /// Index of the instance driving each net (-1 for primary inputs).
   std::vector<InstId> driver_map() const;

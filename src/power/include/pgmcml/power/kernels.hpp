@@ -37,13 +37,14 @@ CurrentKernels default_kernels();
 
 /// Extracts the kernels from transistor-level simulations of the buffer
 /// cell at the given design point (switch transient from an input toggle,
-/// wake/sleep from a sleep-pulse testbench).  A failed extraction is retried
-/// once with tightened solver options and otherwise falls back to the
-/// analytic default shape for that kernel.  With `diag` supplied, every
-/// attempt/retry/skip is recorded there and a bias failure degrades to the
-/// analytic defaults instead of throwing; without it a bias failure throws
-/// (the legacy contract).
+/// wake from a sleep-pulse testbench).  Every transient goes through the
+/// mcml::run_with_retry step -- one retry with tightened solver options --
+/// and a kernel whose extraction still fails keeps its analytic default
+/// shape; a bias failure keeps all four defaults.  Each attempt, retry,
+/// recovery and skip is recorded in `diag`.  Served from the result cache
+/// (diagnostics replayed) when it is enabled and the design carries no
+/// mismatch_rng.
 CurrentKernels kernels_from_spice(const mcml::McmlDesign& design,
-                                  spice::FlowDiagnostics* diag = nullptr);
+                                  spice::FlowDiagnostics& diag);
 
 }  // namespace pgmcml::power

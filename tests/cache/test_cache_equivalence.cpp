@@ -140,15 +140,15 @@ TEST(CacheEquivalence, BufferSweepPointRoundTrips) {
 TEST(CacheEquivalence, KernelsFromSpiceRoundTripsWaveformsAndDiagnostics) {
   const mcml::McmlDesign design;
   spice::FlowDiagnostics ref_diag;
-  const auto reference = power::kernels_from_spice(design, &ref_diag);
+  const auto reference = power::kernels_from_spice(design, ref_diag);
 
   ScopedGlobalCache scoped("kernels");
   spice::FlowDiagnostics cold_diag;
-  const auto cold = power::kernels_from_spice(design, &cold_diag);
+  const auto cold = power::kernels_from_spice(design, cold_diag);
 
   const std::uint64_t newton_before = newton_count();
   spice::FlowDiagnostics warm_diag;
-  const auto warm = power::kernels_from_spice(design, &warm_diag);
+  const auto warm = power::kernels_from_spice(design, warm_diag);
   EXPECT_EQ(newton_count() - newton_before, 0u);
 
   const auto expect_waveform_equal = [](const util::Waveform& a,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "pgmcml/mcml/bias.hpp"
 #include "pgmcml/util/units.hpp"
 
@@ -15,6 +18,62 @@ const CellCharacterization& buf_char() {
   static const CellCharacterization kChar =
       characterize_cell(CellKind::kBuf, McmlDesign{}, 1);
   return kChar;
+}
+
+/// A stub transient: `ok`, with one Newton iteration of engine effort.
+spice::TranResult stub_tran(bool ok) {
+  spice::TranResult tr;
+  tr.ok = ok;
+  if (!ok) tr.failure = {spice::SolveErrorKind::kNewtonMaxIter, "stub", 0.0};
+  tr.stats.newton_iterations = 1;
+  return tr;
+}
+
+/// Runs the retry step over an attempt whose i-th call returns outcomes[i],
+/// checking the tightened flag each call receives.
+spice::FlowDiagnostics retry_with(const std::vector<bool>& outcomes,
+                                  bool expect_ok) {
+  spice::FlowDiagnostics diag;
+  std::size_t calls = 0;
+  const spice::TranResult tr = run_with_retry(
+      [&](bool tightened) {
+        EXPECT_EQ(tightened, calls > 0);
+        return stub_tran(outcomes.at(calls++));
+      },
+      "stub:0", diag);
+  EXPECT_EQ(tr.ok, expect_ok);
+  EXPECT_EQ(calls, outcomes.size());
+  EXPECT_EQ(diag.attempts, 1u);
+  EXPECT_EQ(diag.engine.newton_iterations, outcomes.size());
+  return diag;
+}
+
+TEST(RetryStep, FirstSuccessRecordsNoIncident) {
+  const spice::FlowDiagnostics diag = retry_with({true}, true);
+  EXPECT_TRUE(diag.clean());
+  EXPECT_EQ(diag.recovered, 0u);
+  EXPECT_TRUE(diag.incidents.empty());
+}
+
+TEST(RetryStep, FailThenSucceedRecordsOneRetryAndOneRecovery) {
+  const spice::FlowDiagnostics diag = retry_with({false, true}, true);
+  EXPECT_EQ(diag.retries, 1u);
+  EXPECT_EQ(diag.recovered, 1u);
+  EXPECT_EQ(diag.skipped, 0u);
+  ASSERT_EQ(diag.incidents.size(), 1u);
+  EXPECT_EQ(diag.incidents[0].stage, "stub:0");
+  EXPECT_TRUE(diag.incidents[0].recovered);
+}
+
+TEST(RetryStep, FailTwiceRecordsOneSkip) {
+  const spice::FlowDiagnostics diag = retry_with({false, false}, false);
+  EXPECT_EQ(diag.retries, 1u);
+  EXPECT_EQ(diag.recovered, 0u);
+  EXPECT_EQ(diag.skipped, 1u);
+  ASSERT_EQ(diag.incidents.size(), 2u);
+  EXPECT_FALSE(diag.incidents[0].recovered);
+  EXPECT_FALSE(diag.incidents[1].recovered);
+  EXPECT_EQ(diag.incidents[1].error, diag.incidents[0].error);
 }
 
 TEST(Characterize, BufferDelayInExpectedRange) {
@@ -156,6 +215,17 @@ TEST(Characterize, StateLeakageIdealCellIsSymmetric) {
     EXPECT_EQ(a.points[i].awake_current, b.points[i].awake_current);
   }
   EXPECT_GT(a.awake_spread, 0.0);
+}
+
+TEST(Characterize, SweepPointAtBaseCurrentEqualsTable2BufferDelay) {
+  // Fig. 3 and Table 2 measure the same bench at the base design point, so
+  // their FO1 buffer delays agree to the bit.
+  const McmlDesign base;
+  const BufferSweepPoint pt = characterize_buffer_at(base, base.iss);
+  ASSERT_TRUE(pt.ok);
+  ASSERT_TRUE(buf_char().ok);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(pt.delay_fo1),
+            std::bit_cast<std::uint64_t>(buf_char().delay));
 }
 
 TEST(Characterize, BufferSweepPointsBehaveLikeFig3) {

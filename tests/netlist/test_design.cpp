@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "pgmcml/cells/library.hpp"
 
 namespace pgmcml::netlist {
@@ -34,6 +38,40 @@ TEST(Design, BasicConstruction) {
   EXPECT_EQ(d.outputs().size(), 1u);
   EXPECT_EQ(d.port_name(0, true), "a");
   EXPECT_EQ(d.port_name(0, false), "out");
+}
+
+/// A design whose only inputs are the ports `names`, in order.
+Design ports_only(const std::vector<std::string>& names) {
+  Design d("ports");
+  for (const std::string& name : names) d.mark_input(d.add_net(name), name);
+  return d;
+}
+
+TEST(Design, InputBusResolvesBitsByIndex) {
+  const Design d = ports_only({"k[0]", "p[1]", "const0", "p[0]", "k[1]"});
+  EXPECT_EQ(d.input_bus("p", 2), (std::vector<NetId>{d.inputs()[3],
+                                                     d.inputs()[1]}));
+  EXPECT_EQ(d.input_bus("k", 2), (std::vector<NetId>{d.inputs()[0],
+                                                     d.inputs()[4]}));
+}
+
+TEST(Design, InputBusRejectsMalformedPortName) {
+  EXPECT_THROW(ports_only({"p[0]", "p[x]"}).input_bus("p", 2),
+               std::invalid_argument);
+  EXPECT_THROW(ports_only({"p[0]", "p[]"}).input_bus("p", 2),
+               std::invalid_argument);
+  EXPECT_THROW(ports_only({"p[0]", "p[1"}).input_bus("p", 2),
+               std::invalid_argument);
+}
+
+TEST(Design, InputBusRejectsOutOfRangeDuplicateAndMissingBits) {
+  EXPECT_THROW(ports_only({"p[0]", "p[2]"}).input_bus("p", 2),
+               std::out_of_range);
+  EXPECT_THROW(ports_only({"p[0]", "p[99999999999]"}).input_bus("p", 2),
+               std::out_of_range);
+  EXPECT_THROW(ports_only({"p[0]", "p[0]"}).input_bus("p", 2),
+               std::invalid_argument);
+  EXPECT_THROW(ports_only({"p[0]"}).input_bus("p", 2), std::invalid_argument);
 }
 
 TEST(Design, InstanceValidation) {

@@ -52,7 +52,11 @@ TEST(Kernels, DefaultShapesNormalized) {
 }
 
 TEST(Kernels, SpiceExtractionProducesPlausibleShapes) {
-  const CurrentKernels k = kernels_from_spice(mcml::McmlDesign{});
+  spice::FlowDiagnostics diag;
+  const CurrentKernels k = kernels_from_spice(mcml::McmlDesign{}, diag);
+  // Switch and wake transients, each through the retry step.
+  EXPECT_EQ(diag.attempts, 2u);
+  EXPECT_EQ(diag.skipped, 0u);
   // The extracted wake transient must rise from (near) zero to the
   // normalized static level.
   EXPECT_LT(std::fabs(k.pg_wake.value_at(0.0)), 0.2);
