@@ -63,26 +63,32 @@ sca::CpaResult run_cpa(double residual_sigma, double supply_noise_ratio,
     }
   }
 
+  // Settle the precharge state (key applied, p = 0) once; every trace
+  // replays its plaintext on a copy.
+  netlist::LogicSim precharged(mapped.design, &lib);
+  std::vector<std::pair<netlist::NetId, bool>> init;
+  for (int b = 0; b < 8; ++b) {
+    init.emplace_back(k_nets[b], (key >> b) & 1);
+    init.emplace_back(p_nets[b], false);
+  }
+  if (const_net != netlist::kNoNet) init.emplace_back(const_net, false);
+  precharged.apply_and_settle(init);
+  precharged.clear_events();
+  precharged.run_until(0.5e-9);
+  precharged.flush_work_counters();
+
   util::Rng rng(13);
   sca::CpaAccumulator acc(sca::LeakageModel::kHammingWeight, topt.samples);
   std::vector<double> row;
   for (std::size_t t = 0; t < n_traces; ++t) {
     const auto plaintext = static_cast<std::uint8_t>(rng.bounded(256));
-    netlist::LogicSim sim(mapped.design, &lib);
-    std::vector<std::pair<netlist::NetId, bool>> init;
-    for (int b = 0; b < 8; ++b) {
-      init.emplace_back(k_nets[b], (key >> b) & 1);
-      init.emplace_back(p_nets[b], false);
-    }
-    if (const_net != netlist::kNoNet) init.emplace_back(const_net, false);
-    sim.apply_and_settle(init);
-    sim.clear_events();
-    sim.run_until(0.5e-9);
+    netlist::LogicSim sim = precharged;
     std::vector<std::pair<netlist::NetId, bool>> stim;
     for (int b = 0; b < 8; ++b) {
       stim.emplace_back(p_nets[b], (plaintext >> b) & 1);
     }
     sim.apply_and_settle(stim);
+    sim.flush_work_counters();
     tracer.trace_into(sim.events(), {}, t, row);
     acc.add(plaintext, row);
   }

@@ -227,6 +227,17 @@ FullCoreCpaResult run_full_core_cpa(const cells::CellLibrary& library,
   const power::PowerTracer tracer(design, library, power::default_kernels(),
                                   topt);
 
+  // Every trace starts from the same all-zero precharge state: settle it
+  // once and replay each stimulus on a copy.
+  netlist::LogicSim precharged(design, &library);
+  std::vector<std::pair<netlist::NetId, bool>> init;
+  for (netlist::NetId n : others) init.emplace_back(n, false);
+  for (int b = 0; b < 128; ++b) init.emplace_back(st[b], false);
+  precharged.apply_and_settle(init);
+  precharged.clear_events();
+  precharged.run_until(0.5e-9);
+  precharged.flush_work_counters();
+
   util::Rng rng(seed);
   sca::TraceSet traces(topt.samples);
   for (std::size_t t = 0; t < num_traces; ++t) {
@@ -236,19 +247,13 @@ FullCoreCpaResult run_full_core_cpa(const cells::CellLibrary& library,
     const auto p0 = static_cast<std::uint8_t>(rng.bounded(256));
     const std::uint8_t target_in = static_cast<std::uint8_t>(p0 ^ key_byte);
 
-    netlist::LogicSim sim(design, &library);
-    std::vector<std::pair<netlist::NetId, bool>> init;
-    for (netlist::NetId n : others) init.emplace_back(n, false);
-    for (int b = 0; b < 128; ++b) init.emplace_back(st[b], false);
-    sim.apply_and_settle(init);
-    sim.clear_events();
-    sim.run_until(0.5e-9);
-
+    netlist::LogicSim sim = precharged;
     std::vector<std::pair<netlist::NetId, bool>> stim;
     for (int b = 0; b < 8; ++b) {
       stim.emplace_back(st[b], (target_in >> b) & 1);
     }
     sim.apply_and_settle(stim);
+    sim.flush_work_counters();
     traces.add(p0, tracer.trace(sim.events(), {}, t));
   }
 

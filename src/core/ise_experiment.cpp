@@ -65,6 +65,7 @@ std::vector<netlist::SimEvent> replay_operands(
     t += period;
   }
   sim.run_until(t + period);
+  sim.flush_work_counters();
   return sim.events();
 }
 

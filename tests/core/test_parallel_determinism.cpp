@@ -4,9 +4,12 @@
 // executable so the ThreadSanitizer preset can select it via `ctest -L tsan`.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pgmcml/core/dpa_flow.hpp"
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/util/parallel.hpp"
 
 namespace pgmcml::core {
@@ -109,6 +112,34 @@ TEST_F(ParallelDeterminismTest, StreamingFlowIsBatchAndThreadInvariant) {
     EXPECT_EQ(got.mean_current, ref.mean_current);
     EXPECT_EQ(got.diagnostics.attempts, ref.diagnostics.attempts);
   }
+}
+
+// The simulator's work counters are flushed once per memo fill from the
+// simulator's own totals, so a source's totals are a function of which
+// plaintexts it fills, never of how many threads fill them.
+TEST_F(ParallelDeterminismTest, LogicSimWorkCountersAreThreadCountInvariant) {
+  const obs::Counter events =
+      obs::Registry::global().counter("netlist.logicsim.events");
+  const obs::Counter evaluations =
+      obs::Registry::global().counter("netlist.logicsim.evaluations");
+  DpaFlowOptions opt;
+  opt.num_traces = 400;
+  opt.samples = 60;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> totals;
+  for (int threads : {1, 4}) {
+    util::set_parallel_threads(threads);
+    const std::uint64_t events_before = events.value();
+    const std::uint64_t evaluations_before = evaluations.value();
+    auto source = make_acquisition_source(CellLibrary::pgmcml90(), opt);
+    sca::TraceBatch batch;
+    while (source->next(batch)) {
+    }
+    totals.emplace_back(events.value() - events_before,
+                        evaluations.value() - evaluations_before);
+  }
+  EXPECT_GT(totals[0].first, 0u);
+  EXPECT_GT(totals[0].second, totals[0].first);
+  EXPECT_EQ(totals[0], totals[1]);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 namespace pgmcml::netlist {
 namespace {
 
@@ -210,6 +213,59 @@ TEST(LogicSim, RejectsPastTimestamps) {
   sim.run_until(5e-9);
   EXPECT_THROW(sim.set_input(d.inputs()[0], true, 1e-9),
                std::invalid_argument);
+}
+
+TEST(LogicSim, RejectsNanTimestamps) {
+  const Design d = buf_chain(1);
+  LogicSim sim(d, nullptr);
+  EXPECT_THROW(sim.set_input(d.inputs()[0], true, std::nan("")),
+               std::invalid_argument);
+  sim.apply_and_settle({});  // nothing pending: returns
+  EXPECT_TRUE(sim.events().empty());
+}
+
+TEST(LogicSim, RejectsNetsOutsideTheDesign) {
+  const Design d = buf_chain(1);
+  LogicSim sim(d, nullptr);
+  const auto past_end = static_cast<NetId>(d.num_nets());
+  EXPECT_THROW(sim.set_input(kNoNet, true, 1e-9), std::out_of_range);
+  EXPECT_THROW(sim.set_input(past_end, true, 1e-9), std::out_of_range);
+  EXPECT_THROW(sim.apply_and_settle({{past_end, true}}), std::out_of_range);
+  // Nothing was scheduled: the simulator is still usable.
+  sim.run_until(2e-9);
+  EXPECT_TRUE(sim.events().empty());
+  sim.apply_and_settle({{d.inputs()[0], true}});
+  EXPECT_TRUE(sim.value(d.outputs()[0]));
+}
+
+TEST(LogicSim, RejectsInstancesWiredOutsideTheDesign) {
+  Design d("stray");
+  const NetId out = d.add_net("o");
+  d.add_instance({"u", CellKind::kBuf, {kNoNet}, kNoNet, kNoNet, {out}});
+  EXPECT_THROW(LogicSim(d, nullptr), std::invalid_argument);
+}
+
+TEST(LogicSim, CopyContinuesFromTheSameStateAndCountsItsOwnWork) {
+  const Design d = buf_chain(4);
+  LogicSim sim(d, nullptr);
+  sim.set_input(d.inputs()[0], true, 1e-9);
+  sim.run_until(1e-9 + 15e-12);  // two buffers switched, two in flight
+  LogicSim copy = sim;
+  sim.run_until(2e-9);
+  copy.run_until(2e-9);
+  ASSERT_EQ(copy.events().size(), sim.events().size());
+  for (std::size_t e = 0; e < sim.events().size(); ++e) {
+    EXPECT_EQ(copy.events()[e].time, sim.events()[e].time);
+    EXPECT_EQ(copy.events()[e].net, sim.events()[e].net);
+  }
+  EXPECT_EQ(copy.events_fired(), sim.events_fired());
+  EXPECT_EQ(copy.evaluations(), sim.evaluations());
+  EXPECT_EQ(sim.events_fired(), 5u);  // input + four buffers
+  EXPECT_EQ(sim.evaluations(), 4u);
+  // A copy is independent: advancing it leaves the original alone.
+  copy.apply_and_settle({{d.inputs()[0], false}});
+  EXPECT_FALSE(copy.value(d.outputs()[0]));
+  EXPECT_TRUE(sim.value(d.outputs()[0]));
 }
 
 }  // namespace
