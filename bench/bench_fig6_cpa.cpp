@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "bench_manifest.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/tvla.hpp"
 #include "pgmcml/util/env.hpp"
@@ -38,6 +40,11 @@ std::size_t trace_budget() {
   return static_cast<std::size_t>(
       util::env_u64("PGMCML_FIG6_TRACES", 4, std::uint64_t{1} << 30)
           .value_or(4000));
+}
+
+/// sca.first_place.transforms so far.
+std::uint64_t first_place_transforms() {
+  return obs::Registry::global().counter("sca.first_place.transforms").value();
 }
 
 double now_seconds() {
@@ -58,6 +65,9 @@ struct StyleBench {
   int static_asleep_rank = -1;   ///< static-power attack, gated-off window
   std::size_t static_awake_mtd = 0;
   std::size_t static_asleep_mtd = 0;
+  /// First-place checks that fell back to a full scoring, over the style's
+  /// dynamic and static flows.
+  std::uint64_t first_place_transforms = 0;
   std::string diagnostics_json;
   double traces_per_second() const {
     return cpa_seconds > 0.0 ? static_cast<double>(traces) / cpa_seconds : 0.0;
@@ -81,8 +91,10 @@ void print_fig6(std::vector<StyleBench>& bench) {
     style_opt.compute_mtd = lib.style() == cells::LogicStyle::kCmos;
     style_opt.compute_mlpa = true;  // rides the same streamed acquisition
     const double t0 = now_seconds();
+    const std::uint64_t transforms0 = first_place_transforms();
     const core::DpaFlowResult r = core::run_dpa_flow(lib, style_opt);
     StyleBench sb;
+    sb.first_place_transforms = first_place_transforms() - transforms0;
     sb.style = to_string(lib.style());
     sb.traces = opt.num_traces;
     sb.cpa_seconds = now_seconds() - t0;
@@ -201,7 +213,9 @@ void print_fig6(std::vector<StyleBench>& bench) {
     sopt.acquisition = core::AcquisitionMode::kStatic;
     sopt.compute_mtd = true;
     sopt.keep_traces = false;
+    const std::uint64_t transforms0 = first_place_transforms();
     const core::DpaFlowResult sr = core::run_dpa_flow(lib, sopt);
+    bench[s].first_place_transforms += first_place_transforms() - transforms0;
     bench[s].static_awake_rank = sr.static_awake.key_rank(sopt.key);
     bench[s].static_asleep_rank = sr.static_asleep.key_rank(sopt.key);
     bench[s].static_awake_mtd = sr.static_awake_mtd;
@@ -256,6 +270,10 @@ void write_bench_json(pgmcml::bench::Manifest& manifest,
     manifest.metric("static." + s.style + ".asleep.key_rank",
                     static_cast<double>(s.static_asleep_rank),
                     pgmcml::bench::Better::kNone);
+    // Exact work count of the MTD checks: CI gates it at threshold 0.
+    manifest.metric("sca." + s.style + ".first_place_transforms",
+                    static_cast<double>(s.first_place_transforms),
+                    pgmcml::bench::Better::kLower);
     // The gated headline verdicts (exact 0/1, compared at full strictness):
     // CPA discloses CMOS and neither MCML style, and the PG-MCML gated-off
     // window starves the static-power attack.
@@ -321,6 +339,45 @@ void BM_TraceAcquisition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceAcquisition)->Unit(benchmark::kMillisecond);
+
+/// The statistic of a fixed 1,000-trace, 600-sample MCML acquisition, as a
+/// Fig. 6 flow holds it at its last grid point.
+const sca::BinnedMoments& mcml_statistic() {
+  static const sca::BinnedMoments bins = [] {
+    core::DpaFlowOptions opt;
+    opt.num_traces = 1000;
+    opt.samples = 600;
+    sca::BinnedMoments stat(opt.samples);
+    auto source = core::make_acquisition_source(CellLibrary::mcml90(), opt);
+    sca::TraceBatch batch;
+    while (source->next(batch)) stat.add_batch(batch);
+    return stat;
+  }();
+  return bins;
+}
+
+/// One MTD checkpoint of a flow with MLPA: whether the key ranks first
+/// under CPA and MLPA, with the rivals carried from the checkpoint before.
+void BM_FirstPlaceCheckpoint(benchmark::State& state) {
+  const sca::BinnedMoments& bins = mcml_statistic();
+  sca::FirstPlace first = sca::first_place(core::DpaFlowOptions{}.key, true);
+  first(bins, nullptr);
+  for (auto _ : state) benchmark::DoNotOptimize(first(bins, nullptr));
+}
+BENCHMARK(BM_FirstPlaceCheckpoint)->Unit(benchmark::kMillisecond);
+
+/// The verdicts of a flow with MLPA on its final statistic: CPA, DPA and
+/// MLPA, ranks and margins.
+void BM_ScoreFinalStatistic(benchmark::State& state) {
+  const sca::BinnedMoments& bins = mcml_statistic();
+  for (auto _ : state) {
+    sca::AttackVerdicts verdicts;
+    verdicts.score(bins, nullptr, core::DpaFlowOptions{}.key, true,
+                   [](std::size_t) { return std::size_t{0}; });
+    benchmark::DoNotOptimize(verdicts.key_rank);
+  }
+}
+BENCHMARK(BM_ScoreFinalStatistic)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -265,10 +265,16 @@ void merge_checkpoints(
   const sca::BinnedMoments* projection =
       phase_active(o, kPhaseStatic) ? &windows : nullptr;
   // (traces merged, whether the key ranks first) at each shard boundary,
-  // per scorer; the static scorers count quiescent holds.
+  // per scorer; the static scorers count quiescent holds.  The last
+  // boundary is the final statistic: the verdicts scored below answer it,
+  // so it is not scored twice.
   sca::FirstPlace first = sca::first_place(o.key, o.mlpa);
   std::vector<std::vector<std::pair<std::size_t, bool>>> points(
       sca::AttackVerdicts::kScorers);
+  std::size_t last = states.size();
+  for (std::size_t s = 0; s < states.size(); ++s) {
+    if (states[s].has_value()) last = s;
+  }
   for (std::size_t s = 0; s < states.size(); ++s) {
     ShardOutcome& outcome = result.shards[s];
     std::uint64_t* attempted[] = {&outcome.random_attempted,
@@ -290,7 +296,9 @@ void merge_checkpoints(
     windows.merge(st.windows);
     result.diagnostics.merge(st.diagnostics);
     if (o.compute_mtd) {
-      const std::vector<bool> now = first(bins, projection);
+      const std::vector<bool> now =
+          s == last ? std::vector<bool>(points.size(), false)
+                    : first(bins, projection);
       for (std::size_t i = 0; i < now.size(); ++i) {
         const bool held = i >= sca::AttackVerdicts::kAwake;
         points[i].emplace_back((held ? windows : bins).num_traces(), now[i]);
@@ -300,6 +308,7 @@ void merge_checkpoints(
   result.traces_accumulated = bins.num_traces();
   result.static_traces_accumulated = windows.num_traces();
   result.score(bins, projection, o.key, o.mlpa, [&](std::size_t i) {
+    if (!points[i].empty()) points[i].back().second = result.key_first()[i];
     return sca::mtd_from_checkpoints(points[i]);
   });
   if (phase_active(o, kPhaseFixed)) {

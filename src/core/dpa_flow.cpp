@@ -410,10 +410,16 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
 
   result.mean_current = source->mean_current();
   result.diagnostics = source->diagnostics();
-  if (options.compute_mtd) mtd.finish();  // else it checked nothing: MTD 0
+  // The grid point the stream ends on is the scored statistic: its verdicts
+  // answer it, so it is not scored twice.  Without compute_mtd the tracker
+  // checked nothing: every MTD is 0.
   result.score(
       bins, projection, options.key, options.compute_mlpa,
-      [&](std::size_t s) { return mtd.mtd(s); }, options.keep_time_curves);
+      [&](std::size_t s) {
+        if (options.compute_mtd) mtd.finish(result.key_first());
+        return mtd.mtd(s);
+      },
+      options.keep_time_curves);
   return result;
 }
 

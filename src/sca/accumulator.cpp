@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/obs/obs.hpp"
@@ -48,24 +50,103 @@ void check_width(std::size_t got, std::size_t want) {
 
 using Row = std::array<double, 256>;
 
-/// In-place unnormalised 256-point Walsh-Hadamard transform (H H = 256 I)
-/// of each of the `lanes` interleaved columns of a: entry (u, l) is at
-/// a[u * lanes + l].
-template <std::size_t lanes>
-void wht(double* a) {
+/// In-place unnormalised 256-point Walsh-Hadamard transform (H H = 256 I).
+template <typename T>
+void wht(std::array<T, 256>& a) {
   for (std::size_t h = 1; h < 256; h <<= 1) {
     for (std::size_t i = 0; i < 256; i += 2 * h) {
       for (std::size_t r = i; r < i + h; ++r) {
-        double* x = a + r * lanes;
-        double* y = x + h * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const double s = x[l];
-          const double t = y[l];
-          x[l] = s + t;
-          y[l] = s - t;
-        }
+        const T s = a[r];
+        const T t = a[r + h];
+        a[r] = s + t;
+        a[r + h] = s - t;
       }
     }
+  }
+}
+
+/// Two adjacent columns of one row of a block: the unit the block
+/// transform moves, one SSE2 register wide.
+struct Pair {
+  double lo;
+  double hi;
+};
+Pair operator+(Pair a, Pair b) { return {a.lo + b.lo, a.hi + b.hi}; }
+Pair operator-(Pair a, Pair b) { return {a.lo - b.lo, a.hi - b.hi}; }
+
+/// Stages h and 2h of the 256-point transform of a block of `lanes`
+/// interleaved columns (entry (u, l) at u * lanes + l): on the rows r,
+/// r + h, r + 2h, r + 3h of every group of 4h rows, a column pair at a
+/// time, load(u, l) fetches pair (u, l) and store(u, l, pair) puts it back.
+/// The four rows are added and subtracted in the radix-2 order, so every
+/// value is bitwise what two radix-2 stages give, in half the memory
+/// traffic.  `pairs_outermost` visits one column pair of every row before
+/// the next pair; otherwise every pair of a row before the next row.
+template <std::size_t lanes, std::size_t h, bool pairs_outermost,
+          typename Load, typename Store>
+void radix4_pass(Load&& load, Store&& store) {
+  const auto butterfly = [&](std::size_t r, std::size_t l) {
+    const Pair a0 = load(r, l);
+    const Pair a1 = load(r + h, l);
+    const Pair a2 = load(r + 2 * h, l);
+    const Pair a3 = load(r + 3 * h, l);
+    const Pair s0 = a0 + a1;
+    const Pair d0 = a0 - a1;
+    const Pair s1 = a2 + a3;
+    const Pair d1 = a2 - a3;
+    store(r, l, s0 + s1);
+    store(r + h, l, d0 + d1);
+    store(r + 2 * h, l, s0 - s1);
+    store(r + 3 * h, l, d0 - d1);
+  };
+  for (std::size_t l = 0; pairs_outermost && l < lanes; l += 2) {
+    for (std::size_t i = 0; i < 256; i += 4 * h) {
+      for (std::size_t r = i; r < i + h; ++r) butterfly(r, l);
+    }
+  }
+  for (std::size_t i = 0; !pairs_outermost && i < 256; i += 4 * h) {
+    for (std::size_t r = i; r < i + h; ++r) {
+      for (std::size_t l = 0; l < lanes; l += 2) butterfly(r, l);
+    }
+  }
+}
+
+/// The transform of each of the `lanes` columns of the block `in`, every
+/// row u first multiplied by scale[u] unless `scale` is null.  The first
+/// pass scales as it loads, the middle ones work in `work` (which may be
+/// `in`), and the last hands each output pair to emit(u, l, pair) instead
+/// of storing it.
+template <std::size_t lanes, typename Emit>
+void wht_block(const double* in, const double* scale, double* work,
+               Emit&& emit) {
+  static_assert(lanes % 2 == 0);
+  const auto load = [work](std::size_t u, std::size_t l) {
+    return Pair{work[u * lanes + l], work[u * lanes + l + 1]};
+  };
+  const auto store = [work](std::size_t u, std::size_t l, Pair v) {
+    work[u * lanes + l] = v.lo;
+    work[u * lanes + l + 1] = v.hi;
+  };
+  // Column pair by column pair when unscaled (the in-place forward
+  // transform), row by row when scaled (the inverse transforms that emit
+  // into a scorer): under GCC 12 -O3 each order is the faster one for its
+  // use.
+  const auto passes = [&](auto pairs_outermost, auto&& first_load) {
+    constexpr bool outer = decltype(pairs_outermost)::value;
+    radix4_pass<lanes, 1, outer>(first_load, store);
+    radix4_pass<lanes, 4, outer>(load, store);
+    radix4_pass<lanes, 16, outer>(load, store);
+    radix4_pass<lanes, 64, outer>(load, emit);
+  };
+  if (scale == nullptr) {
+    passes(std::true_type{}, [in](std::size_t u, std::size_t l) {
+      return Pair{in[u * lanes + l], in[u * lanes + l + 1]};
+    });
+  } else {
+    passes(std::false_type{}, [in, scale](std::size_t u, std::size_t l) {
+      return Pair{scale[u] * in[u * lanes + l],
+                  scale[u] * in[u * lanes + l + 1]};
+    });
   }
 }
 
@@ -100,7 +181,7 @@ Row centred(Row g) {
 }
 
 Row transformed(Row g) {
-  wht<1>(g.data());
+  wht(g);
   return g;
 }
 
@@ -247,6 +328,40 @@ void add_window_means(BinnedMoments& projection,
 // ---------------------------------------------------------------------------
 // BinSpectrum: the scorers
 
+namespace {
+
+/// Obs counters of the first-place checks: one per attack asked, and the
+/// ones that fell back to a full scoring.
+struct FirstPlaceCounters {
+  obs::Counter checks =
+      obs::Registry::global().counter("sca.first_place.checks");
+  obs::Counter transforms =
+      obs::Registry::global().counter("sca.first_place.transforms");
+};
+
+FirstPlaceCounters& first_place_obs() {
+  static FirstPlaceCounters c;
+  return c;
+}
+
+using IntRow = std::array<std::int64_t, 256>;
+
+using Rival = BinSpectrum::Rival;
+
+/// Renews `rival` from a full scoring (the best wrong guess, the lower one
+/// on a tie) and answers whether the key ranks first: no wrong guess
+/// outscores it.
+bool key_leads(const Row& scores, int key, Rival& rival) {
+  int best = key == 0 ? 1 : 0;
+  for (int k = 0; k < 256; ++k) {
+    if (k != key && scores[k] > scores[best]) best = k;
+  }
+  rival = Rival{best, -1};
+  return !(scores[best] > scores[key]);
+}
+
+}  // namespace
+
 BinSpectrum::BinSpectrum(const BinnedMoments& stat)
     : m_(stat.samples_per_trace()), n_(stat.num_traces()) {
   Moments pooled = stat.pooled();
@@ -260,136 +375,170 @@ BinSpectrum::BinSpectrum(const BinnedMoments& stat)
   }
 }
 
-void BinSpectrum::correlate(const Row& g, const Row& g_hat, std::size_t blk,
-                            int guess, Block& out) const {
-  if (guess >= 0) {
-    const std::size_t j0 = blk * kLanes;
-    const std::size_t lanes = std::min(kLanes, m_ - j0);
-    const double* pooled = mean_.data() + j0;
-    std::array<double, kLanes> sum{};
-    for (const int p : occupied_) {
-      const double w = g[p ^ guess];
-      const double c = counts_[p];
-      const double* mean = bin_mean_[p] + j0;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        sum[l] += w * (c * (mean[l] - pooled[l]));
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) out[l] = 256.0 * sum[l];
-    return;
-  }
-  if (spectrum_.empty()) {
-    spectrum_.assign(blocks(), Block{});
-    for (const int p : occupied_) {
-      for (std::size_t j = 0; j < m_; ++j) {
-        spectrum_[j / kLanes][p * kLanes + j % kLanes] = deviation(p, j);
-      }
-    }
-    for (Block& b : spectrum_) wht<kLanes>(b.data());
-  }
-  const Block& s = spectrum_[blk];
-  for (std::size_t u = 0; u < 256; ++u) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      out[u * kLanes + l] = g_hat[u] * s[u * kLanes + l];
+const std::vector<BinSpectrum::Block>& BinSpectrum::spectrum() const {
+  if (!spectrum_.empty()) return spectrum_;
+  // Bin by bin, so each bin's mean row is read front to back.
+  spectrum_.assign(blocks(), Block{});
+  for (const int p : occupied_) {
+    for (std::size_t j = 0; j < m_; ++j) {
+      spectrum_[j / kLanes][p * kLanes + j % kLanes] = deviation(p, j);
     }
   }
-  wht<kLanes>(out.data());
+  for (Block& s : spectrum_) {
+    wht_block<kLanes>(s.data(), nullptr, s.data(),
+                      [&s](std::size_t u, std::size_t l, Pair v) {
+                        s[u * kLanes + l] = v.lo;
+                        s[u * kLanes + l + 1] = v.hi;
+                      });
+  }
+  return spectrum_;
 }
 
-void BinSpectrum::correlations(
-    LeakageModel model, int guess,
-    const std::function<void(std::size_t, const Row&)>& each) const {
+BinSpectrum::Row BinSpectrum::inv_model_norms(const Row& g) const {
+  // M2 taken two-pass over the bins, for every guess side by side, so no
+  // guess's sum waits on its previous add.
+  Row mean{};
+  for (int p = 0; p < 256; ++p) {
+    for (int k = 0; k < 256; ++k) mean[k] += counts_[p] * g[p ^ k];
+  }
+  for (double& v : mean) v /= static_cast<double>(n_);
+  Row m2{};
+  for (int p = 0; p < 256; ++p) {
+    for (int k = 0; k < 256; ++k) {
+      const double d = g[p ^ k] - mean[k];
+      m2[k] += counts_[p] * d * d;
+    }
+  }
+  for (double& v : m2) v = v > 0.0 ? 1.0 / (256.0 * std::sqrt(v)) : 0.0;
+  return m2;
+}
+
+std::array<double, BinSpectrum::kLanes> BinSpectrum::inv_column_norms(
+    std::size_t j0) const {
+  std::array<double, kLanes> inv_s{};
+  for (std::size_t l = 0; l < kLanes && j0 + l < m_; ++l) {
+    inv_s[l] = m2_[j0 + l] > 0.0 ? 1.0 / std::sqrt(m2_[j0 + l]) : 0.0;
+  }
+  return inv_s;
+}
+
+std::vector<BinSpectrum::Row> BinSpectrum::partition_scales() const {
+  // n1 = sum_p n_p * bit(p ^ k), an XOR-convolution of integers taken
+  // through integer transforms.  Every term and partial sum of the direct
+  // double sum is an integer below 2^53, so the two agree exactly.
+  IntRow counts_hat;
+  for (int p = 0; p < 256; ++p) {
+    counts_hat[p] = static_cast<std::int64_t>(counts_[p]);
+  }
+  wht(counts_hat);
+  std::vector<Row> scale(8);
+  for (int b = 0; b < 8; ++b) {
+    IntRow n1;
+    for (int x = 0; x < 256; ++x) {
+      n1[x] = (aes::reduced_target(static_cast<std::uint8_t>(x), 0) >> b) & 1;
+    }
+    wht(n1);
+    for (int u = 0; u < 256; ++u) n1[u] *= counts_hat[u];
+    wht(n1);
+    for (int k = 0; k < 256; ++k) {
+      scale[b][k] = partition_scale(static_cast<double>(n1[k] / 256));
+    }
+  }
+  return scale;
+}
+
+double BinSpectrum::partition_scale(double ones) const {
+  const double zeros = static_cast<double>(n_) - ones;
+  return ones > 0.0 && zeros > 0.0 ? (1.0 / ones + 1.0 / zeros) / 256.0
+                                   : 0.0;
+}
+
+template <typename Each>
+void BinSpectrum::correlations(LeakageModel model, Each&& each) const {
   const Row g = model_row(model);
-  const Row g_c = centred(g);
-  const Row g_hat = transformed(g_c);
-  const int k_lo = guess < 0 ? 0 : guess;
-  const int k_hi = guess < 0 ? 256 : guess + 1;
-  // 1 / (256 sqrt(M2_h)) per guess, M2 of its predictions over the traces
-  // taken two-pass over the bins; 1 / sqrt(M2) per column.  A zero M2
-  // makes the correlation 0.
-  Row inv_h{};
-  for (int k = k_lo; k < k_hi; ++k) {
-    double mean = 0.0;
-    for (int p = 0; p < 256; ++p) mean += counts_[p] * g[p ^ k];
-    mean /= static_cast<double>(n_);
-    double m2 = 0.0;
-    for (int p = 0; p < 256; ++p) {
-      const double d = g[p ^ k] - mean;
-      m2 += counts_[p] * d * d;
-    }
-    inv_h[k] = m2 > 0.0 ? 1.0 / (256.0 * std::sqrt(m2)) : 0.0;
-  }
-  Block out;
-  Row corr{};
-  for (std::size_t blk = 0; blk < blocks(); ++blk) {
-    correlate(g_c, g_hat, blk, guess, out);
-    for (std::size_t l = 0; l < kLanes && blk * kLanes + l < m_; ++l) {
-      const std::size_t j = blk * kLanes + l;
-      const double inv_s = m2_[j] > 0.0 ? 1.0 / std::sqrt(m2_[j]) : 0.0;
-      for (int k = k_lo; k < k_hi; ++k) {
-        corr[k - k_lo] = out[(k - k_lo) * kLanes + l] * inv_h[k] * inv_s;
-      }
-      each(j, corr);
-    }
+  const Row g_hat = transformed(centred(g));
+  const Row inv_h = inv_model_norms(g);
+  Block work;
+  const std::vector<Block>& spectrum = this->spectrum();
+  for (std::size_t blk = 0; blk < spectrum.size(); ++blk) {
+    const std::size_t j0 = blk * kLanes;
+    const std::array<double, kLanes> inv_s = inv_column_norms(j0);
+    wht_block<kLanes>(spectrum[blk].data(), g_hat.data(), work.data(),
+                      [&](std::size_t k, std::size_t l, Pair v) {
+                        each(k, j0 + l,
+                             Pair{v.lo * inv_h[k] * inv_s[l],
+                                  v.hi * inv_h[k] * inv_s[l + 1]});
+                      });
   }
 }
 
-BinSpectrum::Row BinSpectrum::partition_peaks(int bits, int guess) const {
-  const int k_lo = guess < 0 ? 0 : guess;
-  const int k_hi = guess < 0 ? 256 : guess + 1;
-  // Per bit: the centred bit and its transform, and per guess the
+std::pair<BinSpectrum::Row, BinSpectrum::Row> BinSpectrum::partition_peaks(
+    int bits) const {
+  // Per bit: the transform of the centred bit and, per guess, the
   // difference-of-means factor (1/n1 + 1/n0) / 256 (0 while a partition is
   // empty, which drops the bit).
-  std::vector<Row> g_c(bits);
   std::vector<Row> g_hat(bits);
-  std::vector<Row> scale(bits);
-  for (int b = 0; b < bits; ++b) {
-    const Row g = bit_row(b);
-    g_c[b] = centred(g);
-    g_hat[b] = transformed(g_c[b]);
-    for (int k = k_lo; k < k_hi; ++k) {
-      double n1 = 0.0;
-      for (int p = 0; p < 256; ++p) n1 += counts_[p] * g[p ^ k];
-      const double n0 = static_cast<double>(n_) - n1;
-      scale[b][k] =
-          n1 > 0.0 && n0 > 0.0 ? (1.0 / n1 + 1.0 / n0) / 256.0 : 0.0;
-    }
-  }
+  for (int b = 0; b < bits; ++b) g_hat[b] = transformed(centred(bit_row(b)));
+  const std::vector<Row> scale = partition_scales();
+  // Squares of the bit-0 difference and running sums of squares over the
+  // bits, per guess and column; lanes past the last column hold 0.
+  Row bit0_sq{};
   Row peak_sq{};
   Block sq;
-  Block diff;
-  for (std::size_t blk = 0; blk < blocks(); ++blk) {
-    sq.fill(0.0);
-    for (int b = 0; b < bits; ++b) {
-      correlate(g_c[b], g_hat[b], blk, guess, diff);
-      for (int k = k_lo; k < k_hi; ++k) {
-        const std::size_t row = static_cast<std::size_t>(k - k_lo) * kLanes;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const double d = diff[row + l] * scale[b][k];
-          sq[row + l] += d * d;
-        }
-      }
+  Block work;
+  // One bit's inverse transform, scaled and squared as it leaves the last
+  // pass: the first bit starts the sums (and gives DPA), the last one ends
+  // them in the peaks.
+  const auto bit_pass = [&](const Block& s, int b, auto first, auto last) {
+    const double* f = scale[b].data();
+    double* sums = sq.data();
+    double* bit0 = bit0_sq.data();
+    double* peak = peak_sq.data();
+    wht_block<kLanes>(
+        s.data(), g_hat[b].data(), work.data(),
+        [f, sums, bit0, peak](std::size_t k, std::size_t l, Pair v) {
+          const Pair d{v.lo * f[k], v.hi * f[k]};
+          Pair e{d.lo * d.lo, d.hi * d.hi};
+          double* acc = sums + k * kLanes + l;
+          if constexpr (decltype(first)::value) {
+            bit0[k] = std::max(std::max(bit0[k], e.lo), e.hi);
+          } else {
+            e = Pair{acc[0], acc[1]} + e;
+          }
+          if constexpr (decltype(last)::value) {
+            peak[k] = std::max(std::max(peak[k], e.lo), e.hi);
+          } else {
+            acc[0] = e.lo;
+            acc[1] = e.hi;
+          }
+        });
+  };
+  for (const Block& s : spectrum()) {
+    if (bits == 1) {
+      bit_pass(s, 0, std::true_type{}, std::true_type{});
+      continue;
     }
-    for (int k = k_lo; k < k_hi; ++k) {
-      const std::size_t row = static_cast<std::size_t>(k - k_lo) * kLanes;
-      for (std::size_t l = 0; l < kLanes && blk * kLanes + l < m_; ++l) {
-        peak_sq[k - k_lo] = std::max(peak_sq[k - k_lo], sq[row + l]);
-      }
+    bit_pass(s, 0, std::true_type{}, std::false_type{});
+    for (int b = 1; b + 1 < bits; ++b) {
+      bit_pass(s, b, std::false_type{}, std::false_type{});
     }
+    bit_pass(s, bits - 1, std::false_type{}, std::true_type{});
   }
+  for (double& v : bit0_sq) v = std::sqrt(v);
   for (double& v : peak_sq) v = std::sqrt(v);
-  return peak_sq;
+  return {bit0_sq, peak_sq};
 }
 
 CpaResult BinSpectrum::cpa(LeakageModel model, bool keep_time_curves) const {
   CpaResult result;
   if (n_ < 2 || m_ == 0) return result;
   if (keep_time_curves) result.correlation_vs_time.assign(m_, {});
-  correlations(model, -1, [&](std::size_t j, const Row& corr) {
-    if (keep_time_curves) result.correlation_vs_time[j] = corr;
-    for (int k = 0; k < 256; ++k) {
-      result.peak_correlation[k] =
-          std::max(result.peak_correlation[k], std::fabs(corr[k]));
+  correlations(model, [&](std::size_t k, std::size_t j, Pair corr) {
+    double& peak = result.peak_correlation[k];
+    peak = std::max(std::max(peak, std::fabs(corr.lo)), std::fabs(corr.hi));
+    if (keep_time_curves && j < m_) {
+      result.correlation_vs_time[j][k] = corr.lo;
+      if (j + 1 < m_) result.correlation_vs_time[j + 1][k] = corr.hi;
     }
   });
   result.best_guess = argmax(result.peak_correlation);
@@ -399,16 +548,20 @@ CpaResult BinSpectrum::cpa(LeakageModel model, bool keep_time_curves) const {
 DpaResult BinSpectrum::dpa() const {
   DpaResult result;
   if (n_ < 2 || m_ == 0) return result;
-  result.peak_difference = partition_peaks(1, -1);
+  result.peak_difference = partition_peaks(1).first;
   result.best_guess = argmax(result.peak_difference);
   return result;
 }
 
-MlpaResult BinSpectrum::mlpa() const {
-  MlpaResult result;
+MlpaResult BinSpectrum::mlpa() const { return dpa_and_mlpa().second; }
+
+std::pair<DpaResult, MlpaResult> BinSpectrum::dpa_and_mlpa() const {
+  std::pair<DpaResult, MlpaResult> result;
   if (n_ < 2 || m_ == 0) return result;
-  result.score = partition_peaks(8, -1);
-  result.best_guess = argmax(result.score);
+  auto& [dpa, mlpa] = result;
+  std::tie(dpa.peak_difference, mlpa.score) = partition_peaks(8);
+  dpa.best_guess = argmax(dpa.peak_difference);
+  mlpa.best_guess = argmax(mlpa.score);
   return result;
 }
 
@@ -419,54 +572,138 @@ StaticPowerResult BinSpectrum::static_power(LeakageModel model,
   result.window = window;
   result.traces = n_;
   if (n_ < 2) return result;
-  correlations(model, -1, [&](std::size_t j, const Row& corr) {
-    if (j != column) return;
-    for (int k = 0; k < 256; ++k) result.correlation[k] = std::fabs(corr[k]);
+  correlations(model, [&](std::size_t k, std::size_t j, Pair corr) {
+    if (column == j) result.correlation[k] = std::fabs(corr.lo);
+    if (column == j + 1) result.correlation[k] = std::fabs(corr.hi);
   });
   result.best_guess = argmax(result.correlation);
   return result;
 }
 
-namespace {
-
-/// Whether `key` ranks first, from `one(k)` (one guess's score) while the
-/// rival clearly outscores the key, else from `all()` (every guess), which
-/// also renews the rival: the best wrong guess.
-template <typename One, typename All>
-bool key_first(std::uint8_t key, int& rival, One one, All all) {
-  if (rival >= 0 && one(rival) > one(key) * (1.0 + kRivalMargin)) {
-    return false;
+void BinSpectrum::score_directly(const Row& g,
+                                 std::span<Probe> probes) const {
+  // Weight rows w(p) = row(p ^ guess): the model for CPA, the 8 bits for
+  // MLPA, each centred.
+  const Row g_c = centred(g);
+  std::array<Row, 8> bit_c;
+  for (int b = 0; b < 8; ++b) bit_c[b] = centred(bit_row(b));
+  // Tile by tile of columns: 256 * sum_p w(p) * D_p per weight row and
+  // column, bin by bin in ascending order, kept on the stack.  Probe q's
+  // rows start at row first_row[q] of acc, kTile columns each; key_first's
+  // four probes read 1 + 1 + 8 + 8 rows.
+  constexpr std::size_t kTile = 192;
+  std::array<double, 18 * kTile> acc;
+  std::array<double, kTile> dev;
+  std::array<std::size_t, 4> first_row{};
+  for (std::size_t q = 1; q < probes.size(); ++q) {
+    first_row[q] = first_row[q - 1] + probes[q - 1].bits;
   }
-  const Row scores = all();
-  rival = key == 0 ? 1 : 0;
-  for (int k = 0; k < 256; ++k) {
-    if (k != key && scores[k] > scores[rival]) rival = k;
+  // The probe's columns within the tile from t0.
+  const auto columns_of = [&](const Probe& probe, std::size_t t0) {
+    const std::size_t lo = probe.block < 0 ? 0 : probe.block * kLanes;
+    const std::size_t hi =
+        probe.block < 0 ? m_ : std::min(m_, lo + kLanes);
+    return std::pair{std::max(lo, t0), std::min(hi, t0 + kTile)};
+  };
+  for (std::size_t t0 = 0; t0 < m_; t0 += kTile) {
+    acc.fill(0.0);
+    for (const int p : occupied_) {
+      for (std::size_t t = 0; t0 + t < std::min(m_, t0 + kTile); ++t) {
+        dev[t] = deviation(p, t0 + t);
+      }
+      for (std::size_t q = 0; q < probes.size(); ++q) {
+        const auto [lo, hi] = columns_of(probes[q], t0);
+        for (int b = 0; b < probes[q].bits; ++b) {
+          const Row& row = probes[q].bits == 1 ? g_c : bit_c[b];
+          const double w = row[p ^ probes[q].guess];
+          double* a = acc.data() + (first_row[q] + b) * kTile;
+          for (std::size_t j = lo; j < hi; ++j) {
+            a[j - t0] += w * dev[j - t0];
+          }
+        }
+      }
+    }
+    for (std::size_t q = 0; q < probes.size(); ++q) {
+      Probe& probe = probes[q];
+      const auto [lo, hi] = columns_of(probe, t0);
+      for (std::size_t j = lo; j < hi; ++j) {
+        const double* a = acc.data() + first_row[q] * kTile + (j - t0);
+        double v = 0.0;
+        if (probe.bits == 1) {
+          const double inv_s = m2_[j] > 0.0 ? 1.0 / std::sqrt(m2_[j]) : 0.0;
+          v = std::fabs(256.0 * a[0] * probe.norm[0] * inv_s);
+        } else {
+          for (int b = 0; b < 8; ++b) {
+            const double d = 256.0 * a[b * kTile] * probe.norm[b];
+            v += d * d;
+          }
+        }
+        if (probe.peak < v) {
+          probe.peak = v;
+          probe.peak_block = static_cast<int>(j / kLanes);
+        }
+      }
+    }
   }
-  return !(scores[rival] > scores[key]);
 }
 
-}  // namespace
+BinSpectrum::KeyFirst BinSpectrum::key_first(LeakageModel model,
+                                             std::uint8_t key, bool with_mlpa,
+                                             Rivals& rivals) const {
+  first_place_obs().checks.add(with_mlpa ? 2 : 1);
+  KeyFirst first;
+  if (n_ < 2 || m_ == 0) return first;
+  // Never scored yet, a rival is the lowest guess other than the key.  A
+  // block past the last column (rivals carried over a wider statistic)
+  // reads as none.
+  for (Rival* r : {&rivals.cpa, &rivals.mlpa}) {
+    if (r->guess < 0) *r = Rival{key == 0 ? 1 : 0, -1};
+    if (r->block >= 0 && static_cast<std::size_t>(r->block) >= blocks()) {
+      r->block = -1;
+    }
+  }
 
-bool BinSpectrum::cpa_first(LeakageModel model, std::uint8_t key,
-                            int& rival) const {
-  if (n_ < 2 || m_ == 0) return false;
-  return key_first(
-      key, rival,
-      [&](int k) {
-        double peak = 0.0;
-        correlations(model, k, [&](std::size_t, const Row& corr) {
-          peak = std::max(peak, std::fabs(corr[0]));
-        });
-        return peak;
-      },
-      [&] { return cpa(model).peak_correlation; });
-}
+  const Row g = model_row(model);
+  const Row inv_h = inv_model_norms(g);
+  std::array<Probe, 4> probes{{{key, -1, 1},
+                               {rivals.cpa.guess, rivals.cpa.block, 1},
+                               {key, -1, 8},
+                               {rivals.mlpa.guess, rivals.mlpa.block, 8}}};
+  const std::span<Probe> used = std::span(probes).first(with_mlpa ? 4 : 2);
+  for (Probe& probe : used) {
+    if (probe.bits == 1) {
+      probe.norm[0] = inv_h[probe.guess];
+      continue;
+    }
+    for (int b = 0; b < 8; ++b) {
+      const Row bit = bit_row(b);
+      double ones = 0.0;
+      for (int p = 0; p < 256; ++p) ones += counts_[p] * bit[p ^ probe.guess];
+      probe.norm[b] = partition_scale(ones);
+    }
+  }
+  score_directly(g, used);
 
-bool BinSpectrum::mlpa_first(std::uint8_t key, int& rival) const {
-  if (n_ < 2 || m_ == 0) return false;
-  return key_first(
-      key, rival, [&](int k) { return partition_peaks(8, k)[0]; },
-      [&] { return mlpa().score; });
+  // The direct sums differ from the transformed ones only by rounding, so a
+  // rival ahead of the key by more than kRivalMargin is ahead in a full
+  // scoring too.  A rival scored over every column keeps its peak block.
+  const auto settled = [](const Probe& key_probe, const Probe& rival_probe,
+                          Rival& rival) {
+    if (rival.block < 0) rival.block = rival_probe.peak_block;
+    const auto score = [](const Probe& p) {
+      return p.bits == 1 ? p.peak : std::sqrt(p.peak);
+    };
+    return score(rival_probe) > score(key_probe) * (1.0 + kRivalMargin);
+  };
+  if (!settled(probes[0], probes[1], rivals.cpa)) {
+    first_place_obs().transforms.add(1);
+    first.cpa = key_leads(cpa(model).peak_correlation, key, rivals.cpa);
+  }
+  if (with_mlpa && !settled(probes[2], probes[3], rivals.mlpa)) {
+    first_place_obs().transforms.add(1);
+    first.mlpa = key_leads(mlpa().score, key, rivals.mlpa);
+  }
+  return first;
 }
 
 TvlaResult welch_t(const Moments& fixed, const Moments& random) {
@@ -577,8 +814,7 @@ MtdTracker::MtdTracker(std::size_t expected_traces, Fold fold,
   }
 }
 
-void MtdTracker::checkpoint() {
-  const std::vector<bool> first = verdicts_();
+void MtdTracker::checkpoint(const std::vector<bool>& first) {
   if (checkpoints_.size() < first.size()) checkpoints_.resize(first.size());
   for (std::size_t s = 0; s < first.size(); ++s) {
     checkpoints_[s].emplace_back(grid_[next_grid_], first[s]);
@@ -589,6 +825,9 @@ void MtdTracker::checkpoint() {
 void MtdTracker::add_batch(const TraceBatch& batch) {
   std::size_t pos = 0;
   while (pos < batch.size()) {
+    while (next_grid_ < grid_.size() && grid_[next_grid_] <= traces_) {
+      checkpoint(verdicts_());
+    }
     std::size_t take = batch.size() - pos;
     if (next_grid_ < grid_.size()) {
       take = std::min(take, grid_[next_grid_] - traces_);
@@ -604,14 +843,15 @@ void MtdTracker::add_batch(const TraceBatch& batch) {
     }
     pos += take;
     traces_ += take;
-    while (next_grid_ < grid_.size() && grid_[next_grid_] <= traces_) {
-      checkpoint();
-    }
   }
 }
 
 void MtdTracker::finish() {
-  while (next_grid_ < grid_.size()) checkpoint();
+  while (next_grid_ < grid_.size()) checkpoint(verdicts_());
+}
+
+void MtdTracker::finish(const std::vector<bool>& final_first) {
+  while (next_grid_ < grid_.size()) checkpoint(final_first);
 }
 
 std::size_t MtdTracker::mtd(std::size_t scorer) const {
@@ -626,20 +866,18 @@ void AttackVerdicts::score(
     const BinnedMoments& bins, const BinnedMoments* windows, std::uint8_t key,
     bool with_mlpa, const std::function<std::size_t(std::size_t)>& mtd_of,
     bool keep_time_curves) {
+  obs::ScopedTimer span("sca.score");
   const BinSpectrum spectrum(bins);
   cpa = spectrum.cpa(kModel, keep_time_curves);
-  dpa = spectrum.dpa();
   key_rank = cpa.key_rank(key);
   margin = cpa.margin(key);
-  mtd = mtd_of(kCpa);
-  mlpa_mtd = mtd_of(kMlpa);
-  static_awake_mtd = mtd_of(kAwake);
-  static_asleep_mtd = mtd_of(kAsleep);
   mlpa_mounted = with_mlpa;
   if (with_mlpa) {
-    mlpa = spectrum.mlpa();
+    std::tie(dpa, mlpa) = spectrum.dpa_and_mlpa();
     mlpa_rank = mlpa.key_rank(key);
     mlpa_margin = mlpa.margin(key);
+  } else {
+    dpa = spectrum.dpa();
   }
   static_mounted = windows != nullptr;
   if (static_mounted) {
@@ -651,6 +889,15 @@ void AttackVerdicts::score(
     static_awake_margin = static_awake.margin(key);
     static_asleep_margin = static_asleep.margin(key);
   }
+  mtd = mtd_of(kCpa);
+  mlpa_mtd = mtd_of(kMlpa);
+  static_awake_mtd = mtd_of(kAwake);
+  static_asleep_mtd = mtd_of(kAsleep);
+}
+
+std::vector<bool> AttackVerdicts::key_first() const {
+  return {key_rank == 0, mlpa_rank == 0, static_awake_rank == 0,
+          static_asleep_rank == 0};
 }
 
 void AttackVerdicts::add_json(obs::json::Object& report,
@@ -684,12 +931,15 @@ void AttackVerdicts::add_json(obs::json::Object& report,
 
 FirstPlace first_place(std::uint8_t key, bool mlpa, LeakageModel model) {
   using V = AttackVerdicts;
-  return [=, cpa_rival = -1, mlpa_rival = -1](
+  return [=, rivals = BinSpectrum::Rivals{}](
              const BinnedMoments& bins, const BinnedMoments* windows) mutable {
+    obs::ScopedTimer span("sca.first_place");
     std::vector<bool> first(V::kScorers, false);
     const BinSpectrum spectrum(bins);
-    first[V::kCpa] = spectrum.cpa_first(model, key, cpa_rival);
-    if (mlpa) first[V::kMlpa] = spectrum.mlpa_first(key, mlpa_rival);
+    const BinSpectrum::KeyFirst key_first =
+        spectrum.key_first(model, key, mlpa, rivals);
+    first[V::kCpa] = key_first.cpa;
+    first[V::kMlpa] = key_first.mlpa;
     if (windows != nullptr) {
       const BinSpectrum held(*windows);
       for (std::size_t c = 0; c < kStaticWindows.size(); ++c) {

@@ -139,20 +139,42 @@ class BinSpectrum {
   DpaResult dpa() const;
   /// l2 combination of the 8 bit-partition differences.
   MlpaResult mlpa() const;
+  /// dpa() and mlpa() from one set of 8 inverse transforms: DPA is MLPA's
+  /// bit 0.
+  std::pair<DpaResult, MlpaResult> dpa_and_mlpa() const;
   /// |corr| of `model` with column `column` of a static projection, which
   /// holds the means over `window`.
   StaticPowerResult static_power(LeakageModel model, std::size_t column,
                                  StaticWindow window) const;
 
-  /// Whether `key` ranks first under CPA (resp. MLPA), as key_rank() == 0
-  /// on cpa() (resp. mlpa()) would say: never below 2 traces.  `rival`
-  /// carries the best wrong guess from one checkpoint to the next (start at
-  /// -1).  While it still leads the key by more than rounding, scoring just
-  /// those two guesses, summed directly over the occupied bins, settles the
-  /// answer without the transform.  Otherwise every guess is scored and
-  /// `rival` is renewed.
-  bool cpa_first(LeakageModel model, std::uint8_t key, int& rival) const;
-  bool mlpa_first(std::uint8_t key, int& rival) const;
+  /// The wrong guess a first-place check tries before the transform, per
+  /// attack, carried from one checkpoint to the next: at first the lowest
+  /// guess other than the key, after a full scoring the best wrong guess.
+  /// `block` is the block of kLanes columns where its direct score last
+  /// peaked (-1 until it has been scored over every column).
+  struct Rival {
+    int guess = -1;
+    int block = -1;
+  };
+  struct Rivals {
+    Rival cpa;
+    Rival mlpa;
+  };
+  /// Whether `key` ranks first under CPA with `model` and, when
+  /// `with_mlpa`, under MLPA: what key_rank() == 0 on cpa(model) and mlpa()
+  /// would say, never below 2 traces.  One direct pass over the occupied
+  /// bins scores, under every model row the check reads, the key over every
+  /// column and each rival over its peak block.  An attack with a rival
+  /// ahead of the key by more than rounding is settled there: the rival's
+  /// full score is at least its score on that block.  Otherwise every guess
+  /// is scored (one transform of the spectrum, shared by both attacks) and
+  /// the attack's rival is renewed.
+  struct KeyFirst {
+    bool cpa = false;
+    bool mlpa = false;
+  };
+  KeyFirst key_first(LeakageModel model, std::uint8_t key, bool with_mlpa,
+                     Rivals& rivals) const;
 
  private:
   static constexpr std::size_t kLanes = 8;
@@ -160,20 +182,44 @@ class BinSpectrum {
   /// 256 rows (one per bin, guess or frequency) of kLanes columns.
   using Block = std::array<double, 256 * kLanes>;
 
-  /// Row k of `out` = 256 * sum_p g(p ^ k) * D_p at columns blk * kLanes +
-  /// l, for a model g centred over the 256 values with transform g_hat: for
-  /// every k by the transform when guess < 0, else only k = guess, summed
-  /// directly, in row 0.  Lanes past the last column read 0.
-  void correlate(const Row& g, const Row& g_hat, std::size_t blk, int guess,
-                 Block& out) const;
-  /// Per column, the Pearson correlation of every guess (guess < 0) or of
-  /// one guess (entry 0) under `model`.
-  void correlations(LeakageModel model, int guess,
-                    const std::function<void(std::size_t, const Row&)>& each)
-      const;
-  /// max over columns of the l2 norm of the first `bits` partition
-  /// differences, per guess (guess < 0) or of one guess (entry 0).
-  Row partition_peaks(int bits, int guess) const;
+  /// One guess of a first-place check, scored directly: the key over every
+  /// column, a rival over its peak block (every column while it has none),
+  /// through `bits` weight rows w(p) = g(p ^ guess), CPA's model (bits = 1)
+  /// or MLPA's 8 bits.  peak is the max over the columns scored of |corr|
+  /// (CPA) or of the sum of the squared partition differences (MLPA).
+  struct Probe {
+    int guess;
+    int block;
+    int bits;
+    /// CPA: inv_model_norms() of the guess; MLPA: its partition_scale()s.
+    std::array<double, 8> norm{};
+    double peak = 0.0;
+    int peak_block = -1;  ///< the block where peak was reached
+  };
+  /// Scores `probes` (key_first's, at most 18 weight rows) by sums over the
+  /// occupied bins in ascending bin order.
+  void score_directly(const Row& g, std::span<Probe> probes) const;
+  /// The transform of the bin deviations, built on first use.
+  const std::vector<Block>& spectrum() const;
+  /// Calls each(k, j, corr) with the Pearson correlations of guess k under
+  /// `model` at the column pair j, j + 1 (0 past the last column).
+  template <typename Each>
+  void correlations(LeakageModel model, Each&& each) const;
+  /// Per guess, the max over columns of |bit-0 difference| and of the l2
+  /// norm of the first `bits` partition differences.
+  std::pair<Row, Row> partition_peaks(int bits) const;
+  /// Per guess k, 1 / (256 sqrt(M2)) of its predictions g(p ^ k) over the
+  /// traces, 0 when they do not vary.
+  Row inv_model_norms(const Row& g) const;
+  /// 1 / sqrt(M2) of columns j0 .. j0 + kLanes - 1; 0 for a column that
+  /// does not vary or does not exist.
+  std::array<double, kLanes> inv_column_norms(std::size_t j0) const;
+  /// Per bit and guess, the difference-of-means factor (1/n1 + 1/n0) / 256
+  /// of the bit's partition, 0 while a partition is empty.
+  std::vector<Row> partition_scales() const;
+  /// (1/n1 + 1/n0) / 256 of a partition with n1 = `ones` traces, 0 while a
+  /// partition is empty.
+  double partition_scale(double ones) const;
 
   std::size_t blocks() const { return (m_ + kLanes - 1) / kLanes; }
   /// D_p at column j: counts_[p] * (mean of bin p - pooled mean).
@@ -338,16 +384,21 @@ class MtdTracker {
   MtdTracker(std::size_t expected_traces, Fold fold, Verdicts verdicts,
              std::size_t grid_points = 16);
 
+  /// A grid point is judged once the stream reaches it, before anything
+  /// past it is folded in, so the one the stream ends on waits for finish().
   void add_batch(const TraceBatch& batch);
-  /// Judges the grid points a (possibly short) stream never reached on the
-  /// final state.  Call after the last batch.
+  /// Judges the grid points left open (the one the stream ended on, and
+  /// those a short stream never reached) on the final state, by verdicts()
+  /// or, when the caller has already scored the final state, by its answers
+  /// `final_first`.  Call after the last batch.
   void finish();
+  void finish(const std::vector<bool>& final_first);
   /// MTD under scorer `scorer` (an index into verdicts()); 0 = never
   /// disclosed.
   std::size_t mtd(std::size_t scorer = 0) const;
 
  private:
-  void checkpoint();
+  void checkpoint(const std::vector<bool>& first);
 
   std::vector<std::size_t> grid_;
   std::size_t next_grid_ = 0;
@@ -394,11 +445,15 @@ struct AttackVerdicts {
 
   /// Scores `bins` and, when non-null, their static projection `windows`
   /// against `key` (MLPA when `with_mlpa`); mtd_of(s) is the MTD of each
-  /// Scorer s.
+  /// Scorer s.  mtd_of is asked last, once every verdict is in place, so
+  /// it may judge a checkpoint on this statistic by key_first().
   void score(const BinnedMoments& bins, const BinnedMoments* windows,
              std::uint8_t key, bool with_mlpa,
              const std::function<std::size_t(std::size_t)>& mtd_of,
              bool keep_time_curves = false);
+  /// Whether the key ranks first under each Scorer: what a FirstPlace check
+  /// of the scored statistic answers.
+  std::vector<bool> key_first() const;
   /// Adds the "static_power" array and the "mlpa" object of the mounted
   /// scorers to `report`; `static_holds`, when given, follows the array as
   /// "static_traces_accumulated".
@@ -409,7 +464,8 @@ struct AttackVerdicts {
 /// The MTD check on a growing statistic and, when non-null, its static
 /// projection: whether the key ranks first under each AttackVerdicts::Scorer
 /// (an unmounted one never does).  A first_place() callable owns the CPA and
-/// MLPA rivals it carries from one checkpoint to the next (cpa_first).
+/// MLPA rivals it carries from one checkpoint to the next
+/// (BinSpectrum::key_first).
 using FirstPlace = std::function<std::vector<bool>(const BinnedMoments&,
                                                    const BinnedMoments*)>;
 FirstPlace first_place(std::uint8_t key, bool mlpa,

@@ -142,5 +142,34 @@ TEST_F(ParallelDeterminismTest, LogicSimWorkCountersAreThreadCountInvariant) {
   EXPECT_EQ(totals[0], totals[1]);
 }
 
+// A flow's first-place checks (one per attack and MTD grid point before the
+// last, which the final verdicts answer) and the ones among them that fell
+// back to a full scoring depend on the stream alone: pinned exactly, and
+// equal at any thread count.
+TEST_F(ParallelDeterminismTest, FirstPlaceWorkCountersArePinned) {
+  const obs::Counter checks =
+      obs::Registry::global().counter("sca.first_place.checks");
+  const obs::Counter transforms =
+      obs::Registry::global().counter("sca.first_place.transforms");
+  DpaFlowOptions opt;
+  opt.num_traces = 800;
+  opt.samples = 300;
+  opt.compute_mtd = true;
+  opt.compute_mlpa = true;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> totals;
+  for (int threads : {1, 4}) {
+    util::set_parallel_threads(threads);
+    const std::uint64_t checks_before = checks.value();
+    const std::uint64_t transforms_before = transforms.value();
+    const DpaFlowResult r = run_dpa_flow(CellLibrary::cmos90(), opt);
+    EXPECT_EQ(r.key_rank, 0);
+    totals.emplace_back(checks.value() - checks_before,
+                        transforms.value() - transforms_before);
+  }
+  EXPECT_EQ(totals[0].first, 2u * 15u);
+  EXPECT_EQ(totals[0].second, 15u);
+  EXPECT_EQ(totals[0], totals[1]);
+}
+
 }  // namespace
 }  // namespace pgmcml::core

@@ -99,11 +99,11 @@ TEST(CpaAccumulator, MatchesNaiveTwoPassReference) {
 }
 
 TEST(BinSpectrum, FirstPlaceChecksAgreeWithFullRanking) {
-  // Every key, carried rivals and growing prefixes: the single-guess
+  // Every key, carried rivals and growing prefixes: the direct-sum
   // shortcut must answer exactly as key_rank() == 0 on a full scoring --
   // "no" on a 1-trace prefix, where there is no verdict at all.
   const TraceSet ts = synthetic_traces(0x3d, 240, 0.4, 1.0, 24);
-  std::vector<int> cpa_rival(256, -1), mlpa_rival(256, -1);
+  std::vector<BinSpectrum::Rivals> rivals(256);
   BinnedMoments stat(ts.samples_per_trace());
   std::size_t fed = 0;
   for (const std::size_t upto : {1ul, 3ul, 20ul, 60ul, 120ul, 240ul}) {
@@ -113,10 +113,11 @@ TEST(BinSpectrum, FirstPlaceChecksAgreeWithFullRanking) {
     const MlpaResult mlpa = spectrum.mlpa();
     for (int key = 0; key < 256; ++key) {
       const auto k = static_cast<std::uint8_t>(key);
-      EXPECT_EQ(spectrum.cpa_first(LeakageModel::kIdentity, k, cpa_rival[k]),
-                cpa.key_rank(k) == 0)
+      const BinSpectrum::KeyFirst first =
+          spectrum.key_first(LeakageModel::kIdentity, k, true, rivals[k]);
+      EXPECT_EQ(first.cpa, cpa.key_rank(k) == 0)
           << "key " << key << " after " << upto;
-      EXPECT_EQ(spectrum.mlpa_first(k, mlpa_rival[k]), mlpa.key_rank(k) == 0)
+      EXPECT_EQ(first.mlpa, mlpa.key_rank(k) == 0)
           << "key " << key << " after " << upto;
     }
   }
