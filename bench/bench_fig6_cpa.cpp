@@ -15,17 +15,24 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_manifest.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
+#include "pgmcml/core/sbox_unit.hpp"
+#include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/obs/obs.hpp"
+#include "pgmcml/power/kernels.hpp"
+#include "pgmcml/power/tracer.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/tvla.hpp"
 #include "pgmcml/util/env.hpp"
@@ -378,6 +385,79 @@ void BM_ScoreFinalStatistic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreFinalStatistic)->Unit(benchmark::kMillisecond);
+
+/// The 256 event streams of a reduced-AES memo in one style, simulated from
+/// the acquisition's precharge state (key applied, plaintext 0, constants
+/// low), with the tracer and schedule of a 600-sample Fig. 6 source.
+struct MemoStreams {
+  CellLibrary library;
+  synth::MapResult mapped;
+  std::unique_ptr<power::PowerTracer> tracer;
+  power::SleepSchedule schedule;
+  std::vector<std::vector<netlist::SimEvent>> events;
+
+  explicit MemoStreams(const CellLibrary& lib)
+      : library(lib), mapped(core::map_reduced_aes(lib)) {
+    const core::DpaFlowOptions opt;
+    const netlist::Design& d = mapped.design;
+    const std::vector<netlist::NetId> p = d.input_bus("p", 8);
+    const std::vector<netlist::NetId> k = d.input_bus("k", 8);
+    std::vector<std::pair<netlist::NetId, bool>> init;
+    for (int b = 0; b < 8; ++b) {
+      init.emplace_back(k[b], (opt.key >> b) & 1);
+      init.emplace_back(p[b], false);
+    }
+    for (const netlist::NetId n : d.inputs()) {
+      if (std::find(p.begin(), p.end(), n) == p.end() &&
+          std::find(k.begin(), k.end(), n) == k.end()) {
+        init.emplace_back(n, false);
+      }
+    }
+    netlist::LogicSim precharged(d, &library);
+    precharged.apply_and_settle(init);
+    precharged.clear_events();
+    precharged.run_until(0.5e-9);
+    for (int plaintext = 0; plaintext < 256; ++plaintext) {
+      netlist::LogicSim sim = precharged;
+      std::vector<std::pair<netlist::NetId, bool>> stimulus;
+      for (int b = 0; b < 8; ++b) {
+        stimulus.emplace_back(p[b], (plaintext >> b) & 1);
+      }
+      sim.apply_and_settle(stimulus);
+      events.push_back(sim.events());
+    }
+    power::TraceOptions topt;
+    topt.t_start = 0.4e-9;
+    topt.dt = opt.dt;
+    topt.samples = 600;
+    topt.seed = opt.seed;
+    tracer = std::make_unique<power::PowerTracer>(
+        d, library, power::default_kernels(), topt);
+    if (library.power_gated()) {
+      schedule.awake.push_back({0.2e-9, 0.4e-9 + opt.dt * topt.samples});
+    }
+  }
+};
+
+/// Composes the 256 noiseless memo rows of one style (0 CMOS, 1 MCML,
+/// 2 PG-MCML): the composition a source's memo fills pay.
+void BM_ComposeMemoRow(benchmark::State& state) {
+  static const std::array<CellLibrary, 3> kLibs = {
+      CellLibrary::cmos90(), CellLibrary::mcml90(), CellLibrary::pgmcml90()};
+  const MemoStreams streams(kLibs[static_cast<std::size_t>(state.range(0))]);
+  state.SetLabel(streams.library.name());
+  std::vector<double> row;
+  for (auto _ : state) {
+    for (const auto& events : streams.events) {
+      streams.tracer->compose_into(events, streams.schedule, row);
+      benchmark::DoNotOptimize(row.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_ComposeMemoRow)
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

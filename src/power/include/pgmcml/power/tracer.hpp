@@ -69,9 +69,10 @@ class PowerTracer {
               const CurrentKernels& kernels, const TraceOptions& options);
 
   /// Composes the supply-current trace for one logic-sim run.
-  /// `events` must be time-sorted (as produced by LogicSim).  `nonce`
-  /// decorrelates the measurement noise between acquisitions that share an
-  /// identical event stream (e.g. TVLA's fixed-plaintext class).
+  /// `events` must be time-sorted (as produced by LogicSim; see
+  /// compose_into).  `nonce` decorrelates the measurement noise between
+  /// acquisitions that share an identical event stream (e.g. TVLA's
+  /// fixed-plaintext class).
   std::vector<double> trace(const std::vector<netlist::SimEvent>& events,
                             const SleepSchedule& schedule = {},
                             std::uint64_t nonce = 0) const;
@@ -87,6 +88,18 @@ class PowerTracer {
 
   /// The noiseless part of trace_into(): the composed supply current, a
   /// pure function of `events` and `schedule`.
+  ///
+  /// Each sample is its floor (the style's static current; for PG-MCML
+  /// under a schedule, the sleep floor plus each window's wake kernel,
+  /// awake level and sleep kernel) followed by, for every event in stream
+  /// order, its kernel sample and then its level -- the sums
+  /// util::GridAccumulator::add_kernel and add_level per event give, in
+  /// that order, and so bitwise the same row.  The cost is the kernel work,
+  /// not events x samples: one kernel row per distinct event time, and the
+  /// levels of events whose kernels have ended fold into one running sum
+  /// per floor value (docs/ARCHITECTURE.md).  Throws std::invalid_argument,
+  /// leaving `out` untouched, when `events` are not sorted by time or a
+  /// time is NaN.
   void compose_into(const std::vector<netlist::SimEvent>& events,
                     const SleepSchedule& schedule,
                     std::vector<double>& out) const;
@@ -141,8 +154,9 @@ class PowerTracer {
   TraceOptions options_;
   // Per-instance frozen process variation.
   std::vector<double> static_scale_;    ///< 1 + mismatch
-  std::vector<double> charge_scale_;    ///< CMOS pulse charge variation
   std::vector<double> residual_;        ///< MCML leg imbalance (signed)
+  std::vector<double> event_scale_;     ///< kernel scale of an output event
+  std::vector<double> imbalance_;       ///< MCML: level of an output event
   double awake_current_ = 0.0;
   double sleep_current_ = 0.0;
   double leakage_power_ = 0.0;

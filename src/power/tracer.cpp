@@ -1,7 +1,12 @@
 #include "pgmcml/power/tracer.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <span>
+#include <stdexcept>
 
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/util/stats.hpp"
 
 namespace pgmcml::power {
@@ -27,12 +32,12 @@ PowerTracer::PowerTracer(const netlist::Design& design,
   util::Rng rng(options.seed ^ 0xc0ffee);
   const std::size_t n = design.num_instances();
   static_scale_.resize(n);
-  charge_scale_.resize(n);
+  std::vector<double> charge_scale(n);  // CMOS pulse charge variation
   residual_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     static_scale_[i] =
         std::max(0.5, rng.gaussian(1.0, options.mismatch_sigma));
-    charge_scale_[i] =
+    charge_scale[i] =
         std::max(0.3, rng.gaussian(1.0, 3.0 * options.mismatch_sigma));
     residual_[i] = rng.gaussian(0.0, options.residual_sigma);
   }
@@ -57,7 +62,7 @@ PowerTracer::PowerTracer(const netlist::Design& design,
     const auto& inst = design.instance(static_cast<InstId>(i));
     std::size_t readers = 0;
     for (netlist::NetId out : inst.outputs) readers += fanout_count[out];
-    charge_scale_[i] *=
+    charge_scale[i] *=
         0.4 + 0.6 * static_cast<double>(std::max<std::size_t>(readers, 1));
   }
 
@@ -69,7 +74,22 @@ PowerTracer::PowerTracer(const netlist::Design& design,
     if (driver[out] >= 0) drives_output[driver[out]] = true;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (drives_output[i]) charge_scale_[i] *= options.output_load_factor;
+    if (drives_output[i]) charge_scale[i] *= options.output_load_factor;
+  }
+
+  // What one output event of each instance adds: the kernel scale (CMOS:
+  // the switched charge; MCML: the tail current) and the leg imbalance.
+  event_scale_.resize(n);
+  imbalance_.resize(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& cell =
+        library.cell(design.instance(static_cast<InstId>(i)).kind);
+    if (library.style() == LogicStyle::kCmos) {
+      event_scale_[i] = cell.switch_energy / library.vdd() * charge_scale[i];
+    } else {
+      event_scale_[i] = cell.static_current * static_scale_[i];
+      imbalance_[i] = event_scale_[i] * residual_[i];
+    }
   }
 }
 
@@ -94,9 +114,153 @@ std::uint64_t PowerTracer::noise_key(const std::vector<SimEvent>& events) {
   return events.size() + static_cast<std::uint64_t>(events.back().time * 1e15);
 }
 
+namespace {
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Adds the per-event contributions -- a scaled kernel starting at the event
+/// time, then a level from the event time to `level_off` -- onto a grid that
+/// already holds the floors.  Every sample receives exactly the adds that
+/// GridAccumulator::add_kernel then add_level per event would give it, in
+/// the same order, so the result is bit for bit the event-by-event one.
+///
+/// Samples at and past `frontier_` are lazy: so far every event contributed
+/// only its level there (its kernel has ended, its level has started and
+/// runs to the last sample).  A lazy sample therefore holds its floor
+/// followed by `pending_` in event order, and the lazy samples sharing one
+/// floor value share one running sum, extended by one add per level.  An
+/// event first materialises the lazy samples its kernel or its level start
+/// reaches; only those take its level as a per-sample add.  Events at the
+/// same time share their spans and one kernel row, evaluated with the
+/// accumulator's `time_of(i) - time` and Waveform::value_at.
+class EventComposer {
+ public:
+  EventComposer(GridAccumulator& acc, const util::Waveform& kernel,
+                double level_off)
+      : acc_(acc), samples_(acc.samples()), kernel_(kernel),
+        level_off_(level_off) {}
+
+  /// One event, at a time not before the previous event's.
+  void add(double time, double scale, double level) {
+    if (!time_valid_ || bits_of(time) != bits_of(time_)) start_time(time);
+    const std::size_t n = samples_.size();
+    const bool has_level = level != 0.0 && !level_span_.empty();
+    std::size_t reach = frontier_;
+    if (!kernel_span_.empty()) reach = std::max(reach, kernel_span_.last + 1);
+    // A level that stops short of the last sample cannot join the lazy
+    // tail's running sum: materialise everything instead.
+    if (has_level) {
+      reach = std::max(reach,
+                       level_span_.last + 1 == n ? level_span_.first : n);
+    }
+    materialize(reach);
+
+    if (!row_.empty()) {
+      double* out = samples_.data() + kernel_span_.first;
+      for (std::size_t j = 0; j < row_.size(); ++j) out[j] += scale * row_[j];
+      kernel_adds_ += row_.size();
+    }
+    if (has_level) {
+      const std::size_t first = level_span_.first;
+      const std::size_t eager_end = std::min(frontier_, level_span_.last + 1);
+      for (std::size_t i = first; i < eager_end; ++i) samples_[i] += level;
+      if (eager_end > first) level_adds_ += eager_end - first;
+      if (frontier_ < n) {
+        pending_.push_back(level);
+        if (run_valid_) {
+          run_ += level;
+          ++level_adds_;
+        }
+      }
+    }
+  }
+
+  /// Materialises the lazy tail; the grid then holds the composed trace.
+  void finish() { materialize(samples_.size()); }
+
+  std::uint64_t kernel_adds() const { return kernel_adds_; }
+  std::uint64_t level_adds() const { return level_adds_; }
+
+ private:
+  /// The kernel span, level span and kernel row of events at `time`.
+  void start_time(double time) {
+    kernel_span_ = kernel_.empty() ? GridAccumulator::Span{}
+                                   : acc_.span(time + kernel_.t_begin(),
+                                               time + kernel_.t_end());
+    level_span_ = level_off_ <= time ? GridAccumulator::Span{}
+                                     : acc_.span(time, level_off_);
+    row_.resize(kernel_span_.size());
+    for (std::size_t j = 0; j < row_.size(); ++j) {
+      row_[j] = kernel_.value_at(acc_.time_of(kernel_span_.first + j) - time);
+    }
+    time_ = time;
+    time_valid_ = true;
+  }
+
+  void materialize(std::size_t end) {
+    if (!pending_.empty()) {
+      for (std::size_t j = frontier_; j < end; ++j) {
+        const double floor = samples_[j];
+        if (!run_valid_ || bits_of(floor) != bits_of(run_floor_)) {
+          run_ = floor;
+          for (const double level : pending_) run_ += level;
+          level_adds_ += pending_.size();
+          run_floor_ = floor;
+          run_valid_ = true;
+        }
+        samples_[j] = run_;
+      }
+    }
+    frontier_ = std::max(frontier_, end);
+  }
+
+  GridAccumulator& acc_;
+  std::span<double> samples_;
+  const util::Waveform& kernel_;
+  double level_off_;
+  // The current event time and what its events share.
+  bool time_valid_ = false;
+  double time_ = 0.0;
+  GridAccumulator::Span kernel_span_;
+  GridAccumulator::Span level_span_;
+  std::vector<double> row_;  ///< kernel samples over kernel_span_
+  // The lazy tail.
+  std::size_t frontier_ = 0;
+  std::vector<double> pending_;  ///< levels every lazy sample takes, in order
+  bool run_valid_ = false;
+  double run_floor_ = 0.0;  ///< the floor value run_ folds pending_ onto
+  double run_ = 0.0;
+  std::uint64_t kernel_adds_ = 0;
+  std::uint64_t level_adds_ = 0;
+};
+
+/// Obs counters of composition: the kernel and level adds performed.
+struct ComposeCounters {
+  obs::Counter kernel_adds =
+      obs::Registry::global().counter("power.compose.kernel_adds");
+  obs::Counter level_adds =
+      obs::Registry::global().counter("power.compose.level_adds");
+};
+
+ComposeCounters& compose_obs() {
+  static ComposeCounters c;
+  return c;
+}
+
+}  // namespace
+
 void PowerTracer::compose_into(const std::vector<SimEvent>& events,
                                const SleepSchedule& schedule,
                                std::vector<double>& out) const {
+  double previous = -std::numeric_limits<double>::infinity();
+  for (const SimEvent& ev : events) {
+    if (!(ev.time >= previous)) {
+      throw std::invalid_argument(
+          "PowerTracer: events must be sorted by time (and not NaN)");
+    }
+    previous = ev.time;
+  }
+  obs::ScopedTimer span("power.compose");
   const double t0 = options_.t_start;
   const double t_end =
       t0 + options_.dt * static_cast<double>(options_.samples - 1);
@@ -123,30 +287,31 @@ void PowerTracer::compose_into(const std::vector<SimEvent>& events,
   }
 
   // --- per-event contributions ----------------------------------------------
+  const bool cmos = style == LogicStyle::kCmos;
+  EventComposer composer(
+      acc, cmos ? kernels_.cmos_toggle : kernels_.mcml_switch,
+      t_end + options_.dt);
   for (const SimEvent& ev : events) {
     if (ev.driver < 0) continue;  // primary-input edges carry no supply load
-    const auto& inst = design_.instance(ev.driver);
-    const auto& cell = library_.cell(inst.kind);
-    if (style == LogicStyle::kCmos) {
+    if (cmos) {
       // Only rising output transitions draw charge from the supply (falling
       // edges discharge the load into ground) -- this asymmetry is the
       // physical root of the CMOS Hamming-weight leak.
       if (!ev.value) continue;
-      const double q =
-          cell.switch_energy / library_.vdd() * charge_scale_[ev.driver];
-      acc.add_kernel(ev.time, kernels_.cmos_toggle, q);
+      composer.add(ev.time, event_scale_[ev.driver], 0.0);
     } else {
       if (!schedule.is_awake(ev.time)) continue;  // gated cells are silent
-      const double iss = cell.static_current * static_scale_[ev.driver];
-      acc.add_kernel(ev.time, kernels_.mcml_switch, iss);
       // State-dependent residual: the two legs of a real differential cell
       // are never perfectly matched, so the static current depends slightly
       // on which leg conducts.  This is the (tiny, instance-random) data
       // dependence that remains in MCML.
-      const double delta = iss * residual_[ev.driver];
-      acc.add_level(ev.time, t_end + options_.dt, ev.value ? delta : -delta);
+      const double delta = imbalance_[ev.driver];
+      composer.add(ev.time, event_scale_[ev.driver], ev.value ? delta : -delta);
     }
   }
+  composer.finish();
+  compose_obs().kernel_adds.add(composer.kernel_adds());
+  compose_obs().level_adds.add(composer.level_adds());
 
   out = acc.take();
 }
@@ -235,8 +400,7 @@ double PowerTracer::switched_charge(
   double q = 0.0;
   for (const netlist::SimEvent& ev : events) {
     if (ev.driver < 0 || !ev.value) continue;
-    q += library_.cell(design_.instance(ev.driver).kind).switch_energy /
-         library_.vdd() * charge_scale_[ev.driver];
+    q += event_scale_[ev.driver];
   }
   return q;
 }

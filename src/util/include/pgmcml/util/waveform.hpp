@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,12 @@ class Waveform {
   std::vector<Point> points_;
 };
 
-/// Accumulates many current contributions on a shared uniform time grid.
-/// This is the backbone of the fast (Nanosim-like) trace composer: kernels
-/// are added in O(kernel length) and the result reads out as a plain vector.
+/// Accumulates current contributions on a shared uniform time grid: kernels
+/// in O(kernel length), levels in O(level length), read out as a plain
+/// vector.  Every add lands on the samples span() returns, so a composer
+/// that keeps its own add order (power::PowerTracer::compose_into, which
+/// lays the static and wake/sleep floors here and then adds the per-event
+/// kernels and levels through samples()) clips exactly as this class does.
 class GridAccumulator {
  public:
   GridAccumulator(double t0, double dt, std::size_t n);
@@ -101,6 +105,21 @@ class GridAccumulator {
 
   /// Adds a constant level over [t_on, t_off).
   void add_level(double t_on, double t_off, double level);
+
+  /// Sample indices [first, last] of an interval clipped to the grid.
+  struct Span {
+    std::size_t first = 1;
+    std::size_t last = 0;
+    bool empty() const { return first > last; }
+    std::size_t size() const { return empty() ? 0 : last - first + 1; }
+  };
+  /// The samples add_kernel() and add_level() touch for the interval
+  /// [t_lo, t_hi]: the grid points inside it, to 1e-9 of a step.  Empty on
+  /// an empty grid or when the interval misses every grid point.
+  Span span(double t_lo, double t_hi) const;
+
+  /// The samples themselves, for composers that add in their own order.
+  std::span<double> samples() { return values_; }
 
   const std::vector<double>& values() const { return values_; }
   std::vector<double> take() { return std::move(values_); }

@@ -205,35 +205,35 @@ void GridAccumulator::deposit(double t, double value) {
   values_[idx] += value;
 }
 
+GridAccumulator::Span GridAccumulator::span(double t_lo, double t_hi) const {
+  if (values_.empty()) return {};
+  const double grid_end = t0_ + dt_ * static_cast<double>(values_.size() - 1);
+  const double lo = std::max(t_lo, t0_);
+  const double hi = std::min(t_hi, grid_end);
+  if (hi < lo) return {};
+  const auto first =
+      static_cast<std::size_t>(std::ceil((lo - t0_) / dt_ - 1e-9));
+  const auto last =
+      static_cast<std::size_t>(std::floor((hi - t0_) / dt_ + 1e-9));
+  return {first, std::min(last, values_.size() - 1)};
+}
+
 void GridAccumulator::add_kernel(double t_start, const Waveform& kernel,
                                  double scale) {
-  if (kernel.empty() || values_.empty()) return;
-  const double k_begin = t_start + kernel.t_begin();
-  const double k_end = t_start + kernel.t_end();
+  if (kernel.empty()) return;
   // Clip the kernel support to the grid.
-  const double grid_end = t0_ + dt_ * static_cast<double>(values_.size() - 1);
-  const double lo = std::max(k_begin, t0_);
-  const double hi = std::min(k_end, grid_end);
-  if (hi < lo) return;
-  auto first = static_cast<std::size_t>(std::ceil((lo - t0_) / dt_ - 1e-9));
-  auto last = static_cast<std::size_t>(std::floor((hi - t0_) / dt_ + 1e-9));
-  last = std::min(last, values_.size() - 1);
-  for (std::size_t i = first; i <= last; ++i) {
+  const Span s =
+      span(t_start + kernel.t_begin(), t_start + kernel.t_end());
+  for (std::size_t i = s.first; i <= s.last; ++i) {
     const double t = time_of(i) - t_start;
     values_[i] += scale * kernel.value_at(t);
   }
 }
 
 void GridAccumulator::add_level(double t_on, double t_off, double level) {
-  if (t_off <= t_on || level == 0.0 || values_.empty()) return;
-  const double grid_end = t0_ + dt_ * static_cast<double>(values_.size() - 1);
-  const double lo = std::max(t_on, t0_);
-  const double hi = std::min(t_off, grid_end);
-  if (hi < lo) return;
-  auto first = static_cast<std::size_t>(std::ceil((lo - t0_) / dt_ - 1e-9));
-  auto last = static_cast<std::size_t>(std::floor((hi - t0_) / dt_ + 1e-9));
-  last = std::min(last, values_.size() - 1);
-  for (std::size_t i = first; i <= last; ++i) values_[i] += level;
+  if (t_off <= t_on || level == 0.0) return;
+  const Span s = span(t_on, t_off);
+  for (std::size_t i = s.first; i <= s.last; ++i) values_[i] += level;
 }
 
 }  // namespace pgmcml::util

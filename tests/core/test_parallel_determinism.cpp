@@ -171,5 +171,34 @@ TEST_F(ParallelDeterminismTest, FirstPlaceWorkCountersArePinned) {
   EXPECT_EQ(totals[0], totals[1]);
 }
 
+// Composition's kernel and level adds are a function of the event streams
+// the memo fills compose, never of how many threads fill them: pinned
+// exactly for a fixed PG-MCML flow (per-operation window), and equal at 1
+// and 4 threads.
+TEST_F(ParallelDeterminismTest, ComposeWorkCountersArePinned) {
+  const obs::Counter kernel_adds =
+      obs::Registry::global().counter("power.compose.kernel_adds");
+  const obs::Counter level_adds =
+      obs::Registry::global().counter("power.compose.level_adds");
+  DpaFlowOptions opt;
+  opt.num_traces = 400;
+  opt.samples = 300;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> totals;
+  for (int threads : {1, 4}) {
+    util::set_parallel_threads(threads);
+    const std::uint64_t kernel_before = kernel_adds.value();
+    const std::uint64_t level_before = level_adds.value();
+    auto source = make_acquisition_source(CellLibrary::pgmcml90(), opt);
+    sca::TraceBatch batch;
+    while (source->next(batch)) {
+    }
+    totals.emplace_back(kernel_adds.value() - kernel_before,
+                        level_adds.value() - level_before);
+  }
+  EXPECT_EQ(totals[0].first, 1907910u);
+  EXPECT_EQ(totals[0].second, 1971507u);
+  EXPECT_EQ(totals[0], totals[1]);
+}
+
 }  // namespace
 }  // namespace pgmcml::core

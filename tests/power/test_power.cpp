@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/power/kernels.hpp"
@@ -173,6 +175,26 @@ TEST(Tracer, GatedEventsAreSilent) {
   for (std::size_t i = 0; i < 800; ++i) {
     EXPECT_NEAR(with_event[i], without[i], 1e-12);
   }
+}
+
+TEST(Tracer, RejectsUnsortedEvents) {
+  const Design d = two_buffer_design();
+  const PowerTracer tracer(d, CellLibrary::mcml90(), default_kernels(),
+                           quiet_options());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<SimEvent> backwards = {{0.4e-9, 1, true, 0},
+                                           {0.2e-9, 2, true, 1}};
+  const std::vector<SimEvent> nan_last = {{0.2e-9, 1, true, 0},
+                                          {nan, 2, true, 1}};
+  const std::vector<SimEvent> nan_first = {{nan, 1, true, 0}};
+  std::vector<double> out;
+  EXPECT_THROW(tracer.trace(backwards), std::invalid_argument);
+  EXPECT_THROW(tracer.trace_into(nan_last, {}, 0, out), std::invalid_argument);
+  EXPECT_THROW(tracer.compose_into(nan_first, {}, out), std::invalid_argument);
+  // Equal times are in order.
+  const std::vector<SimEvent> tied = {{0.2e-9, 1, true, 0},
+                                      {0.2e-9, 2, true, 1}};
+  EXPECT_NO_THROW(tracer.trace(tied));
 }
 
 TEST(Tracer, NoiseScalesWithStaticCurrent) {
