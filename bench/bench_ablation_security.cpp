@@ -223,9 +223,7 @@ void print_security_ablation(pgmcml::bench::Manifest& manifest) {
                   pgmcml::bench::Better::kLower);
   manifest.metric("acquisition.skips", static_cast<double>(flow_diag.skipped),
                   pgmcml::bench::Better::kLower);
-  manifest.section(
-      "diagnostics",
-      pgmcml::obs::json::Value::parse(flow_diag.to_json()));
+  manifest.section("diagnostics", flow_diag.to_json_value());
   manifest.write();
   std::printf("(diagnostics: %s)\n\n",
               flow_diag.clean() ? "clean" : "incidents recorded");

@@ -75,7 +75,7 @@ struct StyleBench {
   /// First-place checks that fell back to a full scoring, over the style's
   /// dynamic and static flows.
   std::uint64_t first_place_transforms = 0;
-  std::string diagnostics_json;
+  obs::json::Value diagnostics;
   double traces_per_second() const {
     return cpa_seconds > 0.0 ? static_cast<double>(traces) / cpa_seconds : 0.0;
   }
@@ -108,7 +108,7 @@ void print_fig6(std::vector<StyleBench>& bench) {
     sb.key_rank = r.key_rank;
     sb.mtd = r.mtd;
     sb.mlpa_rank = r.mlpa.key_rank(opt.key);
-    sb.diagnostics_json = r.diagnostics.to_json();
+    sb.diagnostics = r.diagnostics.to_json_value();
     bench.push_back(sb);
 
     double best_wrong = 0.0;
@@ -315,8 +315,7 @@ void write_bench_json(pgmcml::bench::Manifest& manifest,
                      static_cast<std::uint64_t>(s.static_awake_mtd));
     row.emplace_back("static_asleep_mtd",
                      static_cast<std::uint64_t>(s.static_asleep_mtd));
-    row.emplace_back("diagnostics",
-                     obs::json::Value::parse(s.diagnostics_json));
+    row.emplace_back("diagnostics", s.diagnostics);
     styles.emplace_back(std::move(row));
   }
   manifest.section("styles", obs::json::Value(std::move(styles)));

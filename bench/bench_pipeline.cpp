@@ -356,9 +356,7 @@ int main() {
   manifest.metric("flow.key_rank", static_cast<double>(diag_flow.key_rank),
                   bench::Better::kNone);
   manifest.section("stages", obs::json::Value(std::move(stage_rows)));
-  manifest.section(
-      "diagnostics",
-      obs::json::Value::parse(diag_flow.diagnostics.to_json()));
+  manifest.section("diagnostics", diag_flow.diagnostics.to_json_value());
   if (!manifest.write()) return 1;
 
   for (const StageResult& s : stages) {

@@ -141,12 +141,15 @@ TraceFileReader::TraceFileReader(const std::string& path,
   samples_ = samples32;
   count_ = count;
   // Validate the payload length against the declared count, so a torn write
-  // surfaces here instead of as a short read mid-campaign.
+  // surfaces here instead of as a short read mid-campaign.  The check
+  // divides the payload instead of multiplying the count: a hostile count
+  // times the record size can wrap in 64 bits onto the real payload length.
   if (std::fseek(file_, 0, SEEK_END) != 0) io_fail(path_, "seek failed");
   const long end = std::ftell(file_);
-  const long expect =
-      kHeaderBytes + static_cast<long>(count_ * record_bytes(samples_));
-  if (end != expect) {
+  const std::size_t record = record_bytes(samples_);
+  const auto payload = static_cast<std::size_t>(end - kHeaderBytes);
+  if (end < kHeaderBytes || payload % record != 0 ||
+      payload / record != count_) {
     std::fclose(file_);
     file_ = nullptr;
     io_fail(path_, "length does not match declared trace count (truncated?)");

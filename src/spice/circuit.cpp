@@ -180,56 +180,8 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
   }
 }
 
-double Mosfet::limited(double v_new, double v_old) const {
-  // Clamp the per-iteration change in controlling voltages; 0.3 V steps keep
-  // the exponential subthreshold region from exploding while converging in
-  // a handful of iterations for 1.2 V circuits.
-  constexpr double kMaxStep = 0.3;
-  const double delta = v_new - v_old;
-  if (delta > kMaxStep) return v_old + kMaxStep;
-  if (delta < -kMaxStep) return v_old - kMaxStep;
-  return v_new;
-}
-
-void Mosfet::stamp(StampContext& ctx) {
-  double vgs = ctx.x.v(g_) - ctx.x.v(s_);
-  double vds = ctx.x.v(d_) - ctx.x.v(s_);
-  const double vbs = ctx.x.v(b_) - ctx.x.v(s_);
-
-  if (have_iter_ && !ctx.first_iteration) {
-    vgs = limited(vgs, vgs_iter_);
-    vds = limited(vds, vds_iter_);
-  }
-  vgs_iter_ = vgs;
-  vds_iter_ = vds;
-  have_iter_ = true;
-
-  const MosEval e = mos_eval(params_, vgs, vds, vbs);
-
-  // Linearized drain current: id = e.id + gm dVgs + gds dVds + gmb dVbs.
-  // Equivalent current source for the RHS.
-  const double ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
-  const double gsum = e.gm + e.gds + e.gmb;
-
-  ctx.add(d_, g_, e.gm);
-  ctx.add(d_, d_, e.gds);
-  ctx.add(d_, b_, e.gmb);
-  ctx.add(d_, s_, -gsum);
-  ctx.rhs(d_, -ieq);
-
-  ctx.add(s_, g_, -e.gm);
-  ctx.add(s_, d_, -e.gds);
-  ctx.add(s_, b_, -e.gmb);
-  ctx.add(s_, s_, gsum);
-  ctx.rhs(s_, ieq);
-
-  // Convergence aid: gmin from drain and source to ground.
-  ctx.add(d_, d_, ctx.gmin);
-  ctx.add(s_, s_, ctx.gmin);
-}
-
 void Mosfet::stamp_pattern(StampPatternBuilder& pat) const {
-  // Must match both Mosfet::stamp and the MosfetBank scatter order.
+  // Must match the MosfetBank scatter order in the engine.
   pat.entry(d_, g_);
   pat.entry(d_, d_);
   pat.entry(d_, b_);
@@ -240,18 +192,6 @@ void Mosfet::stamp_pattern(StampPatternBuilder& pat) const {
   pat.entry(s_, s_);
   pat.entry(d_, d_);  // gmin
   pat.entry(s_, s_);  // gmin
-}
-
-void Mosfet::commit(const Solution& x, double t, double dt) {
-  (void)t;
-  (void)dt;
-  vgs_iter_ = x.v(g_) - x.v(s_);
-  vds_iter_ = x.v(d_) - x.v(s_);
-  have_iter_ = true;
-}
-
-void Mosfet::reset_state(const Solution& x) {
-  commit(x, 0.0, 0.0);
 }
 
 double Mosfet::probe_current(const Solution& x, double /*t*/) const {
@@ -359,7 +299,7 @@ void Circuit::finalize() {
   }
 
   // --- discovery: every device declares its stamp coordinates, recorded in
-  // the exact order stamp() will consume slots.
+  // the exact order its stamp (or the MOSFET bank scatter) consumes slots.
   StampPatternBuilder pat(num_nodes());
   plan_ = StampPlan{};
   plan_.device_slots.reserve(devices_.size() + 1);
@@ -410,7 +350,7 @@ void Circuit::finalize() {
   }
 
   // --- MOSFET bank: SoA gather of the dominant device class, bank order =
-  // device order, slot runs shared with the virtual path's plan.
+  // device order, each device's slot run copied from the plan.
   auto x_index = [](NodeId node) -> std::int32_t {
     return node == kGround ? -1 : node - 1;
   };
@@ -430,7 +370,6 @@ void Circuit::finalize() {
          ++s) {
       plan_.bank.slot.push_back(plan_.slots[s]);
     }
-    plan_.bank.device.push_back(static_cast<DeviceId>(i));
   }
 
   finalized_ = true;

@@ -1,8 +1,10 @@
 #include "pgmcml/spice/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -15,54 +17,22 @@ namespace pgmcml::spice {
 namespace {
 
 std::atomic<std::size_t> g_workspace_allocations{0};
-std::atomic<int> g_default_backend{static_cast<int>(SolverBackend::kSparse)};
 
 /// Folds one analysis' effort counters into the global observability
-/// registry.  Handles are hoisted into function-local statics (one mutexed
+/// registry.  Handles are hoisted into a function-local static (one mutexed
 /// lookup per name for the whole process); Registry::reset keeps them valid.
 void publish_engine_stats(const EngineStats& s) {
-  auto& reg = obs::Registry::global();
-  static struct Handles {
-    obs::Counter newton_iterations, newton_failures, lu_factorizations,
-        lu_factorization_failures, lu_solves, symbolic_analyses,
-        numeric_refactors, steps_accepted, steps_rejected, gmin_step_stages,
-        source_step_stages, dt_floor_breaches, gmin_boosts, be_fallback_steps,
-        recovered_steps, faults_injected;
-    explicit Handles(obs::Registry& r)
-        : newton_iterations(r.counter("spice.newton_iterations")),
-          newton_failures(r.counter("spice.newton_failures")),
-          lu_factorizations(r.counter("spice.lu_factorizations")),
-          lu_factorization_failures(
-              r.counter("spice.lu_factorization_failures")),
-          lu_solves(r.counter("spice.lu_solves")),
-          symbolic_analyses(r.counter("spice.symbolic_analyses")),
-          numeric_refactors(r.counter("spice.numeric_refactors")),
-          steps_accepted(r.counter("spice.steps_accepted")),
-          steps_rejected(r.counter("spice.steps_rejected")),
-          gmin_step_stages(r.counter("spice.gmin_step_stages")),
-          source_step_stages(r.counter("spice.source_step_stages")),
-          dt_floor_breaches(r.counter("spice.ladder.dt_floor_breaches")),
-          gmin_boosts(r.counter("spice.ladder.gmin_boosts")),
-          be_fallback_steps(r.counter("spice.ladder.be_fallback_steps")),
-          recovered_steps(r.counter("spice.ladder.recovered_steps")),
-          faults_injected(r.counter("spice.faults_injected")) {}
-  } c{reg};
-  c.newton_iterations.add(s.newton_iterations);
-  c.newton_failures.add(s.newton_failures);
-  c.lu_factorizations.add(s.lu_factorizations);
-  c.lu_factorization_failures.add(s.lu_factorization_failures);
-  c.lu_solves.add(s.lu_solves);
-  c.symbolic_analyses.add(s.symbolic_analyses);
-  c.numeric_refactors.add(s.numeric_refactors);
-  c.steps_accepted.add(s.steps_accepted);
-  c.steps_rejected.add(s.steps_rejected);
-  c.gmin_step_stages.add(s.gmin_step_stages);
-  c.source_step_stages.add(s.source_step_stages);
-  c.dt_floor_breaches.add(s.dt_floor_breaches);
-  c.gmin_boosts.add(s.gmin_boosts);
-  c.be_fallback_steps.add(s.be_fallback_steps);
-  c.recovered_steps.add(s.recovered_steps);
-  c.faults_injected.add(s.faults_injected);
+  static auto handles = [] {
+    std::array<obs::Counter, std::size(kEngineCounters)> h;
+    auto& reg = obs::Registry::global();
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      h[i] = reg.counter(kEngineCounters[i].obs_name);
+    }
+    return h;
+  }();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    handles[i].add(s.*kEngineCounters[i].member);
+  }
 }
 
 /// Sweep-level publication: one aggregated EngineStats for all points plus
@@ -139,8 +109,10 @@ void prepare_workspace(NewtonWorkspace& ws, std::size_t n,
   }
 }
 
-/// SPICE-style per-iteration voltage limiting (same constant and behaviour
-/// as Mosfet::limited on the virtual path).
+/// SPICE-style per-iteration voltage limiting: clamps the change in a
+/// MOSFET's controlling voltages to 0.3 V per Newton iterate, which keeps the
+/// subthreshold exponential from exploding while converging in a handful of
+/// iterations for 1.2 V circuits.
 double limited_step(double v_new, double v_old) {
   constexpr double kMaxStep = 0.3;
   const double delta = v_new - v_old;
@@ -149,11 +121,13 @@ double limited_step(double v_new, double v_old) {
   return v_new;
 }
 
-/// Batched MOSFET stamping: gather terminal voltages and apply NR limiting,
-/// evaluate every device in one flat pass over the bank's contiguous arrays
-/// (the auto-vectorizable hot loop), then scatter conductances into the
-/// sparse value array by precomputed slot and currents into the RHS.
-/// Bitwise-identical to running Mosfet::stamp per device in device order.
+/// Batched MOSFET stamping, the only MOSFET stamp: gather terminal voltages
+/// and apply NR limiting, evaluate every device in one flat pass over the
+/// bank's contiguous arrays (the auto-vectorizable hot loop), then scatter
+/// conductances into the sparse value array by precomputed slot and
+/// currents into the RHS.  Each device linearizes as
+/// id ~ e.id + gm dVgs + gds dVds + gmb dVbs, plus gmin from drain and
+/// source to ground.
 void stamp_mosfet_bank(const MosfetBank& bank, NewtonWorkspace& ws,
                        const std::vector<double>& x, double gmin,
                        bool first_iteration) {
@@ -189,7 +163,7 @@ void stamp_mosfet_bank(const MosfetBank& bank, NewtonWorkspace& ws,
     ws.mos_gmb[i] = e.gmb;
   }
 
-  // Scatter by slot (same entry order as Mosfet::stamp).
+  // Scatter by slot (same entry order as Mosfet::stamp_pattern).
   double* values = ws.values.data();
   for (std::size_t i = 0; i < m; ++i) {
     const double gm = ws.mos_gm[i];
@@ -338,8 +312,7 @@ NewtonOutcome newton_solve(Circuit& circuit, std::vector<double>& x,
     // fill is gone on both backends.
     std::fill(ws.values.begin(), ws.values.end(), 0.0);
     std::fill(ws.b.begin(), ws.b.end(), 0.0);
-    Solution sol(x, num_nodes);
-    StampContext ctx{ws.values.data(), plan.slots.data(), ws.b, sol};
+    StampContext ctx{ws.values.data(), plan.slots.data(), ws.b};
     ctx.t = s.t;
     ctx.dt = s.dt;
     ctx.method = s.method;
@@ -447,7 +420,7 @@ DcResult dc_operating_point_ws(Circuit& circuit, const DcOptions& options,
 
   // 2) Gmin stepping: solve with a large gmin and tighten by decades,
   //    reusing the previous stage's solution as the initial guess.
-  if (options.allow_gmin_stepping) {
+  {
     std::vector<double> x(circuit.num_unknowns(), 0.0);
     bool ok = true;
     for (double gmin = 1e-3; gmin >= options.gmin * 0.99; gmin *= 0.1) {
@@ -472,7 +445,7 @@ DcResult dc_operating_point_ws(Circuit& circuit, const DcOptions& options,
   }
 
   // 3) Source stepping: ramp all independent sources from 10% to 100%.
-  if (options.allow_source_stepping) {
+  {
     std::vector<double> x(circuit.num_unknowns(), 0.0);
     bool ok = true;
     for (double scale = 0.1; scale <= 1.0001; scale += 0.1) {
@@ -505,22 +478,16 @@ DcResult dc_operating_point_ws(Circuit& circuit, const DcOptions& options,
   }
 
   // Structured failure: preserve a specific numeric cause (singular /
-  // non-finite); plain non-convergence becomes kNewtonMaxIter when only the
-  // direct attempt ran, kDcNoConvergence when the fallbacks were exhausted.
-  const bool fallbacks_ran =
-      options.allow_gmin_stepping || options.allow_source_stepping;
+  // non-finite); plain non-convergence becomes kDcNoConvergence.
   if (last_failure == SolveErrorKind::kSingularMatrix ||
       last_failure == SolveErrorKind::kNonFiniteValues) {
     result.error.kind = last_failure;
     result.error.message = "DC operating point failed";
-  } else if (fallbacks_ran) {
+  } else {
     result.error.kind = SolveErrorKind::kDcNoConvergence;
     result.error.message =
         "DC operating point failed to converge (direct, gmin-stepping and "
         "source-stepping exhausted)";
-  } else {
-    result.error.kind = SolveErrorKind::kNewtonMaxIter;
-    result.error.message = "DC operating point failed to converge";
   }
   return result;
 }
@@ -620,16 +587,6 @@ void TranOptions::validate() const {
 
 std::size_t newton_workspace_allocations() {
   return g_workspace_allocations.load(std::memory_order_relaxed);
-}
-
-SolverBackend default_solver_backend() {
-  return static_cast<SolverBackend>(
-      g_default_backend.load(std::memory_order_relaxed));
-}
-
-void set_default_solver_backend(SolverBackend backend) {
-  g_default_backend.store(static_cast<int>(backend),
-                          std::memory_order_relaxed);
 }
 
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options) {
@@ -850,7 +807,7 @@ TranResult transient_impl(Circuit& circuit, double t_stop,
       s.backend = options.backend;
       s.t = t + dt;
       s.dt = dt;
-      s.method = (!options.use_trapezoidal || be_fallback || after_discontinuity)
+      s.method = (be_fallback || after_discontinuity)
                      ? Integration::kBackwardEuler
                      : Integration::kTrapezoidal;
       const NewtonOutcome o =
@@ -897,13 +854,6 @@ TranResult transient_impl(Circuit& circuit, double t_stop,
           dt = std::max(dt * 0.5, dt_floor);
           continue;
         }
-        if (!options.enable_recovery_ladder) {
-          return fail(SolveErrorKind::kTimestepUnderflow,
-                      "transient step failed at minimum timestep (last "
-                      "failure: " +
-                          std::string(to_string(last_failure)) + ")",
-                      t);
-        }
         // The floor itself failed: climb the ladder deterministically.
         if (dt_floor == options.dt_min) {
           // Rung 1: push dt below the nominal floor.
@@ -914,7 +864,7 @@ TranResult transient_impl(Circuit& circuit, double t_stop,
           // Rung 2: temporary gmin boost at the shrunken floor.
           gmin_boosted = true;
           ++result.stats.gmin_boosts;
-        } else if (options.use_trapezoidal && !be_fallback) {
+        } else if (!be_fallback) {
           // Rung 3: abandon trapezoidal for the rest of the analysis.
           be_fallback = true;
         } else {

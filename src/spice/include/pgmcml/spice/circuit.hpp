@@ -3,9 +3,10 @@
 // The unknown vector of the MNA system is
 //   x = [ V(1) ... V(N-1) | I(branch of each voltage source) ]
 // with node 0 fixed at ground.  Devices contribute to the Jacobian A and
-// right-hand side b through `Device::stamp`; nonlinear devices linearize
-// around the current Newton iterate, reactive devices around the previous
-// accepted timestep via companion models.
+// right-hand side b through `Device::stamp`; reactive devices linearize
+// around the previous accepted timestep via companion models.  MOSFETs, the
+// one nonlinear device, are stamped by the engine from the stamp plan's
+// MosfetBank, linearized around the current Newton iterate.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ class Solution {
 
 /// Records a device's Jacobian stamp coordinates during finalize().  Each
 /// device declares, via Device::stamp_pattern, the exact sequence of matrix
-/// entries its stamp() touches — one builder call per add in the same order.
+/// entries its stamp touches — one builder call per add in the same order.
 /// Ground-absorbed entries are recorded too (they map to a trash slot), so
 /// the per-iteration slot cursor stays in lockstep with the add calls.
 class StampPatternBuilder {
@@ -105,18 +106,16 @@ struct StampContext {
   double* values;                 ///< sparse value array (pattern nnz + trash)
   const std::int32_t* slots;      ///< finalize-assigned slot sequence
   std::vector<double>& b;
-  const Solution& x;     ///< current Newton iterate
   std::size_t cursor = 0;        ///< next slot to consume
   double t = 0.0;        ///< time of the step being solved
   double dt = 0.0;       ///< step size; 0 for DC analyses
   Integration method = Integration::kNone;
-  double gmin = 1e-12;   ///< convergence conductance across nonlinear devices
+  double gmin = 1e-12;   ///< DC leak across capacitors
   double source_scale = 1.0;     ///< independent-source ramp (source stepping)
   bool first_iteration = false;  ///< first Newton iteration of this step
 
   // Index helpers: row/col of a node (ground is absorbed), of a branch.
   std::size_t num_nodes = 0;  ///< including ground
-  bool node_valid(NodeId n) const { return n != kGround; }
   std::size_t node_index(NodeId n) const { return static_cast<std::size_t>(n - 1); }
   std::size_t branch_index(std::size_t branch) const {
     return num_nodes - 1 + branch;
@@ -170,12 +169,13 @@ class Device {
   /// unknown offset (only if extra_unknowns() > 0).
   virtual void set_branch_offset(std::size_t /*offset*/) {}
 
-  /// Adds this device's contribution to the MNA system.
-  virtual void stamp(StampContext& ctx) = 0;
+  /// Adds this device's contribution to the MNA system.  MOSFETs keep this
+  /// no-op: the engine stamps them from the stamp plan's MosfetBank.
+  virtual void stamp(StampContext& /*ctx*/) {}
 
-  /// Declares the Jacobian entries stamp() will touch — the same builder
-  /// calls, in the same order, as the add/conductance/incidence calls that
-  /// stamp() makes.  Called once by Circuit::finalize() to assign fixed
+  /// Declares the Jacobian entries the device's stamp touches — the same
+  /// builder calls, in the same order, as the add/conductance/incidence
+  /// calls it makes.  Called once by Circuit::finalize() to assign fixed
   /// slots; must be value-independent (pure topology).
   virtual void stamp_pattern(StampPatternBuilder& pat) const = 0;
 
@@ -193,9 +193,6 @@ class Device {
     (void)t;
     return 0.0;
   }
-
-  /// True if this device is nonlinear (participates in NR limiting).
-  virtual bool nonlinear() const { return false; }
 
   /// Terminal nodes in device order (R/C/V/I: two; MOSFET: d, g, s, b).
   virtual std::vector<NodeId> terminals() const = 0;
@@ -284,43 +281,33 @@ class Mosfet final : public Device {
  public:
   Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
          MosParams params);
-  void stamp(StampContext& ctx) override;
+  /// The ten entries the MosfetBank scatter writes, in its order.
   void stamp_pattern(StampPatternBuilder& pat) const override;
-  void commit(const Solution& x, double t, double dt) override;
-  void reset_state(const Solution& x) override;
   /// Drain current (positive into the drain for NMOS conduction d->s).
   double probe_current(const Solution& x, double t) const override;
-  bool nonlinear() const override { return true; }
   std::vector<NodeId> terminals() const override { return {d_, g_, s_, b_}; }
   const MosParams& params() const { return params_; }
 
  private:
-  /// Voltage limiting between Newton iterates (SPICE-style damping).
-  double limited(double v_new, double v_old) const;
-
   NodeId d_, g_, s_, b_;
   MosParams params_;
-  // Previous iterate voltages for NR limiting.
-  double vgs_iter_ = 0.0;
-  double vds_iter_ = 0.0;
-  bool have_iter_ = false;
 };
 
 // --- stamp plan --------------------------------------------------------------
 
 /// SoA gather of every MOSFET in a circuit, built by Circuit::finalize().
-/// The engine evaluates all MOSFETs in one flat pass over these contiguous
-/// arrays (gather voltages -> batch mos_eval -> scatter by slot), replacing
-/// the per-device virtual stamp() for the dominant device class.  Structure
-/// only — the per-analysis limiting state lives in the NewtonWorkspace.
+/// This is the only MOSFET stamp: the engine evaluates all MOSFETs in one
+/// flat pass over these contiguous arrays (gather voltages -> batch
+/// mos_eval -> scatter by slot).  Structure only — the per-analysis
+/// limiting state lives in the NewtonWorkspace.
 struct MosfetBank {
   std::vector<MosParams> params;           ///< device parameters, bank order
   std::vector<std::int32_t> vd, vg, vs, vb;  ///< x-indices (-1 = ground)
   std::vector<std::int32_t> rd, rs;        ///< RHS rows for d/s (-1 = ground)
-  /// 10 slots per device, in Mosfet::stamp order: (d,g) (d,d) (d,b) (d,s)
-  /// (s,g) (s,d) (s,b) (s,s) then the two gmin entries (d,d) (s,s).
+  /// 10 slots per device, in Mosfet::stamp_pattern order: (d,g) (d,d)
+  /// (d,b) (d,s) (s,g) (s,d) (s,b) (s,s) then the two gmin entries (d,d)
+  /// (s,s).
   std::vector<std::int32_t> slot;
-  std::vector<DeviceId> device;            ///< bank index -> DeviceId
 
   std::size_t size() const { return params.size(); }
   bool empty() const { return params.empty(); }

@@ -1,13 +1,19 @@
-// Analysis engines: Newton-Raphson DC operating point (with gmin stepping
-// and source stepping fallbacks) and adaptive-step transient analysis
-// (backward-Euler startup, trapezoidal steady integration, breakpoints at
-// source corners, step control from Newton convergence and per-node dV).
+// Analysis engines: Newton-Raphson DC operating point (direct, then gmin
+// stepping, then source stepping, always in that order) and adaptive-step
+// transient analysis (backward-Euler startup and after every breakpoint or
+// rejection, trapezoidal steady integration, breakpoints at source corners,
+// step control from Newton convergence and per-node dV).
+//
+// Every Newton iteration stamps the linear devices through their virtual
+// Device::stamp and every MOSFET through the stamp plan's MosfetBank (the
+// only MOSFET stamp), then factors the system on the backend the options
+// name: kSparse unless a caller asks for the kDense parity oracle.
 //
 // Failures are structured: every analysis returns a SolveError (typed kind +
 // message) and an EngineStats effort/recovery summary.  Transient solves
-// additionally climb a deterministic recovery ladder before giving up —
-// after repeated Newton failure at the nominal dt_min the engine (1) shrinks
-// dt below the floor, (2) temporarily boosts gmin, (3) falls back from
+// always climb a deterministic recovery ladder before giving up — after
+// repeated Newton failure at the nominal dt_min the engine (1) shrinks dt
+// below the floor, (2) temporarily boosts gmin, (3) falls back from
 // trapezoidal to backward-Euler integration for the rest of the run.  A
 // test-only FaultPlan can force any Newton solve to fail deterministically,
 // so every rung of the ladder is exercisable.
@@ -32,15 +38,9 @@ namespace pgmcml::spice {
 /// cached per topology, numeric refactorization per iteration.  kDense is
 /// the reference implementation — it assembles the identical system (same
 /// value array, scattered into a dense matrix) and factors it with the
-/// dense LuSolver, preserving the pre-sparse behaviour bit for bit.
+/// dense LuSolver, preserving the pre-sparse behaviour bit for bit.  Parity
+/// tests pass kDense explicitly through DcOptions/TranOptions.
 enum class SolverBackend { kSparse, kDense };
-
-/// Process-wide default backend, picked up by DcOptions/TranOptions at
-/// construction so whole flows (characterize, Monte-Carlo, traces) can be
-/// flipped without plumbing an option through every layer.  Tests use this
-/// to run the same flow on both backends and compare.
-SolverBackend default_solver_backend();
-void set_default_solver_backend(SolverBackend backend);
 
 /// Reusable scratch storage for the Newton solver: the sparse value array,
 /// RHS, candidate solution and LU factors persist across iterations,
@@ -80,10 +80,7 @@ struct DcOptions {
   double reltol = 1e-4;
   double vabstol = 1e-7;   ///< volts
   double gmin = 1e-12;     ///< final gmin [S]
-  bool allow_gmin_stepping = true;
-  bool allow_source_stepping = true;
-  /// Linear-solver backend; defaults to the process-wide setting.
-  SolverBackend backend = default_solver_backend();
+  SolverBackend backend = SolverBackend::kSparse;
   /// Test-only deterministic fault injection (see fault.hpp); faults are
   /// addressed by (fault_context, newton-solve index within the analysis).
   const FaultPlan* fault_plan = nullptr;
@@ -117,18 +114,13 @@ struct TranOptions {
   double reltol = 1e-4;
   double vabstol = 1e-6;
   double gmin = 1e-12;
-  bool use_trapezoidal = true;
   /// Record every accepted point for these nodes only (empty = all nodes).
   std::vector<NodeId> record_nodes;
   /// Record probe currents for these devices (always includes all vsources).
   std::vector<DeviceId> record_devices;
   /// Optional externally supplied initial condition (from a prior DC).
   std::optional<std::vector<double>> initial_state;
-  /// Recovery ladder: when false, a step failure at dt_min fails the
-  /// analysis immediately (the pre-ladder behaviour).
-  bool enable_recovery_ladder = true;
-  /// Linear-solver backend; defaults to the process-wide setting.
-  SolverBackend backend = default_solver_backend();
+  SolverBackend backend = SolverBackend::kSparse;
   /// Test-only deterministic fault injection (see fault.hpp).  The solve
   /// index counts every Newton run of the analysis, initial DC included.
   const FaultPlan* fault_plan = nullptr;

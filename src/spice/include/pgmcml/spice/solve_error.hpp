@@ -80,6 +80,47 @@ struct EngineStats {
   static EngineStats from_json_value(const obs::json::Value& v);
 };
 
+/// One EngineStats counter: its member, its JSON key and the obs counter the
+/// engine publishes it under.
+struct EngineCounter {
+  std::size_t EngineStats::*member;
+  const char* json_key;
+  const char* obs_name;
+};
+
+/// The single list of engine counters.  merge, the JSON round trip and the
+/// obs publication all walk it, so a new counter is one new row.  Keys and
+/// their order are persisted by the result cache, and bench manifests read
+/// the obs names: neither may change.
+inline constexpr EngineCounter kEngineCounters[] = {
+    {&EngineStats::newton_iterations, "newton_iterations",
+     "spice.newton_iterations"},
+    {&EngineStats::newton_failures, "newton_failures", "spice.newton_failures"},
+    {&EngineStats::lu_factorizations, "lu_factorizations",
+     "spice.lu_factorizations"},
+    {&EngineStats::lu_factorization_failures, "lu_factorization_failures",
+     "spice.lu_factorization_failures"},
+    {&EngineStats::lu_solves, "lu_solves", "spice.lu_solves"},
+    {&EngineStats::symbolic_analyses, "symbolic_analyses",
+     "spice.symbolic_analyses"},
+    {&EngineStats::numeric_refactors, "numeric_refactors",
+     "spice.numeric_refactors"},
+    {&EngineStats::steps_accepted, "steps_accepted", "spice.steps_accepted"},
+    {&EngineStats::steps_rejected, "steps_rejected", "spice.steps_rejected"},
+    {&EngineStats::gmin_step_stages, "gmin_step_stages",
+     "spice.gmin_step_stages"},
+    {&EngineStats::source_step_stages, "source_step_stages",
+     "spice.source_step_stages"},
+    {&EngineStats::dt_floor_breaches, "dt_floor_breaches",
+     "spice.ladder.dt_floor_breaches"},
+    {&EngineStats::gmin_boosts, "gmin_boosts", "spice.ladder.gmin_boosts"},
+    {&EngineStats::be_fallback_steps, "be_fallback_steps",
+     "spice.ladder.be_fallback_steps"},
+    {&EngineStats::recovered_steps, "recovered_steps",
+     "spice.ladder.recovered_steps"},
+    {&EngineStats::faults_injected, "faults_injected", "spice.faults_injected"},
+};
+
 /// One recorded failure (or recovery) at the flow level.
 struct FlowIncident {
   std::string stage;      ///< e.g. "characterize:BUF", "trace:17"
@@ -112,16 +153,11 @@ struct FlowDiagnostics {
   /// and merge serially, keeping the aggregate thread-count invariant).
   void merge(const FlowDiagnostics& other);
 
-  /// Compact JSON object for bench output, e.g.
-  /// {"attempts": 12, "retries": 1, "recovered": 1, "skipped": 0, ...}.
-  /// (A curated subset of the engine counters; see to_json_value for the
-  /// exact round-trip form.)
-  std::string to_json() const;
-
   /// Complete JSON form -- counters, incidents and the full EngineStats --
   /// such that from_json_value(to_json_value()) == *this field for field.
   /// This is what the result cache stores so a warm hit replays the same
-  /// diagnostics a cold run would have produced.
+  /// diagnostics a cold run would have produced, and what benches and
+  /// reports emit as their `diagnostics` section.
   obs::json::Value to_json_value() const;
   /// Inverse of to_json_value.  Throws on a malformed document (the cache
   /// treats that as a corrupt entry / miss).

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -222,6 +223,32 @@ TEST(TraceFile, CrashBeforeFirstFlushReadsAsCleanEmpty) {
     EXPECT_FALSE(reader.next(batch));
     std::remove(path.c_str());
   }
+}
+
+TEST(TraceFile, RejectsCountWhoseRecordBytesOverflow) {
+  // One sample per trace makes a record 9 bytes, and 9 is invertible mod
+  // 2^64: this count times 9 wraps to exactly the 10 payload bytes present.
+  // The reader must compare the count against the payload by division, or
+  // it reports ~1e19 traces and read_trace_file dies in reserve().
+  const std::string path = temp_path("overflowing-count.pgtr");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t version = 1;
+    const std::uint32_t samples = 1;
+    const std::uint64_t count = 10248191152060862010ULL;
+    ASSERT_EQ(count * 9, 10u);
+    std::fwrite("PGMCMLTR", 1, 8, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&samples, sizeof(samples), 1, f);
+    std::fwrite(&count, sizeof(count), 1, f);
+    const char payload[10] = {};
+    std::fwrite(payload, 1, sizeof(payload), f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(TraceFileReader{path}, std::runtime_error);
+  EXPECT_THROW(read_trace_file(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -162,8 +162,6 @@ TEST(Dc, ReportsNonConvergenceInsteadOfGarbage) {
   c.add_isource("I1", c.gnd(), a, SourceSpec::dc(1e-3));
   c.add_capacitor("C1", a, c.gnd(), 1e-15);
   DcOptions opt;
-  opt.allow_gmin_stepping = false;
-  opt.allow_source_stepping = false;
   opt.gmin = 0.0;
   const DcResult dc = dc_operating_point(c, opt);
   // Either it fails outright or the gmin path keeps it solvable; both are

@@ -313,19 +313,6 @@ TEST(Robustness, InjectedNanResidualTripsNonFiniteGuard) {
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kNonFiniteValues);
 }
 
-TEST(Robustness, InjectedDivergenceWithoutFallbacksIsNewtonMaxIter) {
-  RcFixture f;
-  FaultPlan plan;
-  plan.inject(0, 0, FaultKind::kNewtonDiverge);
-  DcOptions opt;
-  opt.fault_plan = &plan;
-  opt.allow_gmin_stepping = false;
-  opt.allow_source_stepping = false;
-  const DcResult dc = dc_operating_point(f.c, opt);
-  EXPECT_FALSE(dc.converged);
-  EXPECT_EQ(dc.error.kind, SolveErrorKind::kNewtonMaxIter);
-}
-
 TEST(Robustness, InjectedDivergenceExhaustsFallbacksToDcNoConvergence) {
   RcFixture f;
   FaultPlan plan;
@@ -394,7 +381,6 @@ TEST(Robustness, LadderRung3FallsBackToBackwardEuler) {
   plan.inject(0, 1, FaultKind::kNewtonDiverge, 10);
   TranOptions opt;
   opt.fault_plan = &plan;
-  opt.use_trapezoidal = true;
   const TranResult tr = transient(f.c, 1e-11, opt);
   ASSERT_TRUE(tr.ok) << tr.error;
   EXPECT_EQ(tr.stats.dt_floor_breaches, 1u);
@@ -416,20 +402,6 @@ TEST(Robustness, LadderExhaustedIsTimestepUnderflow) {
   EXPECT_EQ(tr.stats.gmin_boosts, 1u);
   EXPECT_FALSE(tr.error.empty());  // legacy string mirrors the typed failure
   EXPECT_NE(tr.error.find("timestep-underflow"), std::string::npos);
-}
-
-TEST(Robustness, LadderDisabledFailsAtNominalFloor) {
-  RcFixture f;
-  FaultPlan plan;
-  plan.inject(0, 1, FaultKind::kNewtonDiverge, 1000);
-  TranOptions opt;
-  opt.fault_plan = &plan;
-  opt.enable_recovery_ladder = false;
-  const TranResult tr = transient(f.c, 1e-11, opt);
-  EXPECT_FALSE(tr.ok);
-  EXPECT_EQ(tr.failure.kind, SolveErrorKind::kTimestepUnderflow);
-  EXPECT_EQ(tr.stats.dt_floor_breaches, 0u);
-  EXPECT_EQ(tr.stats.gmin_boosts, 0u);
 }
 
 TEST(Robustness, InjectedNanDuringTransientIsRecovered) {
@@ -519,7 +491,7 @@ TEST(Robustness, DpaFlowRetriesAndSkipsFaultedTraces) {
   EXPECT_EQ(serial.diagnostics.skipped, 1u);
   EXPECT_FALSE(serial.diagnostics.clean());
   EXPECT_EQ(serial.traces.num_traces(), 23u);
-  EXPECT_FALSE(serial.diagnostics.to_json().empty());
+  EXPECT_EQ(serial.diagnostics.to_json_value().at("skipped").as_number(), 1);
 
   // Bitwise identical at any thread count, faults included.
   ASSERT_EQ(parallel.traces.num_traces(), serial.traces.num_traces());
@@ -538,13 +510,19 @@ TEST(Robustness, DpaFlowRetriesAndSkipsFaultedTraces) {
 TEST(Robustness, FlowDiagnosticsJsonShape) {
   FlowDiagnostics diag;
   diag.record_attempt();
-  diag.record_retry("trace:7", "injected \"quoted\" failure");
+  diag.record_retry("trace:7", "injected \"quoted\"\tfailure");
   diag.record_skip("trace:7", "still failing");
-  const std::string json = diag.to_json();
-  EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"retries\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"skipped\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);  // escaping
+  const obs::json::Value json = diag.to_json_value();
+  EXPECT_EQ(json.at("attempts").as_number(), 1);
+  EXPECT_EQ(json.at("retries").as_number(), 1);
+  EXPECT_EQ(json.at("skipped").as_number(), 1);
+  const std::string text = json.dump();
+  EXPECT_NE(text.find("\\\"quoted\\\""), std::string::npos);  // escaping
+  EXPECT_NE(text.find("\\t"), std::string::npos);
+  const FlowDiagnostics back =
+      FlowDiagnostics::from_json_value(obs::json::Value::parse(text));
+  ASSERT_EQ(back.incidents.size(), 2u);
+  EXPECT_EQ(back.incidents[0].error, diag.incidents[0].error);
 
   FlowDiagnostics other;
   other.record_attempt();
