@@ -15,14 +15,12 @@
 // CI-sized run.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "bench_manifest.hpp"
+#include "pgmcml/core/byte_target.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
-#include "pgmcml/core/sbox_unit.hpp"
-#include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/power/kernels.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/attack.hpp"
@@ -34,62 +32,29 @@ namespace {
 using namespace pgmcml;
 using cells::CellLibrary;
 
-/// Mounts CPA on PG-MCML with explicit tracer knobs, streaming each trace
-/// into the accumulator through one reused row buffer -- the sweep's memory
-/// is O(samples), independent of the trace budget.
-sca::CpaResult run_cpa(double residual_sigma, double supply_noise_ratio,
-                       std::size_t n_traces, std::uint8_t key) {
-  const CellLibrary lib = CellLibrary::pgmcml90();
-  const synth::MapResult mapped = core::map_reduced_aes(lib);
+/// Mounts CPA on PG-MCML with an explicit leg-imbalance residual, streaming
+/// each trace into the accumulator through one reused row buffer -- the
+/// sweep's memory is O(samples), independent of the trace budget.
+sca::CpaResult run_cpa(double residual_sigma, std::size_t n_traces,
+                       std::uint8_t key) {
+  const core::ByteTarget target =
+      core::reduced_aes_target(CellLibrary::pgmcml90(), key);
 
   power::TraceOptions topt;
   topt.t_start = 0.4e-9;
   topt.dt = 2e-12;
   topt.samples = 500;
   topt.residual_sigma = residual_sigma;
-  topt.supply_noise_ratio = supply_noise_ratio;
   topt.seed = 77;
-  const power::PowerTracer tracer(mapped.design, lib,
+  const power::PowerTracer tracer(target.design(), target.library(),
                                   power::default_kernels(), topt);
-
-  const netlist::Design& design = mapped.design;
-  const std::vector<netlist::NetId> p_nets = design.input_bus("p", 8);
-  const std::vector<netlist::NetId> k_nets = design.input_bus("k", 8);
-  netlist::NetId const_net = netlist::kNoNet;
-  for (const netlist::NetId n : design.inputs()) {
-    if (std::find(p_nets.begin(), p_nets.end(), n) == p_nets.end() &&
-        std::find(k_nets.begin(), k_nets.end(), n) == k_nets.end()) {
-      const_net = n;
-    }
-  }
-
-  // Settle the precharge state (key applied, p = 0) once; every trace
-  // replays its plaintext on a copy.
-  netlist::LogicSim precharged(mapped.design, &lib);
-  std::vector<std::pair<netlist::NetId, bool>> init;
-  for (int b = 0; b < 8; ++b) {
-    init.emplace_back(k_nets[b], (key >> b) & 1);
-    init.emplace_back(p_nets[b], false);
-  }
-  if (const_net != netlist::kNoNet) init.emplace_back(const_net, false);
-  precharged.apply_and_settle(init);
-  precharged.clear_events();
-  precharged.run_until(0.5e-9);
-  precharged.flush_work_counters();
 
   util::Rng rng(13);
   sca::CpaAccumulator acc(sca::LeakageModel::kHammingWeight, topt.samples);
   std::vector<double> row;
   for (std::size_t t = 0; t < n_traces; ++t) {
     const auto plaintext = static_cast<std::uint8_t>(rng.bounded(256));
-    netlist::LogicSim sim = precharged;
-    std::vector<std::pair<netlist::NetId, bool>> stim;
-    for (int b = 0; b < 8; ++b) {
-      stim.emplace_back(p_nets[b], (plaintext >> b) & 1);
-    }
-    sim.apply_and_settle(stim);
-    sim.flush_work_counters();
-    tracer.trace_into(sim.events(), {}, t, row);
+    tracer.trace_into(target.simulate(plaintext).events(), {}, t, row);
     acc.add(plaintext, row);
   }
   return acc.snapshot();
@@ -184,7 +149,7 @@ void print_security_ablation(pgmcml::bench::Manifest& manifest) {
                  std::to_string(sweep_traces) + " traces)");
   t1.header({"residual sigma", "key rank", "margin"});
   for (double sigma : {0.002, 0.01, 0.05, 0.2}) {
-    const auto r = run_cpa(sigma, 0.0025, sweep_traces, key);
+    const auto r = run_cpa(sigma, sweep_traces, key);
     manifest.metric("residual." + util::Table::num(sigma, 3) + ".key_rank",
                     static_cast<double>(r.key_rank(key)),
                     pgmcml::bench::Better::kNone);
@@ -236,7 +201,7 @@ void print_security_ablation(pgmcml::bench::Manifest& manifest) {
 
 void BM_SecurityTracePoint(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_cpa(0.002, 0.0025, 16, 0x2b));
+    benchmark::DoNotOptimize(run_cpa(0.002, 16, 0x2b));
   }
 }
 BENCHMARK(BM_SecurityTracePoint)->Unit(benchmark::kMillisecond);

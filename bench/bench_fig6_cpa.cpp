@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "bench_manifest.hpp"
+#include "pgmcml/core/byte_target.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
-#include "pgmcml/core/sbox_unit.hpp"
 #include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/obs/obs.hpp"
 #include "pgmcml/power/kernels.hpp"
@@ -389,41 +389,17 @@ BENCHMARK(BM_ScoreFinalStatistic)->Unit(benchmark::kMillisecond);
 /// the acquisition's precharge state (key applied, plaintext 0, constants
 /// low), with the tracer and schedule of a 600-sample Fig. 6 source.
 struct MemoStreams {
-  CellLibrary library;
-  synth::MapResult mapped;
+  core::ByteTarget target;
   std::unique_ptr<power::PowerTracer> tracer;
   power::SleepSchedule schedule;
   std::vector<std::vector<netlist::SimEvent>> events;
 
   explicit MemoStreams(const CellLibrary& lib)
-      : library(lib), mapped(core::map_reduced_aes(lib)) {
+      : target(core::reduced_aes_target(lib, core::DpaFlowOptions{}.key)) {
     const core::DpaFlowOptions opt;
-    const netlist::Design& d = mapped.design;
-    const std::vector<netlist::NetId> p = d.input_bus("p", 8);
-    const std::vector<netlist::NetId> k = d.input_bus("k", 8);
-    std::vector<std::pair<netlist::NetId, bool>> init;
-    for (int b = 0; b < 8; ++b) {
-      init.emplace_back(k[b], (opt.key >> b) & 1);
-      init.emplace_back(p[b], false);
-    }
-    for (const netlist::NetId n : d.inputs()) {
-      if (std::find(p.begin(), p.end(), n) == p.end() &&
-          std::find(k.begin(), k.end(), n) == k.end()) {
-        init.emplace_back(n, false);
-      }
-    }
-    netlist::LogicSim precharged(d, &library);
-    precharged.apply_and_settle(init);
-    precharged.clear_events();
-    precharged.run_until(0.5e-9);
     for (int plaintext = 0; plaintext < 256; ++plaintext) {
-      netlist::LogicSim sim = precharged;
-      std::vector<std::pair<netlist::NetId, bool>> stimulus;
-      for (int b = 0; b < 8; ++b) {
-        stimulus.emplace_back(p[b], (plaintext >> b) & 1);
-      }
-      sim.apply_and_settle(stimulus);
-      events.push_back(sim.events());
+      events.push_back(
+          target.simulate(static_cast<std::uint8_t>(plaintext)).events());
     }
     power::TraceOptions topt;
     topt.t_start = 0.4e-9;
@@ -431,8 +407,8 @@ struct MemoStreams {
     topt.samples = 600;
     topt.seed = opt.seed;
     tracer = std::make_unique<power::PowerTracer>(
-        d, library, power::default_kernels(), topt);
-    if (library.power_gated()) {
+        target.design(), target.library(), power::default_kernels(), topt);
+    if (lib.power_gated()) {
       schedule.awake.push_back({0.2e-9, 0.4e-9 + opt.dt * topt.samples});
     }
   }
@@ -444,7 +420,7 @@ void BM_ComposeMemoRow(benchmark::State& state) {
   static const std::array<CellLibrary, 3> kLibs = {
       CellLibrary::cmos90(), CellLibrary::mcml90(), CellLibrary::pgmcml90()};
   const MemoStreams streams(kLibs[static_cast<std::size_t>(state.range(0))]);
-  state.SetLabel(streams.library.name());
+  state.SetLabel(streams.target.library().name());
   std::vector<double> row;
   for (auto _ : state) {
     for (const auto& events : streams.events) {

@@ -1,14 +1,8 @@
 #include "pgmcml/core/aes_core.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <string>
 
-#include "pgmcml/netlist/logicsim.hpp"
-#include "pgmcml/power/kernels.hpp"
-#include "pgmcml/power/tracer.hpp"
-#include "pgmcml/sca/attack.hpp"
 #include "pgmcml/synth/lut.hpp"
-#include "pgmcml/util/rng.hpp"
 
 namespace pgmcml::core {
 
@@ -200,68 +194,6 @@ aes::Block run_aes_core(const synth::Module& core, const aes::Block& plaintext,
 synth::MapResult map_aes_core(const cells::CellLibrary& library) {
   const Module m = build_aes_core_module();
   return synth::map_module(m, library);
-}
-
-FullCoreCpaResult run_full_core_cpa(const cells::CellLibrary& library,
-                                    std::size_t num_traces,
-                                    std::uint8_t key_byte,
-                                    std::uint64_t seed) {
-  const synth::MapResult mapped = map_aes_core(library);
-  const netlist::Design& design = mapped.design;
-
-  FullCoreCpaResult result;
-  result.cells = design.num_instances();
-
-  // Port lookup by name.
-  const std::vector<netlist::NetId> st = design.input_bus("st", 128);
-  std::vector<netlist::NetId> others;
-  for (const netlist::NetId n : design.inputs()) {
-    if (std::find(st.begin(), st.end(), n) == st.end()) others.push_back(n);
-  }
-
-  power::TraceOptions topt;
-  topt.t_start = 0.4e-9;
-  topt.dt = 4e-12;
-  topt.samples = 700;
-  topt.seed = seed;
-  const power::PowerTracer tracer(design, library, power::default_kernels(),
-                                  topt);
-
-  // Every trace starts from the same all-zero precharge state: settle it
-  // once and replay each stimulus on a copy.
-  netlist::LogicSim precharged(design, &library);
-  std::vector<std::pair<netlist::NetId, bool>> init;
-  for (netlist::NetId n : others) init.emplace_back(n, false);
-  for (int b = 0; b < 128; ++b) init.emplace_back(st[b], false);
-  precharged.apply_and_settle(init);
-  precharged.clear_events();
-  precharged.run_until(0.5e-9);
-  precharged.flush_work_counters();
-
-  util::Rng rng(seed);
-  sca::TraceSet traces(topt.samples);
-  for (std::size_t t = 0; t < num_traces; ++t) {
-    // Chosen-plaintext: only byte 0 varies; the rest of the state (and all
-    // other ports) stay fixed, so the 15 other S-boxes contribute constant
-    // activity rather than algorithmic noise.
-    const auto p0 = static_cast<std::uint8_t>(rng.bounded(256));
-    const std::uint8_t target_in = static_cast<std::uint8_t>(p0 ^ key_byte);
-
-    netlist::LogicSim sim = precharged;
-    std::vector<std::pair<netlist::NetId, bool>> stim;
-    for (int b = 0; b < 8; ++b) {
-      stim.emplace_back(st[b], (target_in >> b) & 1);
-    }
-    sim.apply_and_settle(stim);
-    sim.flush_work_counters();
-    traces.add(p0, tracer.trace(sim.events(), {}, t));
-  }
-
-  const sca::CpaResult cpa = sca::cpa_attack(traces);
-  result.key_rank = cpa.key_rank(key_byte);
-  result.best_guess = cpa.best_guess;
-  result.margin = cpa.margin(key_byte);
-  return result;
 }
 
 }  // namespace pgmcml::core

@@ -4,13 +4,10 @@
 #include <array>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
-#include "pgmcml/core/sbox_unit.hpp"
-#include "pgmcml/netlist/logicsim.hpp"
+#include "pgmcml/core/byte_target.hpp"
 #include "pgmcml/obs/obs.hpp"
 #include "pgmcml/power/kernels.hpp"
 #include "pgmcml/util/parallel.hpp"
@@ -19,13 +16,17 @@
 
 namespace pgmcml::core {
 
-using netlist::LogicSim;
-using netlist::NetId;
-
 namespace {
 
-/// The concrete streaming acquisition: synthesis, port lookup, tracer
-/// construction and the precharge settle happen once, then every next()
+ByteTarget make_target(const cells::CellLibrary& library,
+                       const DpaFlowOptions& options) {
+  return options.target == AttackTarget::kAesCore
+             ? aes_core_target(library, options.key)
+             : reduced_aes_target(library, options.key);
+}
+
+/// The concrete streaming acquisition: synthesis, the precharge settle (both
+/// in the ByteTarget) and tracer construction happen once, then every next()
 /// call produces one batch of traces into reused per-slot buffers.
 ///
 /// With the key and the precharge state fixed, everything a simulation
@@ -40,11 +41,11 @@ namespace {
 /// recorded; a failed fill caches nothing.  Per-trace outcomes live in
 /// index-addressed slots merged in index order, so the aggregate stays
 /// deterministic too.
-class ReducedAesSource final : public AcquisitionSource {
+class ByteTargetSource final : public AcquisitionSource {
  public:
-  ReducedAesSource(const cells::CellLibrary& library,
+  ByteTargetSource(const cells::CellLibrary& library,
                    const DpaFlowOptions& options)
-      : options_(options), library_(library), mapped_(map_reduced_aes(library)) {
+      : options_(options), target_(make_target(library, options)) {
     if (options_.batch_size == 0) {
       throw std::invalid_argument("dpa_flow: batch_size must be > 0");
     }
@@ -65,21 +66,10 @@ class ReducedAesSource final : public AcquisitionSource {
         options_.spice_kernels
             ? power::kernels_from_spice({}, baseline_diagnostics_)
             : power::default_kernels();
-    tracer_ = std::make_unique<power::PowerTracer>(mapped_.design, library_,
-                                                   kernels, topt);
+    tracer_ = std::make_unique<power::PowerTracer>(
+        target_.design(), target_.library(), kernels, topt);
 
-    // Port lookup: p[0..7], k[0..7] inputs (plus possibly const0).
-    const netlist::Design& design = mapped_.design;
-    p_nets_ = design.input_bus("p", 8);
-    k_nets_ = design.input_bus("k", 8);
-    for (const NetId n : design.inputs()) {
-      if (std::find(p_nets_.begin(), p_nets_.end(), n) == p_nets_.end() &&
-          std::find(k_nets_.begin(), k_nets_.end(), n) == k_nets_.end()) {
-        const_net_ = n;
-      }
-    }
-
-    if (library_.power_gated() && options_.gate_per_operation) {
+    if (library.power_gated() && options_.gate_per_operation) {
       // Wake shortly before the operand edge, sleep after evaluation: this
       // is the data-synchronous sleep toggling whose harmlessness Fig. 6
       // shows.
@@ -87,23 +77,7 @@ class ReducedAesSource final : public AcquisitionSource {
           {0.2e-9, 0.4e-9 + options_.dt * options_.samples});
     }
 
-    // The precharge state -- key applied, p = 0, settled and held to 0.5 ns
-    // -- is the same for every plaintext: settle it once, and let each fill
-    // continue from a copy (identical values, pending events and time, so
-    // identical events).
-    precharged_.emplace(design, &library_);
-    std::vector<std::pair<NetId, bool>> init;
-    for (int b = 0; b < 8; ++b) {
-      init.emplace_back(k_nets_[b], (options_.key >> b) & 1);
-      init.emplace_back(p_nets_[b], false);
-    }
-    if (const_net_ != netlist::kNoNet) init.emplace_back(const_net_, false);
-    precharged_->apply_and_settle(init);
-    precharged_->clear_events();
-    precharged_->run_until(0.5e-9);
-    precharged_->flush_work_counters();
-
-    stats_ = design.stats(library_);
+    stats_ = target_.design().stats(library);
     diagnostics_ = baseline_diagnostics_;
     if (options_.acquisition == AcquisitionMode::kDynamic) {
       // Left uninitialized: a row's pages are touched only when its
@@ -266,13 +240,7 @@ class ReducedAesSource final : public AcquisitionSource {
   /// `entry` (and its memo row, composed through `scratch`).
   void simulate(std::uint8_t plaintext, MemoEntry& entry,
                 std::vector<double>& scratch) {
-    LogicSim sim = *precharged_;
-    std::vector<std::pair<NetId, bool>> stimulus;
-    for (int b = 0; b < 8; ++b) {
-      stimulus.emplace_back(p_nets_[b], (plaintext >> b) & 1);
-    }
-    sim.apply_and_settle(stimulus);
-    sim.flush_work_counters();
+    const netlist::LogicSim sim = target_.simulate(plaintext);
 
     if (options_.acquisition == AcquisitionMode::kStatic) {
       entry.i_awake = tracer_->quiescent_current(sim, true);
@@ -313,14 +281,8 @@ class ReducedAesSource final : public AcquisitionSource {
   }
 
   DpaFlowOptions options_;
-  cells::CellLibrary library_;  ///< by value: the source owns its target
-  synth::MapResult mapped_;     ///< stable address: tracer_ references it
+  const ByteTarget target_;  ///< stable address: tracer_ references it
   std::unique_ptr<power::PowerTracer> tracer_;
-  std::vector<NetId> p_nets_;
-  std::vector<NetId> k_nets_;
-  NetId const_net_ = netlist::kNoNet;
-  /// Settled at the precharge state; never advanced, only copied.
-  std::optional<LogicSim> precharged_;
   power::SleepSchedule schedule_;
   netlist::Design::Stats stats_;
   /// Diagnostics at construction (kernel extraction only): reset() target.
@@ -344,7 +306,7 @@ class ReducedAesSource final : public AcquisitionSource {
 
 std::unique_ptr<AcquisitionSource> make_acquisition_source(
     const cells::CellLibrary& library, const DpaFlowOptions& options) {
-  return std::make_unique<ReducedAesSource>(library, options);
+  return std::make_unique<ByteTargetSource>(library, options);
 }
 
 sca::TraceSet acquire_reduced_aes_traces(const cells::CellLibrary& library,

@@ -33,18 +33,4 @@ aes::Block run_aes_core(const synth::Module& core, const aes::Block& plaintext,
 /// Maps the core onto a library (for the area/power scaling table).
 synth::MapResult map_aes_core(const cells::CellLibrary& library);
 
-/// First-round CPA against the mapped full core: byte 0 of the plaintext
-/// varies (chosen-plaintext style, other bytes fixed), the attack model is
-/// HW(sbox(p0 ^ k0)).  Returns the CPA result and the true key byte's rank.
-struct FullCoreCpaResult {
-  int key_rank = -1;
-  int best_guess = -1;
-  double margin = 0.0;
-  std::size_t cells = 0;
-};
-FullCoreCpaResult run_full_core_cpa(const cells::CellLibrary& library,
-                                    std::size_t num_traces,
-                                    std::uint8_t key_byte = 0x2b,
-                                    std::uint64_t seed = 17);
-
 }  // namespace pgmcml::core

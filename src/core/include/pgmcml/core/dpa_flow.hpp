@@ -1,6 +1,7 @@
 // End-to-end DPA evaluation flow (Section 6 / Fig. 6 of the paper):
 //
-//   synthesize the reduced AES (AddRoundKey + S-box) for a logic style
+//   synthesize a one-byte target (byte_target.hpp) for a logic style: the
+//   reduced AES (AddRoundKey + S-box) or the full AES-128 core
 //   -> simulate it for a stream of plaintexts under a fixed secret key
 //   -> compose the supply-current trace of every run (1 ps-class grid)
 //   -> mount CPA with the Hamming-weight-of-S-box-output model
@@ -37,6 +38,14 @@ enum class AcquisitionMode {
   kStatic,
 };
 
+/// The circuit a flow attacks (byte_target.hpp).
+enum class AttackTarget {
+  /// AddRoundKey + S-box, the paper's Fig. 6 target.
+  kReducedAes,
+  /// The full AES-128 core, first round, plaintext byte 0 chosen.
+  kAesCore,
+};
+
 /// Seed perturbation of a static acquisition's noise: sample j of trace t
 /// adds gaussian(0, noise_sigma + supply_noise_ratio * level) drawn in order
 /// from util::Rng::stream(seed ^ kStaticNoiseStream, t), decorrelated from
@@ -44,6 +53,7 @@ enum class AcquisitionMode {
 inline constexpr std::uint64_t kStaticNoiseStream = 0x57a71cc0ffeeULL;
 
 struct DpaFlowOptions {
+  AttackTarget target = AttackTarget::kReducedAes;
   std::size_t num_traces = 2000;
   /// Global index of the first trace this source produces.  Rng streams,
   /// noise nonces, and the fault hook are keyed on the GLOBAL index
@@ -105,11 +115,11 @@ struct DpaFlowResult : sca::AttackVerdicts {
   spice::FlowDiagnostics diagnostics;
 };
 
-/// Streaming acquisition of the reduced AES target: a TraceSource that
-/// produces `options.batch_size` traces per next() call into reused row
-/// buffers, so an arbitrarily long campaign holds one batch in memory, plus
-/// a memo of at most 256 noiseless rows (one simulation per plaintext byte;
-/// the key is fixed).
+/// Streaming acquisition of `options.target`: a TraceSource that produces
+/// `options.batch_size` traces per next() call into reused row buffers, so
+/// an arbitrarily long campaign holds one batch in memory, plus a memo of at
+/// most 256 noiseless rows (one simulation per plaintext byte; the key is
+/// fixed).
 /// Trace indices are global -- Rng streams, noise nonces, and the fault hook
 /// are keyed on the campaign index -- so the stream is bitwise identical to
 /// the materialized acquisition at any thread count and any batch size.
@@ -137,7 +147,7 @@ class AcquisitionSource : public sca::TraceSource {
 std::unique_ptr<AcquisitionSource> make_acquisition_source(
     const cells::CellLibrary& library, const DpaFlowOptions& options = {});
 
-/// Acquires traces of the reduced AES target and mounts the attacks.
+/// Acquires traces of `options.target` and mounts the attacks.
 /// Single-pass: one streamed acquisition feeds the statistic and the
 /// checkpointed MTD tracker simultaneously.
 DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,

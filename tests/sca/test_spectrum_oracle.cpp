@@ -119,10 +119,10 @@ TEST(BinSpectrumOracle, FullScorersMatchTheReferenceBitForBit) {
 
 TEST(BinSpectrumOracle, StaticProjectionsMatchTheReferenceBitForBit) {
   for (const std::size_t traces : {3ul, 40ul, 2000ul}) {
+    // The batch views the rows: keep them alive for as long as it is read.
+    const auto rows = random_traces(traces, 13, 7 * traces);
     TraceBatch batch;
-    for (const auto& [p, trace] : random_traces(traces, 13, 7 * traces)) {
-      batch.add(p, trace);
-    }
+    for (const auto& [p, trace] : rows) batch.add(p, trace);
     BinnedMoments windows(kStaticWindows.size());
     add_window_means(windows, kStaticWindows, 13, batch);
     const BinSpectrum live(windows);
