@@ -33,7 +33,7 @@ using namespace pgmcml;
 using cells::CellLibrary;
 
 /// Mounts CPA on PG-MCML with an explicit leg-imbalance residual, streaming
-/// each trace into the accumulator through one reused row buffer -- the
+/// each trace into the statistic through one reused row buffer -- the
 /// sweep's memory is O(samples), independent of the trace budget.
 sca::CpaResult run_cpa(double residual_sigma, std::size_t n_traces,
                        std::uint8_t key) {
@@ -50,14 +50,14 @@ sca::CpaResult run_cpa(double residual_sigma, std::size_t n_traces,
                                   power::default_kernels(), topt);
 
   util::Rng rng(13);
-  sca::CpaAccumulator acc(sca::LeakageModel::kHammingWeight, topt.samples);
+  sca::BinnedMoments stat(topt.samples);
   std::vector<double> row;
   for (std::size_t t = 0; t < n_traces; ++t) {
     const auto plaintext = static_cast<std::uint8_t>(rng.bounded(256));
     tracer.trace_into(target.simulate(plaintext).events(), {}, t, row);
-    acc.add(plaintext, row);
+    stat.add(plaintext, row);
   }
-  return acc.snapshot();
+  return sca::BinSpectrum(stat).cpa(sca::LeakageModel::kHammingWeight);
 }
 
 /// The two non-CPA attack modalities, per style.  The static-power attack

@@ -34,7 +34,6 @@
 #include "pgmcml/power/kernels.hpp"
 #include "pgmcml/power/tracer.hpp"
 #include "pgmcml/sca/accumulator.hpp"
-#include "pgmcml/sca/tvla.hpp"
 #include "pgmcml/util/env.hpp"
 #include "pgmcml/util/table.hpp"
 
@@ -173,20 +172,20 @@ void print_fig6(std::vector<StyleBench>& bench) {
     fopt.fixed_plaintext = 0x52;  // conventional TVLA fixed vector
     fopt.seed = aopt.seed + 1;    // independent noise draws
 
-    sca::TvlaAccumulator acc(aopt.samples);
+    sca::Moments fixed(aopt.samples), random(aopt.samples);
     sca::TraceBatch batch;
     // The class label is which acquisition a trace came from, not its
     // plaintext: a random-class trace may coincidentally equal 0x52.
     auto random_src = core::make_acquisition_source(lib, aopt);
     while (random_src->next(batch)) {
-      for (const auto& trace : batch.traces) acc.add(false, trace);
+      for (const auto& trace : batch.traces) random.add(trace);
     }
     auto fixed_src = core::make_acquisition_source(lib, fopt);
     while (fixed_src->next(batch)) {
-      for (const auto& trace : batch.traces) acc.add(true, trace);
+      for (const auto& trace : batch.traces) fixed.add(trace);
     }
 
-    const sca::TvlaResult tr = acc.snapshot();
+    const sca::TvlaResult tr = sca::welch_t(fixed, random);
     bench[s].tvla_max_t = tr.max_abs_t;
     tv.row({to_string(lib.style()),
             std::to_string(tr.fixed_traces) + "/" +
@@ -328,9 +327,14 @@ void BM_CpaAttackOnly(benchmark::State& state) {
   opt.num_traces = 256;
   opt.samples = 300;
   const sca::TraceSet traces =
-      core::acquire_reduced_aes_traces(CellLibrary::cmos90(), opt);
+      core::run_dpa_flow(CellLibrary::cmos90(), opt).traces;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sca::cpa_attack(traces));
+    sca::BinnedMoments stat(opt.samples);
+    for (std::size_t i = 0; i < traces.num_traces(); ++i) {
+      stat.add(traces.plaintext(i), traces.trace(i));
+    }
+    benchmark::DoNotOptimize(
+        sca::BinSpectrum(stat).cpa(sca::LeakageModel::kHammingWeight));
   }
 }
 BENCHMARK(BM_CpaAttackOnly)->Unit(benchmark::kMillisecond);
@@ -340,8 +344,9 @@ void BM_TraceAcquisition(benchmark::State& state) {
   opt.num_traces = 32;
   opt.samples = 300;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::acquire_reduced_aes_traces(CellLibrary::pgmcml90(), opt));
+    auto source = core::make_acquisition_source(CellLibrary::pgmcml90(), opt);
+    sca::TraceBatch batch;
+    while (source->next(batch)) benchmark::DoNotOptimize(batch);
   }
 }
 BENCHMARK(BM_TraceAcquisition)->Unit(benchmark::kMillisecond);

@@ -70,12 +70,15 @@ StageResult time_stage(const std::string& name,
   return r;
 }
 
-double checksum(const sca::TraceSet& ts) {
+/// Sum of every plaintext and sample `source` streams, in stream order.
+double checksum(sca::TraceSource& source) {
   double sum = 0.0;
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    sum += ts.plaintext(i);
-    const auto& t = ts.trace(i);
-    for (std::size_t j = 0; j < t.size(); ++j) sum += t[j];
+  sca::TraceBatch batch;
+  while (source.next(batch)) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      sum += batch.plaintexts[i];
+      for (double v : batch.traces[i]) sum += v;
+    }
   }
   return sum;
 }
@@ -157,30 +160,24 @@ int main() {
   acq_opt.num_traces = smoke ? 48 : 192;
   acq_opt.samples = smoke ? 200 : 400;
 
-  // The CPA stage attacks a fixed trace set acquired once up front.
+  // The CPA and MTD stages attack a fixed trace set acquired once up front.
   const sca::TraceSet cpa_input =
-      core::acquire_reduced_aes_traces(CellLibrary::cmos90(), acq_opt);
+      core::run_dpa_flow(CellLibrary::cmos90(), acq_opt).traces;
 
   std::vector<StageResult> stages;
 
   stages.push_back(time_stage("acquire", [&] {
     return checksum(
-        core::acquire_reduced_aes_traces(CellLibrary::pgmcml90(), acq_opt));
+        *core::make_acquisition_source(CellLibrary::pgmcml90(), acq_opt));
   }));
 
   stages.push_back(time_stage("cpa", [&] {
-    const sca::CpaResult r = sca::cpa_attack(cpa_input);
-    double sum = 0.0;
-    for (double v : r.peak_correlation) sum += v;
-    return sum;
-  }));
-
-  stages.push_back(time_stage("cpa_shard", [&] {
-    // Shard-parallel accumulation with fixed 64-trace shards merged in
-    // ascending order: thread-count invariant by construction.
-    const sca::CpaAccumulator acc = sca::cpa_accumulate_sharded(
-        cpa_input, sca::LeakageModel::kHammingWeight, 64);
-    const sca::CpaResult r = acc.snapshot();
+    sca::BinnedMoments stat(cpa_input.samples_per_trace());
+    for (std::size_t i = 0; i < cpa_input.num_traces(); ++i) {
+      stat.add(cpa_input.plaintext(i), cpa_input.trace(i));
+    }
+    const sca::CpaResult r =
+        sca::BinSpectrum(stat).cpa(sca::LeakageModel::kHammingWeight);
     double sum = 0.0;
     for (double v : r.peak_correlation) sum += v;
     return sum;
@@ -188,9 +185,18 @@ int main() {
 
   stages.push_back(time_stage("mtd", [&] {
     // Checkpointed single-pass MTD over the same traces: one statistic
-    // stream, scored at the grid points, no prefix reruns.
-    return static_cast<double>(sca::measurements_to_disclosure(
-        cpa_input, acq_opt.key, sca::LeakageModel::kHammingWeight));
+    // stream, checked for first place at the grid points, no prefix reruns.
+    sca::BinnedMoments stat(cpa_input.samples_per_trace());
+    sca::FirstPlace first = sca::first_place(acq_opt.key, /*mlpa=*/false);
+    sca::MtdTracker tracker(
+        cpa_input.num_traces(),
+        [&](const sca::TraceBatch& b) { stat.add_batch(b); },
+        [&] { return first(stat, nullptr); });
+    sca::TraceSetSource source(cpa_input);
+    sca::TraceBatch batch;
+    while (source.next(batch)) tracker.add_batch(batch);
+    tracker.finish();
+    return static_cast<double>(tracker.mtd());
   }));
 
   stages.push_back(time_stage("montecarlo", [&] {

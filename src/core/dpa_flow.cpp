@@ -309,21 +309,6 @@ std::unique_ptr<AcquisitionSource> make_acquisition_source(
   return std::make_unique<ByteTargetSource>(library, options);
 }
 
-sca::TraceSet acquire_reduced_aes_traces(const cells::CellLibrary& library,
-                                         const DpaFlowOptions& options) {
-  auto source = make_acquisition_source(library, options);
-  sca::TraceSet out(options.samples);
-  out.reserve(options.num_traces);
-  sca::TraceBatch batch;
-  while (source->next(batch)) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out.add(batch.plaintexts[i], std::vector<double>(batch.traces[i].begin(),
-                                                       batch.traces[i].end()));
-    }
-  }
-  return out;
-}
-
 DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
                            const DpaFlowOptions& options) {
   obs::ScopedTimer span("core.dpa_flow");

@@ -153,9 +153,4 @@ std::unique_ptr<AcquisitionSource> make_acquisition_source(
 DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
                            const DpaFlowOptions& options = {});
 
-/// Acquisition only, materialized (for callers that reuse the trace matrix).
-/// Benches that stream should use make_acquisition_source directly.
-sca::TraceSet acquire_reduced_aes_traces(const cells::CellLibrary& library,
-                                         const DpaFlowOptions& options = {});
-
 }  // namespace pgmcml::core

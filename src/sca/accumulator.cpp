@@ -9,7 +9,6 @@
 
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/obs/obs.hpp"
-#include "pgmcml/util/parallel.hpp"
 
 namespace pgmcml::sca {
 
@@ -35,10 +34,6 @@ struct StateCounters {
 
 StateCounters& bins_obs() {
   static StateCounters c("sca.bins");
-  return c;
-}
-StateCounters& tvla_obs() {
-  static StateCounters c("sca.tvla");
   return c;
 }
 
@@ -707,6 +702,9 @@ BinSpectrum::KeyFirst BinSpectrum::key_first(LeakageModel model,
 }
 
 TvlaResult welch_t(const Moments& fixed, const Moments& random) {
+  if (random.mean.size() != fixed.mean.size()) {
+    throw std::invalid_argument("sca: welch_t of a different sample count");
+  }
   TvlaResult result;
   result.fixed_traces = fixed.n;
   result.random_traces = random.n;
@@ -730,66 +728,13 @@ TvlaResult welch_t(const Moments& fixed, const Moments& random) {
 // ---------------------------------------------------------------------------
 // Per-attack accumulators
 
-void CpaAccumulator::merge(const CpaAccumulator& other) {
-  if (other.model_ != model_) {
-    throw std::invalid_argument("CpaAccumulator::merge: model mismatch");
-  }
-  bins_.merge(other.bins_);
-}
-
-void StaticPowerAccumulator::add(std::uint8_t plaintext,
-                                 std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void StaticPowerAccumulator::merge(const StaticPowerAccumulator& other) {
-  if (other.model_ != model_ || other.window_ != window_ || other.m_ != m_) {
-    throw std::invalid_argument(
-        "StaticPowerAccumulator::merge: model/window/sample-count mismatch");
-  }
-  bins_.merge(other.bins_);
-}
-
-void TvlaAccumulator::add(bool is_fixed, std::span<const double> trace) {
-  (is_fixed ? fixed_ : random_).add(trace);
-  tvla_obs().note_rows(1, samples_per_trace());
-}
-
 void TvlaAccumulator::add_batch(const TraceBatch& batch,
                                 std::uint8_t fixed_plaintext) {
-  for (const auto& t : batch.traces) check_width(t.size(), samples_per_trace());
+  for (const auto& t : batch.traces) check_width(t.size(), fixed_.mean.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     (batch.plaintexts[i] == fixed_plaintext ? fixed_ : random_)
         .add(batch.traces[i]);
   }
-  tvla_obs().note_rows(batch.size(), samples_per_trace());
-}
-
-void TvlaAccumulator::merge(const TvlaAccumulator& other) {
-  tvla_obs().merges.add(1);
-  fixed_.merge(other.fixed_);
-  random_.merge(other.random_);
-}
-
-void TvlaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("TVL2");
-  w.u64(samples_per_trace());
-  fixed_.save(w);
-  random_.save(w);
-}
-
-TvlaAccumulator TvlaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("TVL2");
-  const std::uint64_t m = r.u64();
-  if (m > r.remaining() / (2 * 2 * sizeof(double))) {
-    throw std::runtime_error("TvlaAccumulator::load: sample count exceeds stream");
-  }
-  TvlaAccumulator acc(0);
-  acc.fixed_ = Moments::load(r, static_cast<std::size_t>(m));
-  acc.random_ = Moments::load(r, static_cast<std::size_t>(m));
-  return acc;
 }
 
 // ---------------------------------------------------------------------------
@@ -949,35 +894,6 @@ FirstPlace first_place(std::uint8_t key, bool mlpa, LeakageModel model) {
     }
     return first;
   };
-}
-
-// ---------------------------------------------------------------------------
-
-CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
-                                      LeakageModel model,
-                                      std::size_t shard_size) {
-  if (shard_size == 0) {
-    throw std::invalid_argument("cpa_accumulate_sharded: shard_size == 0");
-  }
-  const std::size_t n = traces.num_traces();
-  const std::size_t shards =
-      std::max<std::size_t>(1, (n + shard_size - 1) / shard_size);
-  std::vector<CpaAccumulator> parts(
-      shards, CpaAccumulator(model, traces.samples_per_trace()));
-  util::parallel_for(
-      shards,
-      [&](std::size_t s) {
-        TraceBatch batch;
-        const std::size_t hi = std::min(n, (s + 1) * shard_size);
-        for (std::size_t i = s * shard_size; i < hi; ++i) {
-          batch.add(traces.plaintext(i), traces.trace(i));
-        }
-        parts[s].add_batch(batch);
-      },
-      /*grain=*/1);
-  // Fixed ascending merge order: the result is invariant to thread count.
-  for (std::size_t s = 1; s < shards; ++s) parts[0].merge(parts[s]);
-  return std::move(parts[0]);
 }
 
 }  // namespace pgmcml::sca

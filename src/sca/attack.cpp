@@ -64,40 +64,6 @@ std::string_view to_string(StaticWindow window) {
   return "all";
 }
 
-namespace {
-
-/// One pass over `source` into the statistic every first-order attack reads.
-BinnedMoments bin_traces(TraceSource& source) {
-  BinnedMoments stat(source.samples_per_trace());
-  TraceBatch batch;
-  while (source.next(batch)) stat.add_batch(batch);
-  return stat;
-}
-
-}  // namespace
-
-CpaResult cpa_attack(TraceSource& source, LeakageModel model,
-                     bool keep_time_curves) {
-  const BinnedMoments stat = bin_traces(source);
-  return BinSpectrum(stat).cpa(model, keep_time_curves);
-}
-
-CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
-                     bool keep_time_curves) {
-  TraceSetSource source(traces);
-  return cpa_attack(source, model, keep_time_curves);
-}
-
-DpaResult dpa_attack(TraceSource& source) {
-  const BinnedMoments stat = bin_traces(source);
-  return BinSpectrum(stat).dpa();
-}
-
-DpaResult dpa_attack(const TraceSet& traces) {
-  TraceSetSource source(traces);
-  return dpa_attack(source);
-}
-
 CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
   const std::size_t m = source.samples_per_trace();
 
@@ -144,36 +110,6 @@ CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
 CpaResult second_order_cpa(const TraceSet& traces, LeakageModel model) {
   TraceSetSource source(traces);
   return second_order_cpa(source, model);
-}
-
-std::size_t measurements_to_disclosure(TraceSource& source,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points) {
-  const std::size_t n = source.size_hint();
-  if (n == 0) {
-    throw std::invalid_argument(
-        "measurements_to_disclosure: source has no size hint to build the "
-        "checkpoint grid from");
-  }
-  BinnedMoments stat(source.samples_per_trace());
-  FirstPlace first = first_place(true_key, /*mlpa=*/false, model);
-  MtdTracker tracker(
-      n, [&](const TraceBatch& b) { stat.add_batch(b); },
-      [&] { return first(stat, nullptr); }, grid_points);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
-  tracker.finish();
-  return tracker.mtd();
-}
-
-std::size_t measurements_to_disclosure(const TraceSet& traces,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points) {
-  if (traces.num_traces() < 4 || grid_points < 2) return 0;
-  TraceSetSource source(traces);
-  return measurements_to_disclosure(source, true_key, model, grid_points);
 }
 
 }  // namespace pgmcml::sca

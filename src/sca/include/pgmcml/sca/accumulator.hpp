@@ -48,7 +48,6 @@
 #include "pgmcml/sca/attack.hpp"
 #include "pgmcml/sca/snapshot.hpp"
 #include "pgmcml/sca/trace_source.hpp"
-#include "pgmcml/sca/tvla.hpp"
 
 namespace pgmcml::sca {
 
@@ -111,7 +110,8 @@ inline constexpr std::array<StaticWindow, 2> kStaticWindows{
     StaticWindow::kAwake, StaticWindow::kAsleep};
 
 /// Folds each `samples`-wide trace of `batch` into `projection` as the row
-/// of its means over `windows` (the static-power observable).  Throws
+/// of its means over `windows` (the static-power observable: W samples of
+/// the same held state suppress the measurement noise by sqrt(W)).  Throws
 /// std::invalid_argument on a ragged trace.
 void add_window_means(BinnedMoments& projection,
                       std::span<const StaticWindow> windows,
@@ -237,86 +237,84 @@ class BinSpectrum {
   mutable std::vector<Block> spectrum_;  ///< H D once a full scorer ran
 };
 
+/// Test Vector Leakage Assessment (TVLA): the fixed-vs-random Welch t-test
+/// (Goodwill et al., NIAT 2011).  It needs no leakage model: any
+/// statistically significant difference between traces of a fixed input and
+/// traces of random inputs flags exploitable leakage.
+struct TvlaResult {
+  /// Welch t statistic per time sample.
+  std::vector<double> t_statistic;
+  /// max |t| over the trace.
+  double max_abs_t = 0.0;
+  std::size_t fixed_traces = 0;
+  std::size_t random_traces = 0;
+
+  /// Conventional pass threshold.
+  static constexpr double kThreshold = 4.5;
+  bool leaks() const { return max_abs_t > kThreshold; }
+};
+
 /// Welch t between two populations per sample column; t_statistic stays
-/// empty until both have >= 2 traces, matching the batch tvla_t_test.
+/// empty until both have >= 2 traces.  Throws std::invalid_argument when the
+/// two populations differ in sample count.
 TvlaResult welch_t(const Moments& fixed, const Moments& random);
 
 // ---------------------------------------------------------------------------
-// Per-attack accumulators: a statistic plus one scorer, nothing else.
+// Per-attack accumulators.  src/, the benches, the examples and the tests
+// score attacks on the statistic above; these shells remain only for the
+// repository benchmark's traced replay (repobench/), which constructs them.
+// Each is a statistic plus one scorer, and each snapshot() is bit for bit
+// the scorer applied to that statistic.
 
 /// What the binned per-attack accumulators share: the statistic itself.
 class BinnedAccumulator {
  public:
   explicit BinnedAccumulator(std::size_t samples) : bins_(samples) {}
 
-  std::size_t samples_per_trace() const { return bins_.samples_per_trace(); }
   std::size_t num_traces() const { return bins_.num_traces(); }
-  const BinnedMoments& moments() const { return bins_; }
-
-  void add(std::uint8_t plaintext, std::span<const double> trace) {
-    bins_.add(plaintext, trace);
-  }
   void add_batch(const TraceBatch& batch) { bins_.add_batch(batch); }
 
  protected:
   BinnedMoments bins_;
 };
 
-/// Streaming CPA over a BinnedMoments.
+/// BinSpectrum::cpa over a BinnedMoments.
 class CpaAccumulator : public BinnedAccumulator {
  public:
   CpaAccumulator(LeakageModel model, std::size_t samples)
       : BinnedAccumulator(samples), model_(model) {}
 
-  LeakageModel model() const { return model_; }
-  /// Throws std::invalid_argument on a model or sample-count mismatch.
-  void merge(const CpaAccumulator& other);
-  CpaResult snapshot(bool keep_time_curves = false) const {
-    return BinSpectrum(bins_).cpa(model_, keep_time_curves);
-  }
+  CpaResult snapshot() const { return BinSpectrum(bins_).cpa(model_); }
 
  private:
   LeakageModel model_;
 };
 
-/// Streaming difference-of-means DPA over a BinnedMoments.
+/// BinSpectrum::dpa over a BinnedMoments.
 class DpaAccumulator : public BinnedAccumulator {
  public:
   using BinnedAccumulator::BinnedAccumulator;
-  void merge(const DpaAccumulator& other) { bins_.merge(other.bins_); }
   DpaResult snapshot() const { return BinSpectrum(bins_).dpa(); }
 };
 
-/// Streaming MLPA over a BinnedMoments.
+/// BinSpectrum::mlpa over a BinnedMoments.
 class MlpaAccumulator : public BinnedAccumulator {
  public:
   using BinnedAccumulator::BinnedAccumulator;
-  void merge(const MlpaAccumulator& other) { bins_.merge(other.bins_); }
   MlpaResult snapshot() const { return BinSpectrum(bins_).mlpa(); }
 };
 
-/// Streaming static-power CPA: each quiescent trace collapses to its mean
-/// over one gating window (W samples of the same held state suppress the
-/// measurement noise by sqrt(W)), binned by plaintext.
+/// BinSpectrum::static_power over the one-column add_window_means
+/// projection of `window`.
 class StaticPowerAccumulator {
  public:
   StaticPowerAccumulator(LeakageModel model, std::size_t samples,
                          StaticWindow window = StaticWindow::kAll)
       : model_(model), window_(window), m_(samples), bins_(1) {}
 
-  LeakageModel model() const { return model_; }
-  StaticWindow window() const { return window_; }
-  std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return bins_.num_traces(); }
-  /// The one-column projection: per-bin moments of the window mean.
-  const BinnedMoments& moments() const { return bins_; }
-
-  void add(std::uint8_t plaintext, std::span<const double> trace);
   void add_batch(const TraceBatch& batch) {
     add_window_means(bins_, {&window_, 1}, m_, batch);
   }
-  /// Throws std::invalid_argument on a model/window/sample-count mismatch.
-  void merge(const StaticPowerAccumulator& other);
   StaticPowerResult snapshot() const {
     return BinSpectrum(bins_).static_power(model_, 0, window_);
   }
@@ -328,26 +326,15 @@ class StaticPowerAccumulator {
   BinnedMoments bins_;
 };
 
-/// Streaming fixed-vs-random Welch t-test: one Moments per class.
+/// welch_t over one Moments per class.
 class TvlaAccumulator {
  public:
   explicit TvlaAccumulator(std::size_t samples)
       : fixed_(samples), random_(samples) {}
 
-  std::size_t samples_per_trace() const { return fixed_.mean.size(); }
-  std::size_t fixed_traces() const { return fixed_.n; }
-  std::size_t random_traces() const { return random_.n; }
-
-  /// Folds one trace into the fixed (is_fixed) or random class.
-  void add(bool is_fixed, std::span<const double> trace);
   /// Folds a batch, classifying traces by plaintext == fixed_plaintext.
   void add_batch(const TraceBatch& batch, std::uint8_t fixed_plaintext);
-  void merge(const TvlaAccumulator& other);
   TvlaResult snapshot() const { return welch_t(fixed_, random_); }
-
-  /// Bitwise state serialization under the "TVL2" tag.
-  void save(SnapshotWriter& w) const;
-  static TvlaAccumulator load(SnapshotReader& r);
 
  private:
   Moments fixed_;
@@ -470,13 +457,5 @@ using FirstPlace = std::function<std::vector<bool>(const BinnedMoments&,
                                                    const BinnedMoments*)>;
 FirstPlace first_place(std::uint8_t key, bool mlpa,
                        LeakageModel model = AttackVerdicts::kModel);
-
-/// Shard-parallel CPA: cuts `traces` into fixed `shard_size`-trace shards,
-/// accumulates each shard on the util::parallel_for pool, and merges the
-/// shard statistics in ascending index order.  Thread-count invariant by
-/// construction (fixed shards, fixed merge order).
-CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
-                                      LeakageModel model,
-                                      std::size_t shard_size = 1024);
 
 }  // namespace pgmcml::sca

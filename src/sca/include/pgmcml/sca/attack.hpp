@@ -6,13 +6,14 @@
 //   * Classic difference-of-means DPA (Kocher, CRYPTO 1999) on one predicted
 //     bit.
 // Success metrics: best guess, rank of the true key, distinguishability
-// margin, and measurements-to-disclosure.
+// margin.
 //
-// Every attack here is a scoring function over one single-pass statistic
-// (BinnedMoments, accumulator.hpp): traces stream through once -- from an
-// in-memory TraceSet, a trace file, or live acquisition -- and are folded
-// into mergeable per-plaintext moments, so a campaign's memory footprint is
-// one batch.
+// This header holds the leakage models and the result records.  Every
+// first-order attack is scored one way (accumulator.hpp): traces fold once
+// into BinnedMoments (two Moments for TVLA), and BinSpectrum, welch_t and
+// first_place/MtdTracker score that statistic.  Only second-order CPA,
+// which does not factor through the per-plaintext statistic, has entry
+// points of its own here.
 #pragma once
 
 #include <array>
@@ -57,17 +58,6 @@ struct CpaResult {
     return margin_of(peak_correlation, key);
   }
 };
-
-/// Runs CPA over the trace set.  `keep_time_curves` retains the full
-/// correlation-vs-time matrix (needed for the Fig. 6 plot).
-CpaResult cpa_attack(const TraceSet& traces,
-                     LeakageModel model = LeakageModel::kHammingWeight,
-                     bool keep_time_curves = false);
-
-/// Streaming CPA: consumes `source` batch-by-batch in bounded memory.
-CpaResult cpa_attack(TraceSource& source,
-                     LeakageModel model = LeakageModel::kHammingWeight,
-                     bool keep_time_curves = false);
 
 struct DpaResult {
   /// max_t |mean1(t) - mean0(t)| for each key guess.
@@ -124,12 +114,6 @@ struct MlpaResult {
   double margin(std::uint8_t key) const { return margin_of(score, key); }
 };
 
-/// Kocher-style difference of means, partitioning on a predicted S-box bit.
-DpaResult dpa_attack(const TraceSet& traces);
-
-/// Streaming difference-of-means DPA over a trace source.
-DpaResult dpa_attack(TraceSource& source);
-
 /// Second-order CPA: centers each trace and squares it sample-wise before
 /// the Pearson stage (the standard univariate 2nd-order preprocessing that
 /// defeats first-order masking; included as evaluation tooling).
@@ -140,24 +124,5 @@ CpaResult second_order_cpa(const TraceSet& traces,
 /// (after source.reset()) a centered-square pass into the CPA engine.
 CpaResult second_order_cpa(TraceSource& source,
                            LeakageModel model = LeakageModel::kHammingWeight);
-
-/// Smallest number of traces (scanning prefixes on `grid` points) for which
-/// the CPA rank of the true key is 0 and stays 0 on every larger prefix.
-/// Returns 0 when the attack never discloses the key.
-///
-/// Single pass: the campaign streams once through one statistic that is
-/// scored at the grid points (see MtdTracker) -- no prefix copies, no
-/// per-grid-point CPA reruns.
-std::size_t measurements_to_disclosure(const TraceSet& traces,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points = 16);
-
-/// Streaming MTD.  The grid is sized from source.size_hint(), which must be
-/// nonzero (throws std::invalid_argument otherwise).
-std::size_t measurements_to_disclosure(TraceSource& source,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points = 16);
 
 }  // namespace pgmcml::sca

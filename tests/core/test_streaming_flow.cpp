@@ -25,6 +25,14 @@ namespace {
 
 using cells::CellLibrary;
 
+/// CPA over one pass of `source` into the per-plaintext statistic.
+sca::CpaResult cpa_of(sca::TraceSource& source) {
+  sca::BinnedMoments stat(source.samples_per_trace());
+  sca::TraceBatch batch;
+  while (source.next(batch)) stat.add_batch(batch);
+  return sca::BinSpectrum(stat).cpa(sca::LeakageModel::kHammingWeight);
+}
+
 /// The retired prefix-rerun MTD scan, kept as the oracle for the
 /// checkpointed single-pass implementation.
 std::size_t prefix_rerun_mtd(const sca::TraceSet& traces,
@@ -37,8 +45,8 @@ std::size_t prefix_rerun_mtd(const sca::TraceSet& traces,
   }
   std::vector<bool> success(grid.size(), false);
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    const sca::CpaResult r = sca::cpa_attack(
-        traces.prefix(grid[gi]), sca::LeakageModel::kHammingWeight);
+    sca::TraceSetSource prefix(traces, grid[gi]);
+    const sca::CpaResult r = cpa_of(prefix);
     success[gi] = r.key_rank(true_key) == 0;
   }
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
@@ -56,7 +64,7 @@ TEST(StreamingFlow, SourceReproducesMaterializedAcquisitionBitwise) {
   opt.num_traces = 70;
   opt.samples = 200;
   const sca::TraceSet whole =
-      acquire_reduced_aes_traces(CellLibrary::pgmcml90(), opt);
+      run_dpa_flow(CellLibrary::pgmcml90(), opt).traces;
 
   // Stream the same campaign with a batch size that does not divide the
   // trace count: the concatenated stream must match trace for trace.
@@ -91,9 +99,9 @@ TEST(StreamingFlow, SourceResetReplaysTheCampaign) {
   opt.num_traces = 30;
   opt.samples = 150;
   auto source = make_acquisition_source(CellLibrary::cmos90(), opt);
-  const sca::CpaResult first = sca::cpa_attack(*source);
+  const sca::CpaResult first = cpa_of(*source);
   source->reset();
-  const sca::CpaResult second = sca::cpa_attack(*source);
+  const sca::CpaResult second = cpa_of(*source);
   for (int k = 0; k < 256; ++k) {
     EXPECT_EQ(first.peak_correlation[k], second.peak_correlation[k]);
   }
@@ -226,7 +234,7 @@ TEST(StreamingFlow, StaticSourceIsBatchInvariantAndResumable) {
   opt.samples = 120;
   opt.acquisition = AcquisitionMode::kStatic;
   const sca::TraceSet whole =
-      acquire_reduced_aes_traces(CellLibrary::pgmcml90(), opt);
+      run_dpa_flow(CellLibrary::pgmcml90(), opt).traces;
   ASSERT_EQ(whole.num_traces(), opt.num_traces);
 
   // A source over the tail range [20, 50) reproduces traces 20..49 bitwise:
@@ -259,11 +267,11 @@ TEST(StreamingFlow, MlpaRidesTheDynamicFlow) {
   const DpaFlowResult r = run_dpa_flow(CellLibrary::cmos90(), opt);
 
   // The flow's streamed MLPA equals a batch accumulation of the kept traces.
-  sca::MlpaAccumulator acc(opt.samples);
+  sca::BinnedMoments stat(opt.samples);
   for (std::size_t i = 0; i < r.traces.num_traces(); ++i) {
-    acc.add(r.traces.plaintext(i), r.traces.trace(i));
+    stat.add(r.traces.plaintext(i), r.traces.trace(i));
   }
-  const sca::MlpaResult batch = acc.snapshot();
+  const sca::MlpaResult batch = sca::BinSpectrum(stat).mlpa();
   for (int k = 0; k < 256; ++k) {
     EXPECT_EQ(r.mlpa.score[k], batch.score[k]);  // bitwise
   }

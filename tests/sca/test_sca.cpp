@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "pgmcml/aes/aes.hpp"
-#include "pgmcml/sca/attack.hpp"
+#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
@@ -26,6 +26,36 @@ TraceSet synthetic_traces(std::uint8_t key, std::size_t n, double alpha,
     ts.add(p, tr);
   }
   return ts;
+}
+
+/// `ts` folded into the per-plaintext statistic, trace by trace.
+BinnedMoments binned(const TraceSet& ts) {
+  BinnedMoments stat(ts.samples_per_trace());
+  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
+    stat.add(ts.plaintext(i), ts.trace(i));
+  }
+  return stat;
+}
+
+CpaResult cpa_of(const TraceSet& ts, bool keep_time_curves = false) {
+  const BinnedMoments stat = binned(ts);
+  return BinSpectrum(stat).cpa(LeakageModel::kHammingWeight, keep_time_curves);
+}
+
+/// The MTD of `ts` as the flow checks it: first_place() at the points of a
+/// `grid_points` grid.
+std::size_t first_place_mtd(const TraceSet& ts, std::uint8_t key,
+                            std::size_t grid_points) {
+  BinnedMoments stat(ts.samples_per_trace());
+  FirstPlace first = first_place(key, /*mlpa=*/false);
+  MtdTracker tracker(
+      ts.num_traces(), [&](const TraceBatch& b) { stat.add_batch(b); },
+      [&] { return first(stat, nullptr); }, grid_points);
+  TraceSetSource source(ts);
+  TraceBatch batch;
+  while (source.next(batch)) tracker.add_batch(batch);
+  tracker.finish();
+  return tracker.mtd();
 }
 
 TEST(TraceSet, AddAndQuery) {
@@ -67,7 +97,7 @@ TEST(Leakage, PredictModels) {
 TEST(Cpa, RecoversKeyFromCleanLeak) {
   const std::uint8_t key = 0xa7;
   const TraceSet ts = synthetic_traces(key, 300, 1.0, 0.1);
-  const CpaResult r = cpa_attack(ts);
+  const CpaResult r = cpa_of(ts);
   EXPECT_EQ(r.best_guess, key);
   EXPECT_EQ(r.key_rank(key), 0);
   EXPECT_GT(r.margin(key), 0.0);
@@ -77,7 +107,7 @@ TEST(Cpa, RecoversKeyFromCleanLeak) {
 TEST(Cpa, RecoversKeyUnderHeavyNoise) {
   const std::uint8_t key = 0x3c;
   const TraceSet ts = synthetic_traces(key, 5000, 1.0, 10.0);
-  const CpaResult r = cpa_attack(ts);
+  const CpaResult r = cpa_of(ts);
   EXPECT_EQ(r.key_rank(key), 0);
 }
 
@@ -89,7 +119,7 @@ TEST(Cpa, FailsOnPureNoise) {
     for (auto& v : tr) v = rng.gaussian(0.0, 1.0);
     ts.add(static_cast<std::uint8_t>(rng.bounded(256)), tr);
   }
-  const CpaResult r = cpa_attack(ts);
+  const CpaResult r = cpa_of(ts);
   // Everything should be small, statistically indistinguishable noise.
   double lo = 1.0;
   double hi = 0.0;
@@ -105,7 +135,7 @@ TEST(Cpa, TimeCurvesLocateTheLeak) {
   const std::uint8_t key = 0x55;
   const std::size_t leak_at = 23;
   const TraceSet ts = synthetic_traces(key, 500, 1.0, 0.2, 50, leak_at);
-  const CpaResult r = cpa_attack(ts, LeakageModel::kHammingWeight, true);
+  const CpaResult r = cpa_of(ts, /*keep_time_curves=*/true);
   ASSERT_EQ(r.correlation_vs_time.size(), 50u);
   std::size_t best_t = 0;
   double best = 0.0;
@@ -120,11 +150,12 @@ TEST(Cpa, TimeCurvesLocateTheLeak) {
 }
 
 TEST(Cpa, EmptyTraceSetIsHandled) {
-  const CpaResult r = cpa_attack(TraceSet(10));
+  const BinnedMoments empty(10);
+  const CpaResult r = BinSpectrum(empty).cpa(LeakageModel::kHammingWeight);
   EXPECT_EQ(r.best_guess, -1);
   // No verdict is not a disclosure: the key has no rank.
   EXPECT_EQ(r.key_rank(0x2b), -1);
-  EXPECT_EQ(dpa_attack(TraceSet(10)).key_rank(0x2b), -1);
+  EXPECT_EQ(BinSpectrum(empty).dpa().key_rank(0x2b), -1);
 }
 
 TEST(Dpa, RecoversKeyFromBitLeak) {
@@ -139,7 +170,8 @@ TEST(Dpa, RecoversKeyFromBitLeak) {
     tr[11] += (aes::reduced_target(p, key) & 1) ? 1.0 : 0.0;
     ts.add(p, tr);
   }
-  const DpaResult r = dpa_attack(ts);
+  const BinnedMoments stat = binned(ts);
+  const DpaResult r = BinSpectrum(stat).dpa();
   EXPECT_EQ(r.best_guess, key);
   EXPECT_EQ(r.key_rank(key), 0);
 }
@@ -161,12 +193,11 @@ TEST(Metrics, MtdFindsDisclosurePoint) {
   const std::uint8_t key = 0x42;
   // Moderate noise: needs a few hundred traces.
   const TraceSet ts = synthetic_traces(key, 2000, 1.0, 4.0);
-  const std::size_t mtd =
-      measurements_to_disclosure(ts, key, LeakageModel::kHammingWeight, 8);
+  const std::size_t mtd = first_place_mtd(ts, key, 8);
   EXPECT_GT(mtd, 0u);
   EXPECT_LT(mtd, 2000u);
   // Cross-check: the attack with mtd traces indeed succeeds.
-  const CpaResult r = cpa_attack(ts.prefix(mtd));
+  const CpaResult r = cpa_of(ts.prefix(mtd));
   EXPECT_EQ(r.key_rank(key), 0);
 }
 
@@ -180,8 +211,7 @@ TEST(Metrics, MtdZeroWhenNeverDisclosed) {
   }
   // Pure noise: with overwhelming probability some wrong key beats any fixed
   // "true" key on the final prefix.
-  const std::size_t mtd =
-      measurements_to_disclosure(ts, 0x11, LeakageModel::kHammingWeight, 4);
+  const std::size_t mtd = first_place_mtd(ts, 0x11, 4);
   EXPECT_EQ(mtd, 0u);
 }
 

@@ -121,31 +121,37 @@ TEST(Snapshot, CpaResumesBitwise) {
 }
 
 TEST(Snapshot, DpaAndTvlaResumeBitwise) {
+  // The TVLA classes travel as bare Moments, as the campaign checkpoint
+  // stores its fixed class.
   const TraceSet ts = synthetic_traces(0x2b, 100);
-  BinnedMoments bins(ts.samples_per_trace());
-  TvlaAccumulator tvla(ts.samples_per_trace());
+  const std::size_t m = ts.samples_per_trace();
+  BinnedMoments bins(m);
+  std::vector<Moments> tvla(2, Moments(m));  // [random, fixed]
   feed(bins, ts, 0, 50);
-  for (std::size_t i = 0; i < 50; ++i) tvla.add(i % 2 == 0, ts.trace(i));
+  for (std::size_t i = 0; i < 50; ++i) tvla[i % 2 == 0].add(ts.trace(i));
   SnapshotWriter w;
   bins.save(w);
-  tvla.save(w);
+  for (const Moments& c : tvla) c.save(w);
   SnapshotReader r(w.buffer());
   BinnedMoments bins2 = BinnedMoments::load(r);
-  TvlaAccumulator tvla2 = TvlaAccumulator::load(r);
+  std::vector<Moments> tvla2;
+  for (int c = 0; c < 2; ++c) tvla2.push_back(Moments::load(r, m));
   EXPECT_TRUE(r.exhausted());
   feed(bins, ts, 50, ts.num_traces());
   feed(bins2, ts, 50, ts.num_traces());
   for (std::size_t i = 50; i < ts.num_traces(); ++i) {
-    tvla.add(i % 2 == 0, ts.trace(i));
-    tvla2.add(i % 2 == 0, ts.trace(i));
+    tvla[i % 2 == 0].add(ts.trace(i));
+    tvla2[i % 2 == 0].add(ts.trace(i));
   }
   EXPECT_EQ(serialized(bins2), serialized(bins));
-  EXPECT_EQ(serialized(tvla2), serialized(tvla));
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(serialized(tvla2[c]), serialized(tvla[c]));
+  }
   const auto da = BinSpectrum(bins).dpa().peak_difference;
   const auto db = BinSpectrum(bins2).dpa().peak_difference;
   EXPECT_EQ(std::memcmp(da.data(), db.data(), sizeof(da)), 0);
-  const double ta = tvla.snapshot().max_abs_t;
-  const double tb = tvla2.snapshot().max_abs_t;
+  const double ta = welch_t(tvla[1], tvla[0]).max_abs_t;
+  const double tb = welch_t(tvla2[1], tvla2[0]).max_abs_t;
   EXPECT_EQ(std::memcmp(&ta, &tb, sizeof(ta)), 0);
 }
 
@@ -194,9 +200,9 @@ TEST(Snapshot, LoadRejectsCorruptStaticAndMlpaStreams) {
   BinnedMoments windows(kStaticWindows.size());
   windows.add(0x10, std::vector<double>(2, 1.0));
   const std::string bins_bytes = serialized(windows);
-  TvlaAccumulator tvla(8);
-  tvla.add(true, std::vector<double>(8, 1.0));
-  const std::string tvla_bytes = serialized(tvla);
+  Moments fixed(8);
+  fixed.add(std::vector<double>(8, 1.0));
+  const std::string tvla_bytes = serialized(fixed);
 
   // Truncated mid-state.
   SnapshotReader bins_short(
@@ -204,11 +210,14 @@ TEST(Snapshot, LoadRejectsCorruptStaticAndMlpaStreams) {
   EXPECT_THROW(BinnedMoments::load(bins_short), std::runtime_error);
   SnapshotReader tvla_short(
       std::string_view(tvla_bytes.data(), tvla_bytes.size() - 5));
-  EXPECT_THROW(TvlaAccumulator::load(tvla_short), std::runtime_error);
+  EXPECT_THROW(Moments::load(tvla_short, 8), std::runtime_error);
+  // A class of another width is rejected, not reshaped.
+  SnapshotReader tvla_wide(tvla_bytes);
+  EXPECT_THROW(Moments::load(tvla_wide, 9), std::runtime_error);
 
-  // Wrong leading tag in both directions: the streams are not confusable.
+  // Neither stream reads as the other: the streams are not confusable.
   SnapshotReader bins_as_tvla(bins_bytes);
-  EXPECT_THROW(TvlaAccumulator::load(bins_as_tvla), std::runtime_error);
+  EXPECT_THROW(Moments::load(bins_as_tvla, 2), std::runtime_error);
   SnapshotReader tvla_as_bins(tvla_bytes);
   EXPECT_THROW(BinnedMoments::load(tvla_as_bins), std::runtime_error);
 
@@ -236,8 +245,8 @@ TEST(Snapshot, LoadRejectsCorruptAccumulatorStreams) {
 }
 
 TEST(Snapshot, OversizedSampleCountThrowsBeforeAllocating) {
-  // A tag plus a sample count of 2^40 and no payload: the loaders must
-  // report a corrupt stream, not try to allocate terabytes.
+  // A sample count of 2^40 and no payload: the loaders must report a
+  // corrupt stream, not try to allocate terabytes.
   const auto header = [](const char(&tag)[5]) {
     SnapshotWriter w;
     w.tag(tag);
@@ -247,9 +256,13 @@ TEST(Snapshot, OversizedSampleCountThrowsBeforeAllocating) {
   const std::string bins = header("BMS1");
   SnapshotReader bins_r(bins);
   EXPECT_THROW(BinnedMoments::load(bins_r), std::runtime_error);
-  const std::string tvla = header("TVL2");
-  SnapshotReader tvla_r(tvla);
-  EXPECT_THROW(TvlaAccumulator::load(tvla_r), std::runtime_error);
+  // A Moments row whose length matches the 2^40 samples asked for.
+  SnapshotWriter w;
+  w.u64(2);
+  w.u64(std::uint64_t{1} << 40);
+  SnapshotReader moments_r(w.buffer());
+  EXPECT_THROW(Moments::load(moments_r, std::size_t{1} << 40),
+               std::runtime_error);
 }
 
 }  // namespace

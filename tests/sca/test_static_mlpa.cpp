@@ -1,7 +1,9 @@
 // Static-power and MLPA scorers vs naive textbook references: the transform
 // scores must agree with the two-pass formulas to ~1e-12, batching and worker
 // count must not change a single bit, merges must be associative, and the
-// grid MTD tracker must reproduce the prefix-rerun scan on both.
+// grid MTD tracker must reproduce the prefix-rerun scan on both.  The
+// static scorer reads the add_window_means projection of the statistic, MLPA
+// the statistic itself.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,20 +68,52 @@ TraceSet synthetic_bit_traces(std::uint8_t key, std::size_t n, double alpha,
   return ts;
 }
 
-/// Byte form of an accumulator's statistic: the "identical state" check.
-template <typename Acc>
-std::string serialized(const Acc& acc) {
+/// Byte form of a statistic: the "identical state" check.
+std::string serialized(const BinnedMoments& stat) {
   SnapshotWriter w;
-  acc.moments().save(w);
+  stat.save(w);
   return w.take();
 }
 
-template <typename Acc>
-Acc accumulate(const TraceSet& ts, Acc acc, std::size_t batch_size) {
+/// Streams `ts` into a fresh statistic with the given batch size.
+BinnedMoments bin(const TraceSet& ts, std::size_t batch_size) {
+  BinnedMoments stat(ts.samples_per_trace());
   TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
   TraceBatch batch;
-  while (source.next(batch)) acc.add_batch(batch);
-  return acc;
+  while (source.next(batch)) stat.add_batch(batch);
+  return stat;
+}
+
+/// Folds traces [lo, hi) of `ts` one at a time.
+BinnedMoments bin_range(const TraceSet& ts, std::size_t lo, std::size_t hi) {
+  BinnedMoments stat(ts.samples_per_trace());
+  for (std::size_t i = lo; i < hi; ++i) stat.add(ts.plaintext(i), ts.trace(i));
+  return stat;
+}
+
+/// The one-column projection of `window` over traces [lo, hi) of `ts`,
+/// folded `batch_size` traces at a time.
+BinnedMoments project(const TraceSet& ts, StaticWindow window,
+                      std::size_t batch_size, std::size_t lo = 0,
+                      std::size_t hi = TraceSetSource::kNoLimit) {
+  BinnedMoments projection(1);
+  hi = std::min(hi, ts.num_traces());
+  TraceBatch batch;
+  for (std::size_t i = lo; i < hi; ++i) {
+    batch.add(ts.plaintext(i), ts.trace(i));
+    if (batch.size() == batch_size || i + 1 == hi) {
+      add_window_means(projection, {&window, 1}, ts.samples_per_trace(),
+                       batch);
+      batch.clear();
+    }
+  }
+  return projection;
+}
+
+StaticPowerResult static_of(const BinnedMoments& projection,
+                            StaticWindow window) {
+  return BinSpectrum(projection).static_power(LeakageModel::kHammingWeight, 0,
+                                              window);
 }
 
 /// Textbook two-pass Pearson of the window-averaged scalar per guess.
@@ -164,11 +198,7 @@ TEST(StaticPowerAccumulator, MatchesNaiveTwoPassReference) {
   const TraceSet ts = synthetic_static_traces(key, 400, 1.0, 0.2);
   for (StaticWindow w :
        {StaticWindow::kAll, StaticWindow::kAwake, StaticWindow::kAsleep}) {
-    const StaticPowerResult streamed =
-        accumulate(ts, StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                                              ts.samples_per_trace(), w),
-                   64)
-            .snapshot();
+    const StaticPowerResult streamed = static_of(project(ts, w, 64), w);
     const auto naive =
         naive_static_correlations(ts, LeakageModel::kHammingWeight, w);
     for (int k = 0; k < 256; ++k) {
@@ -178,36 +208,21 @@ TEST(StaticPowerAccumulator, MatchesNaiveTwoPassReference) {
   }
   // The awake window discloses; the asleep floor carries no signal.
   const StaticPowerResult awake =
-      accumulate(ts, StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                                            ts.samples_per_trace(),
-                                            StaticWindow::kAwake),
-                 64)
-          .snapshot();
+      static_of(project(ts, StaticWindow::kAwake, 64), StaticWindow::kAwake);
   EXPECT_EQ(awake.best_guess, key);
   EXPECT_EQ(awake.key_rank(key), 0);
-  const StaticPowerResult asleep =
-      accumulate(ts, StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                                            ts.samples_per_trace(),
-                                            StaticWindow::kAsleep),
-                 64)
-          .snapshot();
+  const StaticPowerResult asleep = static_of(
+      project(ts, StaticWindow::kAsleep, 64), StaticWindow::kAsleep);
   EXPECT_NE(asleep.key_rank(key), 0);
 }
 
 TEST(StaticPowerAccumulator, BatchingIsBitwiseIrrelevant) {
   const TraceSet ts = synthetic_static_traces(0x71, 301, 1.0, 0.5);
-  StaticPowerAccumulator serial(LeakageModel::kHammingWeight,
-                                ts.samples_per_trace(), StaticWindow::kAwake);
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    serial.add(ts.plaintext(i), ts.trace(i));
-  }
-  const auto golden = serialized(serial);
+  // One trace at a time...
+  const auto golden = serialized(project(ts, StaticWindow::kAwake, 1));
+  // ...vs the same stream cut into batches.
   for (std::size_t batch_size : {1ul, 7ul, 256ul}) {
-    const auto batched = accumulate(
-        ts,
-        StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                               ts.samples_per_trace(), StaticWindow::kAwake),
-        batch_size);
+    const auto batched = project(ts, StaticWindow::kAwake, batch_size);
     EXPECT_EQ(serialized(batched), golden) << "batch size " << batch_size;
   }
 }
@@ -215,57 +230,51 @@ TEST(StaticPowerAccumulator, BatchingIsBitwiseIrrelevant) {
 TEST(StaticPowerAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   const TraceSet ts = synthetic_static_traces(0x5d, 300, 1.0, 1.0);
   const auto chunk = [&](std::size_t lo, std::size_t hi) {
-    StaticPowerAccumulator acc(LeakageModel::kHammingWeight,
-                               ts.samples_per_trace(), StaticWindow::kAll);
-    for (std::size_t i = lo; i < hi; ++i) acc.add(ts.plaintext(i), ts.trace(i));
-    return acc;
+    return project(ts, StaticWindow::kAll, 1, lo, hi);
   };
-  StaticPowerAccumulator ab = chunk(0, 100);
+  BinnedMoments ab = chunk(0, 100);
   ab.merge(chunk(100, 200));
   ab.merge(chunk(200, 300));  // (a + b) + c
 
-  StaticPowerAccumulator bc = chunk(100, 200);
+  BinnedMoments bc = chunk(100, 200);
   bc.merge(chunk(200, 300));
-  StaticPowerAccumulator a_bc = chunk(0, 100);
+  BinnedMoments a_bc = chunk(0, 100);
   a_bc.merge(bc);  // a + (b + c)
 
   const StaticPowerResult streamed =
-      accumulate(ts,
-                 StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                                        ts.samples_per_trace(),
-                                        StaticWindow::kAll),
-                 256)
-          .snapshot();
-  const StaticPowerResult left = ab.snapshot();
-  const StaticPowerResult right = a_bc.snapshot();
+      static_of(project(ts, StaticWindow::kAll, 256), StaticWindow::kAll);
+  const StaticPowerResult left = static_of(ab, StaticWindow::kAll);
+  const StaticPowerResult right = static_of(a_bc, StaticWindow::kAll);
   EXPECT_EQ(ab.num_traces(), 300u);
   for (int k = 0; k < 256; ++k) {
     EXPECT_NEAR(left.correlation[k], right.correlation[k], 1e-12);
     EXPECT_NEAR(left.correlation[k], streamed.correlation[k], 1e-12);
   }
 
-  // Merging an empty accumulator is the identity, bit for bit.
-  StaticPowerAccumulator with_empty = chunk(0, 300);
-  with_empty.merge(StaticPowerAccumulator(LeakageModel::kHammingWeight,
-                                          ts.samples_per_trace(),
-                                          StaticWindow::kAll));
+  // Merging an empty statistic is the identity, bit for bit.
+  BinnedMoments with_empty = chunk(0, 300);
+  with_empty.merge(BinnedMoments(1));
   EXPECT_EQ(serialized(with_empty), serialized(chunk(0, 300)));
 }
 
 TEST(StaticPowerAccumulator, RejectsRaggedAndMismatchedInputs) {
-  StaticPowerAccumulator acc(LeakageModel::kHammingWeight, 10,
-                             StaticWindow::kAwake);
-  EXPECT_THROW(acc.add(0, std::vector<double>(9, 0.0)), std::invalid_argument);
-  StaticPowerAccumulator other_window(LeakageModel::kHammingWeight, 10,
-                                      StaticWindow::kAsleep);
-  EXPECT_THROW(acc.merge(other_window), std::invalid_argument);
-  StaticPowerAccumulator other_m(LeakageModel::kHammingWeight, 11,
-                                 StaticWindow::kAwake);
-  EXPECT_THROW(acc.merge(other_m), std::invalid_argument);
+  const StaticWindow awake = StaticWindow::kAwake;
+  BinnedMoments projection(1);
+  const std::vector<double> short_trace(9, 0.0);
+  TraceBatch ragged;
+  ragged.add(0, short_trace);
+  EXPECT_THROW(add_window_means(projection, {&awake, 1}, 10, ragged),
+               std::invalid_argument);
+  // A projection over another number of windows does not merge.
+  EXPECT_THROW(projection.merge(BinnedMoments(kStaticWindows.size())),
+               std::invalid_argument);
   // Sub-minimal populations report no verdict, and so no key rank.
-  acc.add(0x12, std::vector<double>(10, 1.0));
-  EXPECT_EQ(acc.snapshot().best_guess, -1);
-  EXPECT_EQ(acc.snapshot().key_rank(0x12), -1);
+  const std::vector<double> trace(10, 1.0);
+  TraceBatch one;
+  one.add(0x12, trace);
+  add_window_means(projection, {&awake, 1}, 10, one);
+  EXPECT_EQ(static_of(projection, awake).best_guess, -1);
+  EXPECT_EQ(static_of(projection, awake).key_rank(0x12), -1);
 }
 
 TEST(StaticWindowBounds, PartitionTheTrace) {
@@ -285,8 +294,8 @@ TEST(StaticWindowBounds, PartitionTheTrace) {
 TEST(MlpaAccumulator, MatchesNaivePartitionReference) {
   const std::uint8_t key = 0x9e;
   const TraceSet ts = synthetic_bit_traces(key, 500, 1.0, 0.5);
-  const MlpaResult streamed =
-      accumulate(ts, MlpaAccumulator(ts.samples_per_trace()), 64).snapshot();
+  const BinnedMoments stat = bin(ts, 64);
+  const MlpaResult streamed = BinSpectrum(stat).mlpa();
   const auto naive = naive_mlpa_scores(ts);
   for (int k = 0; k < 256; ++k) {
     EXPECT_NEAR(streamed.score[k], naive[k], 1e-12) << "guess " << k;
@@ -297,16 +306,11 @@ TEST(MlpaAccumulator, MatchesNaivePartitionReference) {
 
 TEST(MlpaAccumulator, BatchingAndWorkerCountAreBitwiseIrrelevant) {
   const TraceSet ts = synthetic_bit_traces(0x44, 257, 1.0, 1.0);
-  MlpaAccumulator serial(ts.samples_per_trace());
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    serial.add(ts.plaintext(i), ts.trace(i));
-  }
-  const auto golden = serialized(serial);
+  const auto golden = serialized(bin_range(ts, 0, ts.num_traces()));
   // Every worker count must fold the identical per-bin arithmetic sequence.
   for (std::size_t threads : {1ul, 2ul, 8ul}) {
     const std::size_t prev = util::set_parallel_threads(threads);
-    const auto batched =
-        accumulate(ts, MlpaAccumulator(ts.samples_per_trace()), 31);
+    const auto batched = bin(ts, 31);
     util::set_parallel_threads(prev);
     EXPECT_EQ(serialized(batched), golden) << "threads " << threads;
   }
@@ -315,24 +319,22 @@ TEST(MlpaAccumulator, BatchingAndWorkerCountAreBitwiseIrrelevant) {
 TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   const TraceSet ts = synthetic_bit_traces(0x27, 300, 1.0, 0.8);
   const auto chunk = [&](std::size_t lo, std::size_t hi) {
-    MlpaAccumulator acc(ts.samples_per_trace());
-    for (std::size_t i = lo; i < hi; ++i) acc.add(ts.plaintext(i), ts.trace(i));
-    return acc;
+    return bin_range(ts, lo, hi);
   };
-  MlpaAccumulator ab = chunk(0, 100);
+  BinnedMoments ab = chunk(0, 100);
   ab.merge(chunk(100, 200));
   ab.merge(chunk(200, 300));
 
-  MlpaAccumulator bc = chunk(100, 200);
+  BinnedMoments bc = chunk(100, 200);
   bc.merge(chunk(200, 300));
-  MlpaAccumulator a_bc = chunk(0, 100);
+  BinnedMoments a_bc = chunk(0, 100);
   a_bc.merge(bc);
 
   // Chan merges associate only up to floating-point rounding.
-  const MlpaResult streamed =
-      accumulate(ts, MlpaAccumulator(ts.samples_per_trace()), 256).snapshot();
-  const MlpaResult left = ab.snapshot();
-  const MlpaResult right = a_bc.snapshot();
+  const BinnedMoments whole = bin(ts, 256);
+  const MlpaResult streamed = BinSpectrum(whole).mlpa();
+  const MlpaResult left = BinSpectrum(ab).mlpa();
+  const MlpaResult right = BinSpectrum(a_bc).mlpa();
   EXPECT_EQ(ab.num_traces(), 300u);
   for (int k = 0; k < 256; ++k) {
     EXPECT_NEAR(left.score[k], right.score[k], 1e-12);
@@ -340,8 +342,8 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   }
   EXPECT_EQ(left.best_guess, right.best_guess);
 
-  MlpaAccumulator other_m(ts.samples_per_trace() + 1);
-  EXPECT_THROW(ab.merge(other_m), std::invalid_argument);
+  EXPECT_THROW(ab.merge(BinnedMoments(ts.samples_per_trace() + 1)),
+               std::invalid_argument);
   EXPECT_THROW(ab.add(0, std::vector<double>(1, 0.0)), std::invalid_argument);
 }
 
@@ -356,12 +358,9 @@ TEST(MtdTracker, StaticWindowsMatchPrefixRerunScan) {
   }
   std::vector<bool> success(grid.size(), false);
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    StaticPowerAccumulator acc(LeakageModel::kHammingWeight,
-                               ts.samples_per_trace(), StaticWindow::kAwake);
-    for (std::size_t i = 0; i < grid[gi]; ++i) {
-      acc.add(ts.plaintext(i), ts.trace(i));
-    }
-    success[gi] = acc.snapshot().key_rank(key) == 0;
+    const BinnedMoments prefix =
+        project(ts, StaticWindow::kAwake, 1, 0, grid[gi]);
+    success[gi] = static_of(prefix, StaticWindow::kAwake).key_rank(key) == 0;
   }
   std::size_t oracle = 0;
   for (std::size_t gi = 0; gi < grid.size() && oracle == 0; ++gi) {
@@ -407,10 +406,12 @@ TEST(MtdTracker, StaticWindowsMatchPrefixRerunScan) {
 TEST(MtdTracker, MlpaGridSplitsDoNotPerturbTheStatistic) {
   const std::uint8_t key = 0x66;
   const TraceSet ts = synthetic_bit_traces(key, 600, 1.0, 2.0, 16, 7);
-  MlpaAccumulator acc(ts.samples_per_trace());
+  BinnedMoments stat(ts.samples_per_trace());
   MtdTracker tracker(
-      ts.num_traces(), [&](const TraceBatch& b) { acc.add_batch(b); },
-      [&] { return std::vector<bool>{acc.snapshot().key_rank(key) == 0}; },
+      ts.num_traces(), [&](const TraceBatch& b) { stat.add_batch(b); },
+      [&] {
+        return std::vector<bool>{BinSpectrum(stat).mlpa().key_rank(key) == 0};
+      },
       16);
   TraceSetSource source(ts, TraceSetSource::kNoLimit, 173);
   TraceBatch batch;
@@ -418,8 +419,7 @@ TEST(MtdTracker, MlpaGridSplitsDoNotPerturbTheStatistic) {
   tracker.finish();
   EXPECT_GT(tracker.mtd(), 0u);
 
-  const auto plain = accumulate(ts, MlpaAccumulator(16), 256);
-  EXPECT_EQ(serialized(acc), serialized(plain));
+  EXPECT_EQ(serialized(stat), serialized(bin(ts, 256)));
 }
 
 }  // namespace
