@@ -19,6 +19,7 @@
 
 #include "bench_manifest.hpp"
 #include "pgmcml/campaign/campaign.hpp"
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/util/env.hpp"
 #include "pgmcml/util/table.hpp"
 
@@ -36,6 +37,8 @@ struct RunMeasurement {
   std::size_t workers = 0;
   double seconds = 0.0;
   bool equal = false;
+  /// Memo fills (core.acquisition.simulations) the run's workers made.
+  std::uint64_t memo_fills = 0;
   campaign::CampaignResult result;
   double traces_per_second(std::size_t traces) const {
     return seconds > 0.0 ? static_cast<double>(traces) / seconds : 0.0;
@@ -77,6 +80,9 @@ int main() {
              util::Table::num(base.num_traces / serial_s, 0), "1.00", "0", "0",
              "(reference)"});
 
+  // Workers ship their obs snapshots home, so this counts their fills.
+  const obs::Counter simulations =
+      obs::Registry::global().counter("core.acquisition.simulations");
   std::vector<RunMeasurement> runs;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
@@ -87,9 +93,11 @@ int main() {
     RunMeasurement m;
     m.label = "workers_" + std::to_string(workers);
     m.workers = workers;
+    const std::uint64_t fills_before = simulations.value();
     const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
     m.seconds = now_seconds() - t0;
+    m.memo_fills = simulations.value() - fills_before;
     m.equal = campaign::bitwise_equal(m.result, serial);
     table.row({m.label, std::to_string(workers),
                util::Table::num(m.seconds, 2),
@@ -116,9 +124,12 @@ int main() {
     RunMeasurement m;
     m.label = "crash";
     m.workers = 4;
+    const std::uint64_t fills_before = simulations.value();
     const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
     m.seconds = now_seconds() - t0;
+    // The killed incarnation's snapshot is lost with it.
+    m.memo_fills = simulations.value() - fills_before;
     m.equal = campaign::bitwise_equal(m.result, serial);
     table.row({"crash (shard 1)", "4", util::Table::num(m.seconds, 2),
                util::Table::num(m.traces_per_second(base.num_traces), 0),
@@ -153,6 +164,17 @@ int main() {
     manifest.metric(prefix + ".shards_skipped",
                     static_cast<double>(m.result.shards_skipped),
                     bench::Better::kNone);
+    if (m.label != "crash") {
+      // Work counts of the clean runs: one fork per worker, and fills of
+      // the memo each worker keeps across its shards.  (The crash run's
+      // replacement fork depends on timing, so it is not gated.)
+      manifest.metric(prefix + ".spawns",
+                      static_cast<double>(m.result.workers_spawned),
+                      bench::Better::kLower);
+      manifest.metric(prefix + ".memo_fills",
+                      static_cast<double>(m.memo_fills),
+                      bench::Better::kLower);
+    }
     all_equal = all_equal && m.equal;
 
     obs::json::Object row;
@@ -164,6 +186,7 @@ int main() {
                      m.seconds > 0.0 ? serial_s / m.seconds : 0.0);
     row.emplace_back("bitwise_equal_serial", m.equal);
     row.emplace_back("workers_spawned", m.result.workers_spawned);
+    row.emplace_back("memo_fills", m.memo_fills);
     row.emplace_back("restarts", m.result.restarts);
     row.emplace_back("heartbeat_timeouts", m.result.heartbeat_timeouts);
     row.emplace_back("shards_skipped", m.result.shards_skipped);

@@ -1,21 +1,28 @@
 #include "pgmcml/campaign/campaign.hpp"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "pgmcml/campaign/checkpoint.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
+#include "pgmcml/obs/json.hpp"
 #include "pgmcml/obs/obs.hpp"
 #include "pgmcml/util/parallel.hpp"
 
@@ -116,15 +123,79 @@ std::vector<ShardOutcome> shard_outcomes(const CampaignOptions& o) {
   return out;
 }
 
+/// The shard a worker streams and its incarnation: what the fault-injection
+/// hooks are told.
+struct Lease {
+  std::uint64_t shard = 0;
+  int restart = 0;
+};
+
+/// The acquisition sources of one process, one per phase, each built on
+/// first use and re-ranged onto every later shard with one
+/// AcquisitionSource::seek.  Synthesis, the precharge, the tracer and the
+/// plaintext memo are paid once per worker (once per serial run), not once
+/// per shard and phase; the streams are bitwise those of fresh sources.
+class PhaseSources {
+ public:
+  /// The worker fault hook reads `lease` at every call, so it sees the
+  /// shard currently streamed.
+  PhaseSources(const CampaignOptions& o, const cells::CellLibrary& library,
+               const Lease& lease)
+      : o_(o), library_(library), lease_(lease) {}
+
+  /// Phase `phase`'s source, ranged onto global traces [first, first + n).
+  core::AcquisitionSource& range(std::uint32_t phase, std::uint64_t first,
+                                 std::uint64_t n) {
+    auto& source = sources_[phase];
+    if (source != nullptr) {
+      source->seek(first, n);
+      return *source;
+    }
+    core::DpaFlowOptions flow;
+    flow.first_trace = first;
+    flow.num_traces = n;
+    flow.key = o_.key;
+    // Each extra phase is its own acquisition stream (seed+1 for the fixed
+    // class, seed+2 for the quiescent holds): independent noise, same index
+    // keying, mirroring the two-source TVLA convention of bench_fig6_cpa.
+    flow.seed = o_.seed + phase;
+    flow.dt = o_.dt;
+    flow.samples = o_.samples;
+    flow.noise_sigma = o_.noise_sigma;
+    flow.gate_per_operation = o_.gate_per_operation;
+    flow.spice_kernels = o_.spice_kernels;
+    flow.batch_size = o_.batch_size;
+    flow.fixed_plaintext =
+        phase == kPhaseFixed ? static_cast<int>(o_.fixed_plaintext) : -1;
+    if (phase == kPhaseStatic) {
+      flow.acquisition = core::AcquisitionMode::kStatic;
+    }
+    if (o_.worker_fault_hook) {
+      const Lease* lease = &lease_;
+      auto hook = o_.worker_fault_hook;
+      flow.acquisition_fault_hook = [lease, hook](std::size_t t, int attempt) {
+        hook(lease->shard, lease->restart, t, attempt);
+      };
+    }
+    source = core::make_acquisition_source(library_, flow);
+    return *source;
+  }
+
+ private:
+  const CampaignOptions& o_;
+  const cells::CellLibrary& library_;
+  const Lease& lease_;
+  std::array<std::unique_ptr<core::AcquisitionSource>, kPhaseDone> sources_;
+};
+
 /// The ONE per-shard fold, shared verbatim by the serial reference and the
 /// (possibly crashed-and-resumed) workers: stream the shard's remaining
-/// range phase by phase through the acquisition source into the checkpoint
+/// range phase by phase through the acquisition sources into the checkpoint
 /// accumulators.  `on_checkpoint`/`heartbeat` are null in the serial path;
 /// neither influences a single floating-point operation, which is the whole
 /// bitwise-equality argument.
 void run_shard_range(
-    const CampaignOptions& o, const cells::CellLibrary& library,
-    WorkerCheckpoint& state, int restart,
+    const CampaignOptions& o, PhaseSources& sources, WorkerCheckpoint& state,
     const std::function<void(const WorkerCheckpoint&)>* on_checkpoint,
     const std::function<void()>* heartbeat) {
   for (std::uint32_t phase = state.phase; phase < kPhaseDone; ++phase) {
@@ -137,40 +208,13 @@ void run_shard_range(
     }
     if (state.next_index >= state.range_hi) continue;
 
-    core::DpaFlowOptions flow;
-    flow.first_trace = state.next_index;
-    flow.num_traces = state.range_hi - state.next_index;
-    flow.key = o.key;
-    // Each extra phase is its own acquisition stream (seed+1 for the fixed
-    // class, seed+2 for the quiescent holds): independent noise, same index
-    // keying, mirroring the two-source TVLA convention of bench_fig6_cpa.
-    flow.seed = o.seed + phase;
-    flow.dt = o.dt;
-    flow.samples = o.samples;
-    flow.noise_sigma = o.noise_sigma;
-    flow.gate_per_operation = o.gate_per_operation;
-    flow.spice_kernels = o.spice_kernels;
-    flow.batch_size = o.batch_size;
-    flow.fixed_plaintext =
-        phase == kPhaseFixed ? static_cast<int>(o.fixed_plaintext) : -1;
-    if (phase == kPhaseStatic) {
-      flow.acquisition = core::AcquisitionMode::kStatic;
-    }
-    if (o.worker_fault_hook) {
-      const std::uint64_t shard = state.shard;
-      auto hook = o.worker_fault_hook;
-      flow.acquisition_fault_hook = [shard, restart, hook](std::size_t t,
-                                                           int attempt) {
-        hook(shard, restart, t, attempt);
-      };
-    }
-
-    auto source = core::make_acquisition_source(library, flow);
+    core::AcquisitionSource& source = sources.range(
+        phase, state.next_index, state.range_hi - state.next_index);
     const spice::FlowDiagnostics diag_base = state.diagnostics;
     const std::uint64_t phase_start = state.next_index;
     std::size_t last_checkpoint = 0;
     sca::TraceBatch batch;
-    while (source->next(batch)) {
+    while (source.next(batch)) {
       if (phase == kPhaseRandom) {
         state.bins.add_batch(batch);
       } else if (phase == kPhaseFixed) {
@@ -182,10 +226,10 @@ void run_shard_range(
       // The resume cursor counts ATTEMPTED traces (skipped ones included),
       // read from the source: one next() can span several internal batches
       // when every trace of a batch is skipped.
-      const std::size_t consumed = source->traces_consumed();
+      const std::size_t consumed = source.traces_consumed();
       state.next_index = phase_start + consumed;
       state.diagnostics = diag_base;
-      state.diagnostics.merge(source->diagnostics());
+      state.diagnostics.merge(source.diagnostics());
       if (heartbeat != nullptr) (*heartbeat)();
       if (on_checkpoint != nullptr &&
           consumed - last_checkpoint >= o.checkpoint_every) {
@@ -196,140 +240,244 @@ void run_shard_range(
     }
     // A trailing run of skipped traces ends the stream without a final
     // non-empty batch; fold the cursor and diagnostics they left behind.
-    state.next_index = phase_start + source->traces_consumed();
+    state.next_index = phase_start + source.traces_consumed();
     state.diagnostics = diag_base;
-    state.diagnostics.merge(source->diagnostics());
+    state.diagnostics.merge(source.diagnostics());
   }
   state.phase = kPhaseDone;
 }
 
-/// Worker process body: resume from the durable checkpoint (or fresh),
-/// stream the shard, publish the final kPhaseDone checkpoint.  Runs inside
-/// the forked child; the caller _Exit()s, so throwing is fatal-by-exit-code.
-void worker_process(const CampaignOptions& o,
-                    const cells::CellLibrary& library, std::uint64_t shard,
-                    int restart, std::uint64_t config_digest) {
-  const std::string ckpt = checkpoint_path(o, shard);
-  const std::string hb = heartbeat_path(o, shard);
-  std::uint64_t beats = 0;
-  const std::function<void()> heartbeat = [&] {
-    write_heartbeat(hb, ++beats);
-  };
-  heartbeat();  // liveness starts at the first instruction, not first batch
+// -------------------------------------------------------------------------
+// Index-ordered merge: the single arithmetic path both runs share.
+
+/// Folds per-shard states into `result` (whose shards are shard_outcomes(o))
+/// strictly in ascending shard order, one at a time, so a caller can load a
+/// state, fold it and drop it.  An absent state (no durable checkpoint ever
+/// published) contributes nothing and its full range is reported skipped; a
+/// partial state contributes its durable prefix.  Each shard's attempted
+/// counts come from its state.  MTD is evaluated at shard boundaries: the
+/// smallest cumulative trace count from which the true key ranks first at
+/// every later boundary.
+class ShardMerge {
+ public:
+  ShardMerge(const CampaignOptions& o, CampaignResult& result)
+      : o_(o),
+        result_(result),
+        bins_(o.samples),
+        fixed_(o.samples),
+        windows_(sca::kStaticWindows.size()),
+        projection_(phase_active(o, kPhaseStatic) ? &windows_ : nullptr),
+        first_(sca::first_place(o.key, o.mlpa)),
+        points_(sca::AttackVerdicts::kScorers) {}
+  ShardMerge(const ShardMerge&) = delete;
+  ShardMerge& operator=(const ShardMerge&) = delete;
+
+  /// The shard the next fold() takes.
+  std::size_t next_shard() const { return next_; }
+
+  /// Folds shard next_shard(); `state` is null when it has no checkpoint.
+  void fold(const WorkerCheckpoint* state) {
+    obs::ScopedTimer span("campaign.merge");
+    ShardOutcome& outcome = result_.shards[next_++];
+    std::uint64_t* attempted[] = {&outcome.random_attempted,
+                                  &outcome.fixed_attempted,
+                                  &outcome.static_attempted};
+    for (std::uint32_t p = kPhaseRandom; p < kPhaseDone; ++p) {
+      if (!phase_active(o_, p)) continue;
+      const std::uint64_t from = state != nullptr
+                                     ? first_unattempted(*state, p)
+                                     : outcome.range_lo;
+      *attempted[p] = from - outcome.range_lo;
+      if (from < outcome.range_hi) {
+        result_.skipped_ranges.push_back({from, outcome.range_hi, p});
+      }
+    }
+    if (state == nullptr) return;
+    // The boundary after the previous state is checked only once a later
+    // state arrives: the last boundary is the final statistic, which the
+    // verdicts scored in finish() answer, so it is not scored twice.
+    if (boundary_pending_) record_boundary(first_(bins_, projection_));
+    bins_.merge(state->bins);
+    fixed_.merge(state->fixed);
+    windows_.merge(state->windows);
+    result_.diagnostics.merge(state->diagnostics);
+    boundary_pending_ = o_.compute_mtd;
+  }
+
+  /// Scores the merged statistic into the result.
+  void finish() {
+    obs::ScopedTimer span("campaign.merge");
+    if (boundary_pending_) {
+      record_boundary(std::vector<bool>(points_.size(), false));
+    }
+    result_.traces_accumulated = bins_.num_traces();
+    result_.static_traces_accumulated = windows_.num_traces();
+    result_.score(bins_, projection_, o_.key, o_.mlpa, [&](std::size_t i) {
+      if (!points_[i].empty()) {
+        points_[i].back().second = result_.key_first()[i];
+      }
+      return sca::mtd_from_checkpoints(points_[i]);
+    });
+    if (phase_active(o_, kPhaseFixed)) {
+      result_.tvla = sca::welch_t(fixed_, bins_.pooled());
+    }
+    obs::Registry::global()
+        .counter("campaign.traces_merged")
+        .add(result_.traces_accumulated);
+  }
+
+ private:
+  /// (traces merged, whether the key ranks first) per scorer; the static
+  /// scorers count quiescent holds.
+  void record_boundary(const std::vector<bool>& first) {
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      const bool held = i >= sca::AttackVerdicts::kAwake;
+      points_[i].emplace_back((held ? windows_ : bins_).num_traces(),
+                              first[i]);
+    }
+  }
+
+  const CampaignOptions& o_;
+  CampaignResult& result_;
+  sca::BinnedMoments bins_;
+  sca::Moments fixed_;
+  sca::BinnedMoments windows_;
+  const sca::BinnedMoments* projection_;
+  sca::FirstPlace first_;
+  std::vector<std::vector<std::pair<std::size_t, bool>>> points_;
+  std::size_t next_ = 0;
+  bool boundary_pending_ = false;
+};
+
+// -------------------------------------------------------------------------
+// Workers and the lease protocol
+
+/// One message of the lease protocol, the same 16 bytes both ways: the
+/// coordinator sends {kLease, restart, shard}; the worker answers {kDone,
+/// restart, shard} once that shard's final checkpoint is fsynced and
+/// renamed into place.  Fixed-width fields in host byte order: all a
+/// worker needs is in the frame and the shared spool.
+struct Frame {
+  std::uint32_t kind = 0;
+  std::int32_t restart = 0;
+  std::uint64_t shard = 0;
+};
+enum : std::uint32_t { kLease = 1, kDone = 2 };
+
+bool send_frame(int fd, const Frame& frame) {
+  ssize_t n = 0;
+  do {
+    // MSG_NOSIGNAL: a peer that died fails the send instead of raising
+    // SIGPIPE in the sender.
+    n = ::send(fd, &frame, sizeof(frame), MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  return n == static_cast<ssize_t>(sizeof(frame));
+}
+
+/// Reads one frame; false once the peer has closed its end or died.
+bool recv_frame(int fd, Frame& frame) {
+  auto* bytes = reinterpret_cast<char*>(&frame);
+  std::size_t got = 0;
+  while (got < sizeof(frame)) {
+    const ssize_t n = ::recv(fd, bytes + got, sizeof(frame) - got, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Where worker `pid` leaves the obs snapshot of its own work.
+std::string worker_obs_path(const CampaignOptions& o, pid_t pid) {
+  return o.spool_dir + "/worker-" + std::to_string(pid) + ".obs";
+}
+
+/// One lease: resume the shard from its durable checkpoint (or fresh),
+/// stream it, publish the final kPhaseDone checkpoint.
+void run_lease(const CampaignOptions& o, PhaseSources& sources,
+               const Lease& lease, const std::function<void()>& heartbeat,
+               std::uint64_t config_digest) {
+  const std::string ckpt = checkpoint_path(o, lease.shard);
+  heartbeat();  // liveness starts with the lease, not its first batch
 
   auto resumed = load_checkpoint(ckpt, o.samples, config_digest);
   WorkerCheckpoint state =
-      resumed ? std::move(*resumed) : fresh_state(o, shard);
+      resumed ? std::move(*resumed) : fresh_state(o, lease.shard);
   if (state.phase == kPhaseDone) return;  // a restart raced a completion
 
   const std::function<void(const WorkerCheckpoint&)> publish =
       [&](const WorkerCheckpoint& s) {
         const std::function<void()> pre = [&] {
           if (o.pre_publish_hook) {
-            o.pre_publish_hook(shard, restart, s.checkpoints_written);
+            o.pre_publish_hook(lease.shard, lease.restart,
+                               s.checkpoints_written);
           }
         };
-        if (!save_checkpoint(ckpt, s, config_digest, &pre)) {
+        bool saved = false;
+        {
+          obs::ScopedTimer span("campaign.checkpoint_write");
+          saved = save_checkpoint(ckpt, s, config_digest, &pre);
+        }
+        if (!saved) {
           throw std::runtime_error("campaign: checkpoint write failed: " +
                                    ckpt);
         }
         heartbeat();
         if (o.post_checkpoint_hook) {
-          o.post_checkpoint_hook(shard, restart, s.checkpoints_written);
+          o.post_checkpoint_hook(lease.shard, lease.restart,
+                                 s.checkpoints_written);
         }
       };
 
-  run_shard_range(o, library, state, restart, &publish, &heartbeat);
+  run_shard_range(o, sources, state, &publish, &heartbeat);
   ++state.checkpoints_written;
   publish(state);
 }
 
-// -------------------------------------------------------------------------
-// Index-ordered merge: the single arithmetic path both runs share.
-
-/// Merges per-shard states in ascending shard order into `result`, whose
-/// shards are shard_outcomes(o).  Absent states (no durable checkpoint ever
-/// published) contribute nothing and their full range is reported skipped;
-/// partial states contribute their durable prefix.  Each shard's attempted
-/// counts come from its state.  MTD is evaluated at shard boundaries: the
-/// smallest cumulative trace count from which the true key ranks first at
-/// every later boundary.
-void merge_checkpoints(
-    const CampaignOptions& o,
-    const std::vector<std::optional<WorkerCheckpoint>>& states,
-    CampaignResult& result) {
-  obs::ScopedTimer span("campaign.merge");
-  sca::BinnedMoments bins(o.samples);
-  sca::Moments fixed(o.samples);
-  sca::BinnedMoments windows(sca::kStaticWindows.size());
-  const sca::BinnedMoments* projection =
-      phase_active(o, kPhaseStatic) ? &windows : nullptr;
-  // (traces merged, whether the key ranks first) at each shard boundary,
-  // per scorer; the static scorers count quiescent holds.  The last
-  // boundary is the final statistic: the verdicts scored below answer it,
-  // so it is not scored twice.
-  sca::FirstPlace first = sca::first_place(o.key, o.mlpa);
-  std::vector<std::vector<std::pair<std::size_t, bool>>> points(
-      sca::AttackVerdicts::kScorers);
-  std::size_t last = states.size();
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    if (states[s].has_value()) last = s;
-  }
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    ShardOutcome& outcome = result.shards[s];
-    std::uint64_t* attempted[] = {&outcome.random_attempted,
-                                  &outcome.fixed_attempted,
-                                  &outcome.static_attempted};
-    for (std::uint32_t p = kPhaseRandom; p < kPhaseDone; ++p) {
-      if (!phase_active(o, p)) continue;
-      const std::uint64_t from =
-          states[s] ? first_unattempted(*states[s], p) : outcome.range_lo;
-      *attempted[p] = from - outcome.range_lo;
-      if (from < outcome.range_hi) {
-        result.skipped_ranges.push_back({from, outcome.range_hi, p});
-      }
+/// Worker process body: take leases until the coordinator closes its end,
+/// then leave this process's obs snapshot in the spool and exit.  _Exit
+/// (not exit) keeps the parent's atexit/gtest machinery out of the child;
+/// a throw ends the process with status 3, and the coordinator requeues
+/// the lease it held.
+[[noreturn]] void worker_main(const CampaignOptions& o,
+                              const cells::CellLibrary& library, int fd,
+                              std::uint64_t config_digest) {
+  // The coordinator tore its thread pool down before forking, so we inherit
+  // a single-threaded process; give the worker its own budget.
+  util::set_parallel_threads(o.worker_threads == 0 ? 1 : o.worker_threads);
+  // From here the registry counts this process's own work: the delta since
+  // fork that it ships home.
+  obs::Registry::global().reset();
+  Lease lease;
+  int status = 0;
+  try {
+    PhaseSources sources(o, library, lease);
+    std::string hb;
+    std::uint64_t beats = 0;
+    const std::function<void()> heartbeat = [&] {
+      write_heartbeat(hb, ++beats);
+    };
+    Frame frame;
+    while (recv_frame(fd, frame) && frame.kind == kLease) {
+      lease = {frame.shard, frame.restart};
+      hb = heartbeat_path(o, lease.shard);
+      run_lease(o, sources, lease, heartbeat, config_digest);
+      if (!send_frame(fd, {kDone, lease.restart, lease.shard})) break;
     }
-    if (!states[s].has_value()) continue;
-    const WorkerCheckpoint& st = *states[s];
-    bins.merge(st.bins);
-    fixed.merge(st.fixed);
-    windows.merge(st.windows);
-    result.diagnostics.merge(st.diagnostics);
-    if (o.compute_mtd) {
-      const std::vector<bool> now =
-          s == last ? std::vector<bool>(points.size(), false)
-                    : first(bins, projection);
-      for (std::size_t i = 0; i < now.size(); ++i) {
-        const bool held = i >= sca::AttackVerdicts::kAwake;
-        points[i].emplace_back((held ? windows : bins).num_traces(), now[i]);
-      }
-    }
+    obs::json::save_file_atomic(worker_obs_path(o, ::getpid()),
+                                obs::Registry::global().snapshot().to_json());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "campaign worker (shard %llu): %s\n",
+                 static_cast<unsigned long long>(lease.shard), e.what());
+    status = 3;
+  } catch (...) {
+    status = 3;
   }
-  result.traces_accumulated = bins.num_traces();
-  result.static_traces_accumulated = windows.num_traces();
-  result.score(bins, projection, o.key, o.mlpa, [&](std::size_t i) {
-    if (!points[i].empty()) points[i].back().second = result.key_first()[i];
-    return sca::mtd_from_checkpoints(points[i]);
-  });
-  if (phase_active(o, kPhaseFixed)) {
-    result.tvla = sca::welch_t(fixed, bins.pooled());
-  }
-  obs::Registry::global()
-      .counter("campaign.traces_merged")
-      .add(result.traces_accumulated);
+  ::_Exit(status);
 }
 
 // -------------------------------------------------------------------------
 // Coordinator
-
-struct ActiveWorker {
-  pid_t pid = -1;
-  std::uint64_t shard = 0;
-  int restart = 0;
-  std::uint64_t heartbeat = 0;
-  Clock::time_point heartbeat_changed;
-  bool killed_for_hang = false;
-};
 
 struct PendingShard {
   std::uint64_t shard = 0;
@@ -337,27 +485,114 @@ struct PendingShard {
   Clock::time_point ready;
 };
 
-pid_t spawn_worker(const CampaignOptions& o,
-                   const cells::CellLibrary& library, std::uint64_t shard,
-                   int restart, std::uint64_t config_digest) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  // Child.  The coordinator tore its thread pool down before forking, so we
-  // inherit a single-threaded process; give the worker its own budget.
-  // _Exit (not exit) keeps the parent's atexit/gtest machinery out of the
-  // child -- the coordinator learns everything it needs from the exit code
-  // and the spool.
-  util::set_parallel_threads(o.worker_threads == 0 ? 1 : o.worker_threads);
-  try {
-    worker_process(o, library, shard, restart, config_digest);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign worker (shard %llu): %s\n",
-                 static_cast<unsigned long long>(shard), e.what());
-    ::_Exit(3);
-  } catch (...) {
-    ::_Exit(3);
+/// A forked worker as the coordinator sees it: its end of the worker's
+/// socket and, while it holds one, its lease and the heartbeat of the
+/// leased shard.
+struct WorkerSlot {
+  pid_t pid = -1;
+  int fd = -1;
+  bool leased = false;
+  Lease lease;
+  std::uint64_t heartbeat = 0;
+  Clock::time_point heartbeat_changed;
+  bool killed_for_hang = false;
+};
+
+/// The coordinator's workers.  Whatever is still here when the coordinator
+/// unwinds is closed, killed and reaped, so an exception leaves no orphans.
+struct WorkerPool {
+  std::vector<WorkerSlot> slots;
+  /// Workers whose socket is closed: each leaves its obs snapshot and
+  /// exits; reaped at the end of the campaign.
+  std::vector<pid_t> retired;
+
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+  ~WorkerPool() {
+    while (!slots.empty()) reap(slots.size() - 1);
+    for (const pid_t pid : retired) {
+      ::kill(pid, SIGKILL);
+      wait_for(pid);
+    }
   }
-  ::_Exit(0);
+
+  /// Closes slot i's socket, SIGKILLs its process (a no-op on one that
+  /// already exited), reaps it and drops the slot.
+  void reap(std::size_t i) {
+    const WorkerSlot w = take(i);
+    ::kill(w.pid, SIGKILL);
+    wait_for(w.pid);
+  }
+
+  /// Ends slot i's stream of leases: closing its socket lets it leave its
+  /// snapshot and exit while the coordinator goes on.
+  void retire(std::size_t i) { retired.push_back(take(i).pid); }
+
+  /// The wait status of `pid`, once it has exited.
+  static int wait_for(pid_t pid) {
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    return status;
+  }
+
+ private:
+  WorkerSlot take(std::size_t i) {
+    const WorkerSlot w = slots[i];
+    slots[i] = slots.back();
+    slots.pop_back();
+    ::close(w.fd);
+    return w;
+  }
+};
+
+/// Forks one worker connected to the coordinator by a socketpair.  Returns
+/// a slot with pid -1 when the socket or the fork fails.
+WorkerSlot spawn_worker(const CampaignOptions& o,
+                        const cells::CellLibrary& library,
+                        std::uint64_t config_digest, const WorkerPool& pool) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return {};
+  }
+  pid_t pid = 0;
+  {
+    // The child leaves this scope too; its copy of the observation is wiped
+    // with the rest of its registry.
+    obs::ScopedTimer span("campaign.spawn");
+    pid = ::fork();
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    // The siblings' sockets are the coordinator's alone: a sibling holding
+    // one would keep that worker from ever seeing the end of its stream.
+    for (const WorkerSlot& w : pool.slots) ::close(w.fd);
+    worker_main(o, library, fds[1], config_digest);
+  }
+  ::close(fds[1]);
+  WorkerSlot w;
+  if (pid < 0) {
+    ::close(fds[0]);
+    return w;
+  }
+  w.pid = pid;
+  w.fd = fds[0];
+  return w;
+}
+
+/// Adds worker `pid`'s obs snapshot, when it left one, to this process's
+/// registry and removes the file.
+void absorb_worker_obs(const CampaignOptions& o, pid_t pid) {
+  const std::string path = worker_obs_path(o, pid);
+  if (const auto doc = obs::json::load_file(path)) {
+    try {
+      obs::Registry::global().absorb(obs::Snapshot::from_json(*doc));
+    } catch (const std::exception&) {
+      // A malformed snapshot only loses that worker's counts.
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
@@ -422,17 +657,18 @@ CampaignResult run_campaign_serial(const CampaignOptions& user_options) {
   options.pre_publish_hook = nullptr;
   options.post_checkpoint_hook = nullptr;
   options.worker_fault_hook = nullptr;
-  const cells::CellLibrary& library = library_for(options.style);
   CampaignResult result;
   result.shards = shard_outcomes(options);
-  std::vector<std::optional<WorkerCheckpoint>> states;
+  ShardMerge merge(options, result);
+  const Lease no_lease;  // the hooks are stripped
+  PhaseSources sources(options, library_for(options.style), no_lease);
   for (ShardOutcome& outcome : result.shards) {
     WorkerCheckpoint state = fresh_state(options, outcome.shard);
-    run_shard_range(options, library, state, /*restart=*/0, nullptr, nullptr);
+    run_shard_range(options, sources, state, nullptr, nullptr);
     outcome.completed = true;
-    states.push_back(std::move(state));
+    merge.fold(&state);
   }
-  merge_checkpoints(options, states, result);
+  merge.finish();
   return result;
 }
 
@@ -467,39 +703,44 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   CampaignResult result;
   result.shards = shard_outcomes(options);
   const std::size_t shards = result.shards.size();
-
-  // fork() and a live thread pool do not mix: the child would inherit a
-  // pool whose threads died at the fork.  Tear the pool down for the whole
-  // supervision window and restore the caller's setting afterwards.
-  const std::size_t prev_threads = util::set_parallel_threads(1);
+  ShardMerge merge(options, result);
 
   std::deque<PendingShard> pending;
   for (std::size_t s = 0; s < shards; ++s) {
     pending.push_back({s, 0, Clock::now()});
   }
-  std::vector<ActiveWorker> active;
-  std::size_t settled = 0;  // completed + skipped
+  std::vector<char> settled(shards, 0);  // completed or skipped
+  std::size_t num_settled = 0;
 
-  const auto poll_sleep = std::chrono::duration<double>(
-      options.poll_interval_s > 0 ? options.poll_interval_s : 0.01);
+  const int poll_ms = static_cast<int>(std::clamp(
+      std::ceil((options.poll_interval_s > 0 ? options.poll_interval_s
+                                             : 0.01) *
+                1e3),
+      1.0, 1e9));
   const auto hb_timeout =
       std::chrono::duration<double>(options.heartbeat_timeout_s);
+  const std::size_t max_workers = std::min(options.num_workers, shards);
+
+  const auto settle = [&](std::uint64_t shard, bool completed, int restart) {
+    ShardOutcome& outcome = result.shards[shard];
+    outcome.completed = completed;
+    outcome.restarts = restart;
+    settled[shard] = 1;
+    ++num_settled;
+    (completed ? handles.completed : handles.skipped).add(1);
+  };
 
   const auto fail_shard = [&](std::uint64_t shard, int restart) {
-    ShardOutcome& outcome = result.shards[shard];
     if (static_cast<std::size_t>(restart) >= options.max_restarts) {
       // Retry budget exhausted: graceful degradation.  The shard's durable
       // prefix still merges below; only the tail is lost.
-      outcome.completed = false;
-      outcome.restarts = restart;
       ++result.shards_skipped;
-      ++settled;
-      handles.skipped.add(1);
+      settle(shard, false, restart);
       return;
     }
     ++result.restarts;
     handles.restarts.add(1);
-    outcome.restarts = restart + 1;
+    result.shards[shard].restarts = restart + 1;
     const double delay =
         std::min(options.backoff_cap_s,
                  options.backoff_base_s * static_cast<double>(1ull << std::min(
@@ -510,101 +751,152 @@ CampaignResult run_campaign(const CampaignOptions& options) {
                             std::chrono::duration<double>(delay))});
   };
 
-  while (settled < shards) {
-    // Spawn up to the worker budget from the ready end of the queue.
+  // Frontier merge: once a shard and every lower one have settled, read its
+  // checkpoint (exactly once), fold it and drop it, so merging overlaps the
+  // workers and at most one loaded checkpoint is alive.
+  const auto frontier_ready = [&] {
+    return merge.next_shard() < shards && settled[merge.next_shard()];
+  };
+  const auto fold_frontier = [&] {
+    const std::string path = checkpoint_path(options, merge.next_shard());
+    std::optional<WorkerCheckpoint> state;
+    {
+      obs::ScopedTimer read_span("campaign.checkpoint_read");
+      state = load_checkpoint(path, options.samples, digest);
+    }
+    if (state.has_value()) {
+      std::error_code size_ec;
+      const auto bytes = std::filesystem::file_size(path, size_ec);
+      if (!size_ec) handles.ckpt_bytes.add(bytes);
+    }
+    merge.fold(state ? &*state : nullptr);
+  };
+
+  WorkerPool pool;
+  // Lease every ready shard to an idle worker, forking workers up to the
+  // budget while none is idle.  With nothing left to lease, idle workers
+  // are retired at once; should a lease be requeued later, a replacement
+  // is forked for it.
+  const auto dispatch = [&] {
     const Clock::time_point now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() && active.size() < options.num_workers;) {
+    for (auto it = pending.begin(); it != pending.end();) {
       if (it->ready > now) {
         ++it;
         continue;
       }
-      const pid_t pid =
-          spawn_worker(options, library, it->shard, it->restart, digest);
-      if (pid < 0) {
-        if (active.empty()) {
-          util::set_parallel_threads(prev_threads);
-          throw std::runtime_error("campaign: fork failed with no workers "
-                                   "in flight");
+      auto idle = std::find_if(pool.slots.begin(), pool.slots.end(),
+                               [](const WorkerSlot& w) { return !w.leased; });
+      if (idle == pool.slots.end()) {
+        if (pool.slots.size() >= max_workers) break;
+        WorkerSlot w = spawn_worker(options, library, digest, pool);
+        if (w.pid < 0) {
+          if (pool.slots.empty()) {
+            throw std::runtime_error(
+                "campaign: fork failed with no workers in flight");
+          }
+          break;  // EAGAIN under load: retry once something is reaped
         }
-        break;  // EAGAIN under load: retry once something is reaped
+        ++result.workers_spawned;
+        handles.spawned.add(1);
+        pool.slots.push_back(w);
+        idle = pool.slots.end() - 1;
       }
-      ++result.workers_spawned;
-      handles.spawned.add(1);
-      ActiveWorker w;
-      w.pid = pid;
-      w.shard = it->shard;
-      w.restart = it->restart;
-      w.heartbeat = read_heartbeat(heartbeat_path(options, it->shard));
-      w.heartbeat_changed = Clock::now();
-      active.push_back(w);
+      // A failed send means the worker died; the next poll reaps it and the
+      // shard stays pending.
+      if (!send_frame(idle->fd, {kLease, it->restart, it->shard})) break;
+      idle->leased = true;
+      idle->lease = {it->shard, it->restart};
+      idle->heartbeat = read_heartbeat(heartbeat_path(options, it->shard));
+      idle->heartbeat_changed = Clock::now();
       it = pending.erase(it);
     }
+    if (!pending.empty()) return;
+    for (std::size_t i = pool.slots.size(); i-- > 0;) {
+      if (!pool.slots[i].leased) pool.retire(i);
+    }
+  };
 
-    // Reap exits and enforce heartbeats.
-    for (std::size_t i = 0; i < active.size();) {
-      ActiveWorker& w = active[i];
-      int status = 0;
-      const pid_t reaped = ::waitpid(w.pid, &status, WNOHANG);
-      if (reaped == w.pid) {
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        bool done = false;
-        if (clean) {
-          const auto state = load_checkpoint(
-              checkpoint_path(options, w.shard), options.samples, digest);
-          done = state.has_value() && state->phase == kPhaseDone;
-        }
-        if (done) {
-          ShardOutcome& outcome = result.shards[w.shard];
-          outcome.completed = true;
-          outcome.restarts = w.restart;
-          ++settled;
-          handles.completed.add(1);
-        } else {
-          fail_shard(w.shard, w.restart);
-        }
-        active[i] = active.back();
-        active.pop_back();
-        continue;
+  // fork() and a live thread pool do not mix: a child would inherit a pool
+  // whose threads died at the fork.  Tear the pool down for the whole
+  // supervision window (every fork, replacements included, happens inside
+  // it) and restore the caller's setting afterwards.
+  const std::size_t prev_threads = util::set_parallel_threads(1);
+  std::vector<pollfd> polled;
+  try {
+    dispatch();
+    while (num_settled < shards || merge.next_shard() < shards) {
+      // Wait for completions and deaths -- not at all while a fold is
+      // ready, at most one poll interval otherwise, so the heartbeat checks
+      // and backed-off leases keep their cadence.
+      polled.clear();
+      for (const WorkerSlot& w : pool.slots) {
+        polled.push_back({w.fd, POLLIN, 0});
       }
-      if (reaped == 0 && !w.killed_for_hang) {
+      if (::poll(polled.data(), polled.size(),
+                 frontier_ready() ? 0 : poll_ms) < 0 &&
+          errno != EINTR) {
+        throw std::runtime_error(std::string("campaign: poll failed: ") +
+                                 std::strerror(errno));
+      }
+      // Downward, so a removal's swap with the last slot only moves a slot
+      // already visited.
+      for (std::size_t i = polled.size(); i-- > 0;) {
+        if (polled[i].revents == 0) continue;
+        WorkerSlot& w = pool.slots[i];
+        Frame frame;
+        if (recv_frame(w.fd, frame) && frame.kind == kDone && w.leased &&
+            frame.shard == w.lease.shard) {
+          w.leased = false;
+          settle(w.lease.shard, true, w.lease.restart);
+          continue;
+        }
+        // End of stream (the worker died) or a frame out of protocol:
+        // reap it and requeue whatever it held.
+        const WorkerSlot dead = w;
+        pool.reap(i);
+        if (dead.leased) fail_shard(dead.lease.shard, dead.lease.restart);
+      }
+
+      // Enforce heartbeats on leased workers.
+      const Clock::time_point t = Clock::now();
+      for (WorkerSlot& w : pool.slots) {
+        if (!w.leased || w.killed_for_hang) continue;
         const std::uint64_t beat =
-            read_heartbeat(heartbeat_path(options, w.shard));
-        const Clock::time_point t = Clock::now();
+            read_heartbeat(heartbeat_path(options, w.lease.shard));
         if (beat != w.heartbeat) {
           w.heartbeat = beat;
           w.heartbeat_changed = t;
         } else if (t - w.heartbeat_changed > hb_timeout) {
           // Hung (a worker stuck inside one simulation never beats): kill
-          // and let the normal reap path restart it from its checkpoint.
+          // it; its end of stream requeues the lease from its checkpoint.
           ::kill(w.pid, SIGKILL);
           w.killed_for_hang = true;
           ++result.heartbeat_timeouts;
           handles.timeouts.add(1);
         }
       }
-      ++i;
+
+      // Leases first, then one fold: a worker never waits on the merge
+      // for longer than one checkpoint.
+      dispatch();
+      if (frontier_ready()) fold_frontier();
     }
-    if (settled < shards) std::this_thread::sleep_for(poll_sleep);
+
+    // Every worker is idle by now; take in what each one counted.
+    while (!pool.slots.empty()) pool.retire(pool.slots.size() - 1);
+    for (const pid_t pid : pool.retired) {
+      const int status = WorkerPool::wait_for(pid);
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+        absorb_worker_obs(options, pid);
+      }
+    }
+    pool.retired.clear();
+  } catch (...) {
+    util::set_parallel_threads(prev_threads);
+    throw;
   }
   util::set_parallel_threads(prev_threads);
-
-  // Merge whatever the spool holds, index-ordered: full shards, and the
-  // durable prefixes of skipped ones.
-  std::vector<std::optional<WorkerCheckpoint>> states;
-  states.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto state =
-        load_checkpoint(checkpoint_path(options, s), options.samples, digest);
-    if (state.has_value()) {
-      std::error_code size_ec;
-      const auto bytes = std::filesystem::file_size(
-          checkpoint_path(options, s), size_ec);
-      if (!size_ec) handles.ckpt_bytes.add(bytes);
-    }
-    states.push_back(std::move(state));
-  }
-  merge_checkpoints(options, states, result);
+  merge.finish();
   return result;
 }
 

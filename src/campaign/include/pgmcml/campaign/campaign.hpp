@@ -2,14 +2,20 @@
 //
 // A campaign -- CPA + DPA + TVLA + MTD over N traces of the reduced AES
 // target -- is cut into fixed shards by global trace index and executed by
-// a pool of forked worker processes.  Each worker streams its range through
-// core::make_acquisition_source into local accumulators and periodically
-// publishes a durable checkpoint (see checkpoint.hpp).  The coordinator
-// supervises with heartbeats, SIGKILLs hung workers, restarts crashed ones
-// from their last durable checkpoint with exponential backoff, and -- once
-// a shard exhausts its retry budget -- degrades gracefully: the shard's
-// durable prefix is still merged and the unprocessed tail is reported as a
-// skipped range instead of failing the campaign.
+// a pool of worker processes, forked once per campaign and leased one shard
+// at a time over a socket.  A worker keeps one acquisition source per phase
+// (core::make_acquisition_source), re-ranged onto each shard it streams, so
+// a plaintext is simulated once per worker; it streams the shard into local
+// accumulators, periodically publishes a durable checkpoint (see
+// checkpoint.hpp) and reports the shard done after the final one.  The
+// coordinator supervises with heartbeats, SIGKILLs hung workers, requeues a
+// dead worker's shard from its last durable checkpoint with exponential
+// backoff (forking a replacement), and -- once a shard exhausts its retry
+// budget -- degrades gracefully: the shard's durable prefix is still merged
+// and the unprocessed tail is reported as a skipped range instead of
+// failing the campaign.  It merges shards in index order as they settle,
+// reading each checkpoint once, and takes in the obs snapshot every worker
+// leaves when its stream of leases ends.
 //
 // Determinism contract: the serial reference (run_campaign_serial) and the
 // distributed run execute the SAME per-shard fold and the SAME index-
@@ -55,6 +61,7 @@ struct CampaignOptions {
   /// worker count produces the identical merge and a spool stays resumable
   /// after changing num_workers.
   std::size_t shard_size = 0;
+  /// Worker processes to fork (capped at the shard count).
   std::size_t num_workers = 4;
   /// Durable checkpoint cadence, in attempted traces per phase.
   std::size_t checkpoint_every = 256;
@@ -66,6 +73,8 @@ struct CampaignOptions {
   /// Threads each worker may use (workers are processes; keep this low).
   std::size_t worker_threads = 1;
   double heartbeat_timeout_s = 30.0;
+  /// Longest the coordinator blocks waiting for a worker message before it
+  /// checks heartbeats and backed-off shards again.
   double poll_interval_s = 0.01;
   double backoff_base_s = 0.05;  ///< restart delay: base * 2^(failures-1)
   double backoff_cap_s = 1.0;
@@ -123,6 +132,8 @@ struct CampaignResult : sca::AttackVerdicts {
   spice::FlowDiagnostics diagnostics;
   std::vector<ShardOutcome> shards;
   std::vector<SkippedRange> skipped_ranges;
+  /// Worker processes forked: one per worker (at most one per shard), plus
+  /// one per replacement of a worker that died.
   std::uint64_t workers_spawned = 0;
   std::uint64_t restarts = 0;
   std::uint64_t heartbeat_timeouts = 0;
@@ -144,8 +155,10 @@ bool bitwise_equal(const CampaignResult& a, const CampaignResult& b);
 /// empty instead of resuming into a different campaign.
 std::uint64_t campaign_config_digest(const CampaignOptions& options);
 
-/// Distributed run: forked workers, heartbeat supervision, checkpointed
-/// recovery, graceful degradation.  Throws std::invalid_argument on
+/// Distributed run: forked workers leased shards, heartbeat supervision,
+/// checkpointed recovery, graceful degradation.  Counters and spans the
+/// workers record reach obs::Registry::global() through the snapshot each
+/// leaves on a clean exit; a killed incarnation's snapshot is lost.  Throws std::invalid_argument on
 /// malformed options and std::runtime_error when the spool directory cannot
 /// be created or a worker cannot be spawned at all.
 CampaignResult run_campaign(const CampaignOptions& options);

@@ -86,12 +86,7 @@ class ByteTargetSource final : public AcquisitionSource {
           256 * options_.samples);
     }
 
-    const std::size_t slots =
-        std::min(options_.batch_size, options_.num_traces);
-    plaintexts_.assign(slots, 0);
-    rows_.resize(slots);
-    skipped_.assign(slots, 0);
-    trace_diag_.resize(slots);
+    size_slots();
   }
 
   std::size_t samples_per_trace() const override { return options_.samples; }
@@ -151,6 +146,13 @@ class ByteTargetSource final : public AcquisitionSource {
     current_stats_ = util::RunningStats{};
   }
 
+  void seek(std::size_t first_trace, std::size_t num_traces) override {
+    options_.first_trace = first_trace;
+    options_.num_traces = num_traces;
+    size_slots();
+    reset();
+  }
+
   const spice::FlowDiagnostics& diagnostics() const override {
     return diagnostics_;
   }
@@ -171,6 +173,18 @@ class ByteTargetSource final : public AcquisitionSource {
     double i_awake = 0.0;
     double i_asleep = 0.0;
   };
+
+  /// One slot per trace of a full batch of the current range; slots only
+  /// grow, since every slot is rewritten before it is read.
+  void size_slots() {
+    const std::size_t slots =
+        std::min(options_.batch_size, options_.num_traces);
+    if (slots <= rows_.size()) return;
+    plaintexts_.resize(slots, 0);
+    rows_.resize(slots);
+    skipped_.resize(slots, 0);
+    trace_diag_.resize(slots);
+  }
 
   double* memo_row(std::uint8_t plaintext) const {
     return memo_rows_.get() + std::size_t{plaintext} * options_.samples;
@@ -295,8 +309,8 @@ class ByteTargetSource final : public AcquisitionSource {
   std::vector<std::vector<double>> rows_;
   std::vector<char> skipped_;
   std::vector<spice::FlowDiagnostics> trace_diag_;
-  // Per-plaintext memo; it outlives reset(), since nothing it holds depends
-  // on the trace index.
+  // Per-plaintext memo; it outlives reset() and seek(), since nothing it
+  // holds depends on the trace index.
   std::array<MemoEntry, 256> memo_;
   /// Dynamic only: 256 noiseless rows of `samples`, row p for plaintext p.
   std::unique_ptr<double[]> memo_rows_;

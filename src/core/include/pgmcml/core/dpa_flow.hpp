@@ -142,6 +142,15 @@ class AcquisitionSource : public sca::TraceSource {
   virtual std::size_t traces_consumed() const = 0;
   /// Synthesis stats of the mapped target.
   virtual const netlist::Design::Stats& design_stats() const = 0;
+  /// Re-ranges the source onto global traces [first_trace, first_trace +
+  /// num_traces) and rewinds it: reset() plus a new range, diagnostics back
+  /// to the post-construction state.  Synthesis, the precharge, the tracer
+  /// and the plaintext memo are kept, so a plaintext already simulated is
+  /// not simulated again; the stream that follows is bitwise the one a
+  /// fresh source over that range produces.  The fault hook is the one the
+  /// source was built with: a caller that re-ranges it per lease has the
+  /// hook read the current lease.
+  virtual void seek(std::size_t first_trace, std::size_t num_traces) = 0;
 };
 
 std::unique_ptr<AcquisitionSource> make_acquisition_source(

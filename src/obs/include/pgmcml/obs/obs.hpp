@@ -137,6 +137,12 @@ class Registry {
   /// between phases to attribute counts.
   void reset();
 
+  /// Adds another registry's snapshot into this one, creating the metrics it
+  /// names: afterwards snapshot() is the old snapshot merged (Snapshot::merge)
+  /// with `other`.  How a campaign coordinator takes in what its forked
+  /// workers counted.
+  void absorb(const Snapshot& other);
+
   static Registry& global();
 
  private:

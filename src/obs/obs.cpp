@@ -224,6 +224,20 @@ void Registry::reset() {
   for (auto& [name, cell] : impl_->histograms) cell->reset();
 }
 
+void Registry::absorb(const Snapshot& other) {
+  for (const auto& [name, value] : other.counters) counter(name).add(value);
+  for (const auto& [name, data] : other.histograms) {
+    Histogram::Cell& cell = *histogram(name).cell_;
+    cell.count.fetch_add(data.count, std::memory_order_relaxed);
+    cell.sum.fetch_add(data.sum, std::memory_order_relaxed);
+    atomic_min(cell.min, data.min);
+    atomic_max(cell.max, data.max);
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+      cell.buckets[i].fetch_add(data.buckets[i], std::memory_order_relaxed);
+    }
+  }
+}
+
 Registry& Registry::global() {
   static Registry instance;
   return instance;

@@ -19,8 +19,10 @@
 
 #include "pgmcml/campaign/campaign.hpp"
 #include "pgmcml/campaign/checkpoint.hpp"
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/snapshot.hpp"
+#include "pgmcml/util/rng.hpp"
 
 namespace pgmcml::campaign {
 namespace {
@@ -291,6 +293,65 @@ TEST(Campaign, DistributedEqualsSerialBitwise) {
   EXPECT_EQ(distributed.traces_accumulated, o.num_traces);
   expect_bitwise_equal(distributed, serial);
   std::filesystem::remove_all(spool);
+}
+
+TEST(Campaign, CleanRunForksOncePerWorkerAndReadsEachCheckpointOnce) {
+  const std::string spool = fresh_spool("counts");
+  const CampaignOptions o = small_options(spool);
+  ASSERT_LT(o.num_workers, o.shard_count());
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Snapshot before = registry.snapshot();
+  const CampaignResult r = run_campaign(o);
+  const obs::Snapshot after = registry.snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(r.restarts, 0u);
+  // One fork per worker, however many shards each one streams.
+  EXPECT_EQ(r.workers_spawned, o.num_workers);
+  EXPECT_EQ(delta("campaign.workers_spawned"), o.num_workers);
+  // The frontier merge reads every shard's checkpoint exactly once.
+  std::uintmax_t spool_bytes = 0;
+  for (std::size_t s = 0; s < o.shard_count(); ++s) {
+    spool_bytes += std::filesystem::file_size(spool + "/shard-" +
+                                              std::to_string(s) + ".ckpt");
+  }
+  EXPECT_EQ(delta("campaign.checkpoint_bytes_read"), spool_bytes);
+  // The workers' snapshots came home: the merged registry counts every
+  // trace of every phase, and no snapshot file is left behind.
+  EXPECT_EQ(delta("core.acquisition.traces"), o.num_traces * 2);  // + TVLA
+  for (const auto& entry : std::filesystem::directory_iterator(spool)) {
+    EXPECT_NE(entry.path().extension(), ".obs") << entry.path();
+  }
+  std::filesystem::remove_all(spool);
+
+  // One worker streams every shard through one source per phase: a
+  // plaintext is simulated once per campaign, not once per shard.
+  CampaignOptions one = small_options(fresh_spool("counts-one"));
+  one.num_workers = 1;
+  std::vector<bool> seen(256, false);
+  std::uint64_t distinct = 0;
+  std::uint64_t per_shard_sum = 0;
+  for (std::size_t s = 0; s < one.shard_count(); ++s) {
+    std::vector<bool> in_shard(256, false);
+    for (std::size_t t = one.shard_lo(s); t < one.shard_hi(s); ++t) {
+      const auto p = util::Rng::stream(one.seed, t).bounded(256);
+      if (!in_shard[p]) ++per_shard_sum;
+      if (!seen[p]) ++distinct;
+      in_shard[p] = seen[p] = true;
+    }
+  }
+  ASSERT_LT(distinct, per_shard_sum);
+  const std::uint64_t fills_before =
+      registry.counter("core.acquisition.simulations").value();
+  const CampaignResult single = run_campaign(one);
+  const std::uint64_t fills =
+      registry.counter("core.acquisition.simulations").value() - fills_before;
+  EXPECT_EQ(single.workers_spawned, 1u);
+  // The fixed (TVLA) phase fills its one plaintext once.
+  EXPECT_EQ(fills, distinct + 1);
+  expect_bitwise_equal(single, r);
+  std::filesystem::remove_all(one.spool_dir);
 }
 
 TEST(Campaign, SigkillBetweenFsyncAndRenameRecoversBitwise) {

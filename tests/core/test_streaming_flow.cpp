@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -504,6 +505,77 @@ TEST(StreamingFlow, FaultedTracesLeaveNoPoisonedMemoEntry) {
     }
     util::set_parallel_threads(0);
   }
+}
+
+TEST(StreamingFlow, SeekedSourceMatchesAFreshSource) {
+  const obs::Counter simulations =
+      obs::Registry::global().counter("core.acquisition.simulations");
+  // Overlapping, disjoint, growing and shrinking ranges, in campaign order
+  // and out of it.
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, 30}, {20, 45}, {300, 9}, {5, 3}, {120, 64}, {64, 0}};
+  const CellLibrary library = CellLibrary::pgmcml90();
+  for (const AcquisitionMode mode :
+       {AcquisitionMode::kDynamic, AcquisitionMode::kStatic}) {
+    for (const int fixed : {-1, 0x52}) {
+      if (mode == AcquisitionMode::kStatic && fixed >= 0) continue;
+      for (const std::size_t threads : {1u, 4u}) {
+        util::set_parallel_threads(threads);
+        for (const std::size_t batch : {1u, 7u}) {
+          const std::string what =
+              std::string(mode == AcquisitionMode::kStatic ? "static"
+                          : fixed >= 0                     ? "fixed"
+                                                           : "dynamic") +
+              " threads=" + std::to_string(threads) +
+              " batch=" + std::to_string(batch);
+          DpaFlowOptions opt;
+          opt.samples = 60;
+          opt.acquisition = mode;
+          opt.fixed_plaintext = fixed;
+          opt.batch_size = batch;
+          opt.first_trace = ranges[0].first;
+          opt.num_traces = ranges[0].second;
+          auto seeked = make_acquisition_source(library, opt);
+          std::vector<bool> seen(256, false);
+          std::uint64_t distinct = 0;
+          std::uint64_t fills = 0;
+          for (std::size_t r = 0; r < ranges.size(); ++r) {
+            const auto [first, n] = ranges[r];
+            if (r > 0) seeked->seek(first, n);
+            const std::uint64_t before = simulations.value();
+            const std::vector<Trace> got = drain(*seeked);
+            fills += simulations.value() - before;
+
+            DpaFlowOptions fresh_opt = opt;
+            fresh_opt.first_trace = first;
+            fresh_opt.num_traces = n;
+            auto fresh = make_acquisition_source(library, fresh_opt);
+            const std::string at = what + " range [" + std::to_string(first) +
+                                   ", +" + std::to_string(n) + ")";
+            expect_same_stream(got, drain(*fresh), at);
+            EXPECT_EQ(seeked->size_hint(), n) << at;
+            EXPECT_EQ(seeked->traces_consumed(), fresh->traces_consumed())
+                << at;
+            EXPECT_EQ(seeked->diagnostics().to_json_value().dump(),
+                      fresh->diagnostics().to_json_value().dump())
+                << at;
+            const double m_seeked = seeked->mean_current();
+            const double m_fresh = fresh->mean_current();
+            EXPECT_EQ(std::memcmp(&m_seeked, &m_fresh, sizeof(double)), 0)
+                << at;
+            for (const Trace& t : got) {
+              if (!seen[t.first]) ++distinct;
+              seen[t.first] = true;
+            }
+          }
+          // The memo outlives every seek: each plaintext is simulated once
+          // over the source's whole life.
+          EXPECT_EQ(fills, distinct) << what;
+        }
+      }
+    }
+  }
+  util::set_parallel_threads(0);
 }
 
 TEST(StreamingFlow, SimulationsCountMemoFillsNotTraces) {

@@ -147,6 +147,30 @@ TEST(ObsMerge, SnapshotMergeCombinesDisjointAndShared) {
   EXPECT_DOUBLE_EQ(s.histograms.at("h").sum, 3.0);
 }
 
+TEST(ObsMerge, RegistryAbsorbEqualsSnapshotMerge) {
+  Registry home, away;
+  home.counter("shared").add(2);
+  home.histogram("h").observe(1.0);
+  away.counter("shared").add(3);
+  away.counter("only_away").add(4);
+  away.histogram("h").observe(0.25);
+  away.histogram("h").observe(8.0);
+  away.histogram("new").observe(2.0);
+
+  Snapshot expect = home.snapshot();
+  expect.merge(away.snapshot());
+  const obs::Counter shared = home.counter("shared");
+  home.absorb(away.snapshot());
+  const Snapshot got = home.snapshot();
+  EXPECT_EQ(got.counters, expect.counters);
+  EXPECT_EQ(got.histograms, expect.histograms);
+  // Handles taken before the absorb see the absorbed counts.
+  EXPECT_EQ(shared.value(), 5u);
+  // Absorbing an empty snapshot changes nothing.
+  home.absorb(Snapshot{});
+  EXPECT_EQ(home.snapshot().histograms, got.histograms);
+}
+
 TEST(ObsParallel, SnapshotIsThreadCountInvariant) {
   // The same 1000 work units must produce identical integer state at 1
   // thread and at the default thread count (sums of identical increments
