@@ -21,7 +21,6 @@
 #include "pgmcml/mcml/characterize.hpp"
 #include "pgmcml/mcml/montecarlo.hpp"
 #include "pgmcml/sca/accumulator.hpp"
-#include "pgmcml/sca/trace_source.hpp"
 #include "pgmcml/spice/engine.hpp"
 #include "pgmcml/util/parallel.hpp"
 #include "pgmcml/util/units.hpp"
@@ -71,7 +70,7 @@ StageResult time_stage(const std::string& name,
 }
 
 /// Sum of every plaintext and sample `source` streams, in stream order.
-double checksum(sca::TraceSource& source) {
+double checksum(core::AcquisitionSource& source) {
   double sum = 0.0;
   sca::TraceBatch batch;
   while (source.next(batch)) {
@@ -192,9 +191,11 @@ int main() {
         cpa_input.num_traces(),
         [&](const sca::TraceBatch& b) { stat.add_batch(b); },
         [&] { return first(stat, nullptr); });
-    sca::TraceSetSource source(cpa_input);
     sca::TraceBatch batch;
-    while (source.next(batch)) tracker.add_batch(batch);
+    for (std::size_t i = 0; i < cpa_input.num_traces(); ++i) {
+      batch.add(cpa_input.plaintext(i), cpa_input.trace(i));
+    }
+    tracker.add_batch(batch);
     tracker.finish();
     return static_cast<double>(tracker.mtd());
   }));

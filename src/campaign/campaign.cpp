@@ -57,6 +57,13 @@ void validate(const CampaignOptions& o) {
   if (o.checkpoint_every == 0) {
     throw std::invalid_argument("campaign: checkpoint_every must be > 0");
   }
+  if (o.batch_size == 0) {
+    throw std::invalid_argument("campaign: batch_size must be > 0");
+  }
+  if (!std::isfinite(o.heartbeat_timeout_s) || o.heartbeat_timeout_s <= 0.0) {
+    throw std::invalid_argument(
+        "campaign: heartbeat_timeout_s must be positive and finite");
+  }
   if (o.spool_dir.empty()) {
     throw std::invalid_argument("campaign: spool_dir must be set");
   }

@@ -8,9 +8,8 @@
 // the distributed result is bitwise equal on the attack statistics --
 // the acceptance gate CI runs with an injected worker crash.
 //
-// Environment defaults (all rejected loudly when malformed, see util/env.hpp):
-//   PGMCML_CAMPAIGN_WORKERS, PGMCML_CAMPAIGN_SHARD_SIZE,
-//   PGMCML_CAMPAIGN_CHECKPOINT_EVERY, PGMCML_CAMPAIGN_MAX_RESTARTS
+// Options come from the defaults of CampaignOptions, then --config, then
+// the flags; the environment sets none of them.
 #include <signal.h>
 #include <unistd.h>
 
@@ -86,19 +85,6 @@ int main(int argc, char** argv) {
   long long inject_crash = -1;
   std::string out_path;
   try {
-    opt.num_workers = static_cast<std::size_t>(
-        util::env_u64("PGMCML_CAMPAIGN_WORKERS", 1, 1024).value_or(4));
-    opt.shard_size = static_cast<std::size_t>(
-        util::env_u64("PGMCML_CAMPAIGN_SHARD_SIZE", 0, std::uint64_t{1} << 40)
-            .value_or(0));
-    opt.checkpoint_every = static_cast<std::size_t>(
-        util::env_u64("PGMCML_CAMPAIGN_CHECKPOINT_EVERY", 1,
-                      std::uint64_t{1} << 40)
-            .value_or(256));
-    opt.max_restarts = static_cast<std::size_t>(
-        util::env_u64("PGMCML_CAMPAIGN_MAX_RESTARTS", 0, 1024).value_or(3));
-    opt.spool_dir = "campaign-spool";
-
     // --config seeds the options from an experiment document before the
     // remaining flags are applied, so flags override the file.
     for (int i = 1; i < argc; ++i) {

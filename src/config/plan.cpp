@@ -155,13 +155,14 @@ Plan plan_from_json(const obs::json::Value& doc,
                              "traces", "samples", "key", "seed", "dt",
                              "noise_sigma", "gate_per_operation",
                              "spice_kernels", "fixed_plaintext", "batch_size",
-                             "keep_traces", "attacks", "acquisition"});
+                             "attacks", "acquisition"});
       core::DpaFlowOptions& o = p.dpa_flow;
+      // An experiment reports verdicts only, so it never holds its traces.
+      o.keep_traces = false;
       parse_acquisition(r, o);
       o.fixed_plaintext =
           static_cast<int>(r.int_or("fixed_plaintext", o.fixed_plaintext,
                                     -1, 255));
-      o.keep_traces = r.bool_or("keep_traces", o.keep_traces);
       o.acquisition = r.enum_or("acquisition", {"dynamic", "static"}, 0) == 1
                           ? core::AcquisitionMode::kStatic
                           : core::AcquisitionMode::kDynamic;

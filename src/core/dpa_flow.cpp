@@ -90,7 +90,6 @@ class ByteTargetSource final : public AcquisitionSource {
   }
 
   std::size_t samples_per_trace() const override { return options_.samples; }
-  std::size_t size_hint() const override { return options_.num_traces; }
 
   bool next(sca::TraceBatch& batch) override {
     batch.clear();

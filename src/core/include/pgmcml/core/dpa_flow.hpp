@@ -19,7 +19,6 @@
 #include "pgmcml/netlist/design.hpp"
 #include "pgmcml/power/tracer.hpp"
 #include "pgmcml/sca/accumulator.hpp"
-#include "pgmcml/sca/trace_source.hpp"
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/spice/solve_error.hpp"
 
@@ -115,11 +114,11 @@ struct DpaFlowResult : sca::AttackVerdicts {
   spice::FlowDiagnostics diagnostics;
 };
 
-/// Streaming acquisition of `options.target`: a TraceSource that produces
-/// `options.batch_size` traces per next() call into reused row buffers, so
-/// an arbitrarily long campaign holds one batch in memory, plus a memo of at
-/// most 256 noiseless rows (one simulation per plaintext byte; the key is
-/// fixed).
+/// Streaming acquisition of `options.target`, the one producer of trace
+/// batches: `options.batch_size` traces per next() call into reused row
+/// buffers, so an arbitrarily long campaign holds one batch in memory, plus
+/// a memo of at most 256 noiseless rows (one simulation per plaintext byte;
+/// the key is fixed).
 /// Trace indices are global -- Rng streams, noise nonces, and the fault hook
 /// are keyed on the campaign index -- so the stream is bitwise identical to
 /// the materialized acquisition at any thread count and any batch size.
@@ -127,8 +126,23 @@ struct DpaFlowResult : sca::AttackVerdicts {
 /// and recorded in diagnostics(), exactly as the batch flow did.
 /// The constructor throws std::invalid_argument when batch_size or samples
 /// is 0, or fixed_plaintext lies outside [-1, 255].
-class AcquisitionSource : public sca::TraceSource {
+class AcquisitionSource {
  public:
+  AcquisitionSource() = default;
+  AcquisitionSource(const AcquisitionSource&) = delete;
+  AcquisitionSource& operator=(const AcquisitionSource&) = delete;
+  virtual ~AcquisitionSource() = default;
+
+  /// Samples per trace: options.samples.
+  virtual std::size_t samples_per_trace() const = 0;
+  /// Clears `batch` and fills it with the next traces: up to batch_size
+  /// attempted, skipped ones left out.  Returns false -- with `batch`
+  /// empty -- once the range is exhausted.  The batch's views are valid
+  /// until the next next(), reset() or seek().
+  virtual bool next(sca::TraceBatch& batch) = 0;
+  /// Rewinds to the first trace of the range; the stream that follows is
+  /// bitwise the one already produced.
+  virtual void reset() = 0;
   /// Aggregated outcomes so far: kernel extraction plus every batch
   /// produced.  reset() rewinds this to the post-construction state.
   virtual const spice::FlowDiagnostics& diagnostics() const = 0;

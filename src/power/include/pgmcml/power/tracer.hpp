@@ -138,9 +138,6 @@ class PowerTracer {
   /// CMOS leakage power floor [W].
   double leakage_power() const { return leakage_power_; }
 
-  /// Average power over a trace [W].
-  double average_power(const std::vector<double>& trace) const;
-
   /// Total charge switched by a CMOS event stream [C] (sum of the rising-
   /// edge kernel charges; zero for MCML styles whose events only steer Iss).
   double switched_charge(const std::vector<netlist::SimEvent>& events) const;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "pgmcml/obs/obs.hpp"
-#include "pgmcml/util/stats.hpp"
 
 namespace pgmcml::power {
 
@@ -388,10 +387,6 @@ double PowerTracer::quiescent_current(const netlist::LogicSim& sim,
     }
   }
   return current;
-}
-
-double PowerTracer::average_power(const std::vector<double>& trace) const {
-  return util::mean(trace) * library_.vdd();
 }
 
 double PowerTracer::switched_charge(

@@ -1,11 +1,8 @@
 #include "pgmcml/sca/attack.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "pgmcml/aes/aes.hpp"
-#include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/util/stats.hpp"
 
 namespace pgmcml::sca {
@@ -62,54 +59,6 @@ std::string_view to_string(StaticWindow window) {
     case StaticWindow::kAsleep: return "asleep";
   }
   return "all";
-}
-
-CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
-  const std::size_t m = source.samples_per_trace();
-
-  // Pass 1: Welford mean trace.
-  std::vector<double> mean(m, 0.0);
-  std::size_t n = 0;
-  TraceBatch batch;
-  while (source.next(batch)) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& t = batch.traces[i];
-      if (t.size() != m) {
-        throw std::invalid_argument("second_order_cpa: ragged trace");
-      }
-      const double cnt = static_cast<double>(++n);
-      for (std::size_t j = 0; j < m; ++j) {
-        mean[j] += (t[j] - mean[j]) / cnt;
-      }
-    }
-  }
-
-  // Pass 2: center, square per sample, and stream into the statistic.  The
-  // squared batch is the only per-pass storage -- no squared TraceSet copy.
-  source.reset();
-  BinnedMoments stat(m);
-  std::vector<std::vector<double>> squared;
-  TraceBatch sq_batch;
-  while (source.next(batch)) {
-    if (squared.size() < batch.size()) squared.resize(batch.size());
-    sq_batch.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& t = batch.traces[i];
-      squared[i].resize(m);
-      for (std::size_t j = 0; j < m; ++j) {
-        const double c = t[j] - mean[j];
-        squared[i][j] = c * c;
-      }
-      sq_batch.add(batch.plaintexts[i], squared[i]);
-    }
-    stat.add_batch(sq_batch);
-  }
-  return BinSpectrum(stat).cpa(model);
-}
-
-CpaResult second_order_cpa(const TraceSet& traces, LeakageModel model) {
-  TraceSetSource source(traces);
-  return second_order_cpa(source, model);
 }
 
 }  // namespace pgmcml::sca

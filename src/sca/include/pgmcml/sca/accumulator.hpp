@@ -47,7 +47,7 @@
 #include "pgmcml/obs/json.hpp"
 #include "pgmcml/sca/attack.hpp"
 #include "pgmcml/sca/snapshot.hpp"
-#include "pgmcml/sca/trace_source.hpp"
+#include "pgmcml/sca/traces.hpp"
 
 namespace pgmcml::sca {
 

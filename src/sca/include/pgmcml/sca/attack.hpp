@@ -9,11 +9,9 @@
 // margin.
 //
 // This header holds the leakage models and the result records.  Every
-// first-order attack is scored one way (accumulator.hpp): traces fold once
-// into BinnedMoments (two Moments for TVLA), and BinSpectrum, welch_t and
-// first_place/MtdTracker score that statistic.  Only second-order CPA,
-// which does not factor through the per-plaintext statistic, has entry
-// points of its own here.
+// attack is scored one way (accumulator.hpp): traces fold once into
+// BinnedMoments (two Moments for TVLA), and BinSpectrum, welch_t and
+// first_place/MtdTracker score that statistic.
 #pragma once
 
 #include <array>
@@ -22,8 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "pgmcml/sca/trace_source.hpp"
-#include "pgmcml/sca/traces.hpp"
 
 namespace pgmcml::sca {
 
@@ -113,16 +109,5 @@ struct MlpaResult {
   }
   double margin(std::uint8_t key) const { return margin_of(score, key); }
 };
-
-/// Second-order CPA: centers each trace and squares it sample-wise before
-/// the Pearson stage (the standard univariate 2nd-order preprocessing that
-/// defeats first-order masking; included as evaluation tooling).
-CpaResult second_order_cpa(const TraceSet& traces,
-                           LeakageModel model = LeakageModel::kHammingWeight);
-
-/// Streaming second-order CPA.  Two passes: a Welford mean-trace pass, then
-/// (after source.reset()) a centered-square pass into the CPA engine.
-CpaResult second_order_cpa(TraceSource& source,
-                           LeakageModel model = LeakageModel::kHammingWeight);
 
 }  // namespace pgmcml::sca

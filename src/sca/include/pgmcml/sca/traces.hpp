@@ -1,12 +1,45 @@
-// Trace container for side-channel analysis: a matrix of power samples with
-// the per-trace public data (plaintext byte) the attacker knows.
+// Trace containers for side-channel analysis.
+//
+// TraceBatch is the one way traces move from acquisition to analysis:
+// core::AcquisitionSource::next fills a batch of (plaintext, samples) views
+// into its reused row buffers, and the accumulator engines (accumulator.hpp)
+// fold it into running statistics and drop it, so a campaign of any length
+// holds at most one batch.  TraceSet is the owning matrix a flow keeps when
+// asked to (DpaFlowOptions::keep_traces).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pgmcml::sca {
 
+/// Default number of traces per batch: large enough to amortize the
+/// per-batch bookkeeping, small enough that one batch of 1k-sample traces
+/// stays in the low megabytes.
+inline constexpr std::size_t kDefaultTraceBatch = 256;
+
+/// One batch of traces handed from an acquisition source to an analysis
+/// engine.  Non-owning: `traces[i]` views memory owned by the producer and
+/// stays valid until the producer's next next() or reset().
+struct TraceBatch {
+  std::vector<std::uint8_t> plaintexts;
+  std::vector<std::span<const double>> traces;
+
+  std::size_t size() const { return plaintexts.size(); }
+  bool empty() const { return plaintexts.empty(); }
+  void clear() {
+    plaintexts.clear();
+    traces.clear();
+  }
+  void add(std::uint8_t plaintext, std::span<const double> trace) {
+    plaintexts.push_back(plaintext);
+    traces.push_back(trace);
+  }
+};
+
+/// A matrix of power samples with the per-trace public data (plaintext
+/// byte) the attacker knows.
 class TraceSet {
  public:
   TraceSet() = default;
@@ -23,25 +56,7 @@ class TraceSet {
   std::uint8_t plaintext(std::size_t i) const { return plaintexts_.at(i); }
   const std::vector<double>& trace(std::size_t i) const { return data_.at(i); }
 
-  /// Mean trace over all acquisitions.  Accumulated pairwise, so the error
-  /// stays O(log n · eps) even on 10^5-trace campaigns where naive left-to-
-  /// right summation loses digits.
-  std::vector<double> mean_trace() const;
-
-  /// Returns an *owning deep copy* of the first n traces: O(n * samples)
-  /// time and memory.  Analysis code should not use this -- a prefix attack
-  /// is `TraceSetSource(ts, n)` (trace_source.hpp) streamed into the binned
-  /// statistic, and MTD sweeps score one statistic stream (MtdTracker)
-  /// instead of re-attacking prefix copies.  Kept for callers
-  /// that genuinely need an independent owning subset (e.g. handing a
-  /// truncated campaign to a writer while the original keeps growing).
-  TraceSet prefix(std::size_t n) const;
-
  private:
-  /// Adds the column sums of traces [lo, hi) into `acc`, pairwise.
-  void accumulate_pairwise(std::size_t lo, std::size_t hi,
-                           std::vector<double>& acc) const;
-
   std::size_t samples_ = 0;
   std::vector<std::uint8_t> plaintexts_;
   std::vector<std::vector<double>> data_;

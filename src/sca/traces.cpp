@@ -19,38 +19,4 @@ void TraceSet::reserve(std::size_t n) {
   data_.reserve(n);
 }
 
-void TraceSet::accumulate_pairwise(std::size_t lo, std::size_t hi,
-                                   std::vector<double>& acc) const {
-  constexpr std::size_t kLeaf = 32;
-  if (hi - lo <= kLeaf) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& t = data_[i];
-      for (std::size_t j = 0; j < samples_; ++j) acc[j] += t[j];
-    }
-    return;
-  }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  accumulate_pairwise(lo, mid, acc);
-  std::vector<double> right(samples_, 0.0);
-  accumulate_pairwise(mid, hi, right);
-  for (std::size_t j = 0; j < samples_; ++j) acc[j] += right[j];
-}
-
-std::vector<double> TraceSet::mean_trace() const {
-  std::vector<double> mean(samples_, 0.0);
-  if (data_.empty()) return mean;
-  accumulate_pairwise(0, data_.size(), mean);
-  for (double& v : mean) v /= static_cast<double>(data_.size());
-  return mean;
-}
-
-TraceSet TraceSet::prefix(std::size_t n) const {
-  TraceSet out(samples_);
-  const std::size_t count = std::min(n, num_traces());
-  for (std::size_t i = 0; i < count; ++i) {
-    out.add(plaintexts_[i], data_[i]);
-  }
-  return out;
-}
-
 }  // namespace pgmcml::sca

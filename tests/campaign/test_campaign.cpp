@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -549,6 +550,24 @@ TEST(Campaign, RejectsMalformedOptions) {
   o = CampaignOptions{};
   o.spool_dir.clear();
   EXPECT_THROW(run_campaign(o), std::invalid_argument);
+
+  // Supervision options: both entry points reject them up front, before a
+  // worker is forked, instead of every worker failing its first lease.
+  const std::string spool = fresh_spool("malformed");
+  const double bad_timeouts[] = {0.0, -1.0,
+                                 std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()};
+  for (const auto& entry : {run_campaign, run_campaign_serial}) {
+    o = small_options(spool);
+    o.batch_size = 0;
+    EXPECT_THROW(entry(o), std::invalid_argument);
+    for (const double timeout : bad_timeouts) {
+      o = small_options(spool);
+      o.heartbeat_timeout_s = timeout;
+      EXPECT_THROW(entry(o), std::invalid_argument) << timeout;
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(spool));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // statistic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "trace_batches.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -36,12 +38,14 @@ TraceSet synthetic_traces(std::uint8_t key, std::size_t n, double alpha,
   return ts;
 }
 
-/// Streams `ts` into a fresh statistic with the given batch size.
-BinnedMoments bin(const TraceSet& ts, std::size_t batch_size) {
+/// Streams traces [0, end) of `ts` into a fresh statistic with the given
+/// batch size.
+BinnedMoments bin(const TraceSet& ts, std::size_t batch_size,
+                  std::size_t end = kAllTraces) {
   BinnedMoments stat(ts.samples_per_trace());
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
-  TraceBatch batch;
-  while (source.next(batch)) stat.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts, batch_size, end)) {
+    stat.add_batch(batch);
+  }
   return stat;
 }
 
@@ -387,9 +391,7 @@ TEST(AccumulatorShells, SnapshotsAreTheScoredStatisticBitForBit) {
   BinnedMoments bins(m);
   BinnedMoments windows(kStaticWindows.size());
   Moments fixed(m), random(m);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 37);
-  TraceBatch batch;
-  while (source.next(batch)) {
+  for (const TraceBatch& batch : batches_of(ts, 37)) {
     cpa.add_batch(batch);
     dpa.add_batch(batch);
     mlpa.add_batch(batch);
@@ -440,7 +442,7 @@ std::size_t prefix_rerun_mtd(const TraceSet& traces, std::uint8_t true_key,
   }
   std::vector<bool> success(grid.size(), false);
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    const BinnedMoments stat = bin(traces.prefix(grid[gi]), 256);
+    const BinnedMoments stat = bin(traces, 256, grid[gi]);
     const CpaResult r = cpa_of(stat, model);
     success[gi] = r.key_rank(true_key) == 0;
   }
@@ -454,19 +456,21 @@ std::size_t prefix_rerun_mtd(const TraceSet& traces, std::uint8_t true_key,
   return 0;
 }
 
-/// The MTD of `ts` as the flow checks it: first_place() at the grid points
-/// of a tracker fed `batch_size` traces at a time.
+/// The MTD of traces [0, end) of `ts` as the flow checks it: first_place()
+/// at the grid points of a tracker fed `batch_size` traces at a time.
 std::size_t first_place_mtd(const TraceSet& ts, std::uint8_t key,
                             std::size_t grid_points,
-                            std::size_t batch_size = kDefaultTraceBatch) {
+                            std::size_t batch_size = kDefaultTraceBatch,
+                            std::size_t end = kAllTraces) {
   BinnedMoments stat(ts.samples_per_trace());
   FirstPlace first = first_place(key, /*mlpa=*/false);
   MtdTracker tracker(
-      ts.num_traces(), [&](const TraceBatch& b) { stat.add_batch(b); },
+      std::min(end, ts.num_traces()),
+      [&](const TraceBatch& b) { stat.add_batch(b); },
       [&] { return first(stat, nullptr); }, grid_points);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts, batch_size, end)) {
+    tracker.add_batch(batch);
+  }
   tracker.finish();
   return tracker.mtd();
 }
@@ -500,9 +504,9 @@ TEST(MtdTracker, CheckpointedScanMatchesPrefixRerun) {
   for (std::size_t batch_size : {1ul, 97ul, 613ul}) {
     BinnedMoments stat(ts.samples_per_trace());
     MtdTracker tracker = cpa_tracker(stat, key, ts.num_traces(), 8);
-    TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
-    TraceBatch batch;
-    while (source.next(batch)) tracker.add_batch(batch);
+    for (const TraceBatch& batch : batches_of(ts, batch_size)) {
+      tracker.add_batch(batch);
+    }
     tracker.finish();
     EXPECT_EQ(tracker.mtd(), oracle) << "batch size " << batch_size;
   }
@@ -512,9 +516,7 @@ TEST(MtdTracker, FullSetSnapshotIsTheUnsplitAccumulator) {
   const TraceSet ts = synthetic_traces(0x42, 600, 1.0, 4.0, 20);
   BinnedMoments stat(ts.samples_per_trace());
   MtdTracker tracker = cpa_tracker(stat, 0x42, ts.num_traces(), 16);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 173);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts, 173)) tracker.add_batch(batch);
   // The checkpoint splits must not perturb the final statistics by one ulp.
   const CpaResult via_tracker = cpa_of(stat);
   const CpaResult plain = cpa_of(bin(ts, 256));
@@ -544,7 +546,7 @@ TEST(MtdTracker, NeverDisclosedAndDegenerateCampaigns) {
   tiny.finish();
   EXPECT_EQ(tiny.mtd(), 0u);
   EXPECT_EQ(stat.num_traces(), 1u);
-  EXPECT_EQ(first_place_mtd(ts.prefix(3), 0x11, 4), 0u);
+  EXPECT_EQ(first_place_mtd(ts, 0x11, 4, kDefaultTraceBatch, 3), 0u);
 }
 
 TEST(MtdTracker, DisclosureRuleIsTheLastUnbrokenRunOfFirstPlace) {
@@ -555,20 +557,6 @@ TEST(MtdTracker, DisclosureRuleIsTheLastUnbrokenRunOfFirstPlace) {
                 Points{{10, true}, {20, false}, {30, true}, {40, true}}),
             30u);
   EXPECT_EQ(mtd_from_checkpoints(Points{{10, true}, {20, true}}), 10u);
-}
-
-TEST(SecondOrderCpa, StreamingMatchesTraceSetEntryPoint) {
-  // Second-order preprocessing is two source passes (mean, then centered
-  // square): both entry points must land on the same statistics.
-  const TraceSet ts = synthetic_traces(0x2b, 250, 1.0, 0.7, 24);
-  const CpaResult from_set = second_order_cpa(ts);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 41);
-  const CpaResult from_source = second_order_cpa(source);
-  for (int k = 0; k < 256; ++k) {
-    EXPECT_NEAR(from_set.peak_correlation[k], from_source.peak_correlation[k],
-                1e-12);
-  }
-  EXPECT_EQ(from_set.best_guess, from_source.best_guess);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "trace_batches.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -28,11 +29,11 @@ TraceSet synthetic_traces(std::uint8_t key, std::size_t n, double alpha,
   return ts;
 }
 
-/// `ts` folded into the per-plaintext statistic, trace by trace.
-BinnedMoments binned(const TraceSet& ts) {
+/// Traces [0, end) of `ts` folded into the per-plaintext statistic.
+BinnedMoments binned(const TraceSet& ts, std::size_t end = kAllTraces) {
   BinnedMoments stat(ts.samples_per_trace());
-  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    stat.add(ts.plaintext(i), ts.trace(i));
+  for (const TraceBatch& batch : batches_of(ts, kDefaultTraceBatch, end)) {
+    stat.add_batch(batch);
   }
   return stat;
 }
@@ -51,9 +52,7 @@ std::size_t first_place_mtd(const TraceSet& ts, std::uint8_t key,
   MtdTracker tracker(
       ts.num_traces(), [&](const TraceBatch& b) { stat.add_batch(b); },
       [&] { return first(stat, nullptr); }, grid_points);
-  TraceSetSource source(ts);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts)) tracker.add_batch(batch);
   tracker.finish();
   return tracker.mtd();
 }
@@ -65,9 +64,8 @@ TEST(TraceSet, AddAndQuery) {
   EXPECT_EQ(ts.num_traces(), 2u);
   EXPECT_EQ(ts.samples_per_trace(), 2u);
   EXPECT_EQ(ts.plaintext(1), 0x34);
-  const auto mean = ts.mean_trace();
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 3.0);
+  EXPECT_DOUBLE_EQ(ts.trace(1)[0], 3.0);
+  EXPECT_DOUBLE_EQ(ts.trace(1)[1], 4.0);
 }
 
 TEST(TraceSet, RejectsMismatchedLength) {
@@ -76,12 +74,15 @@ TEST(TraceSet, RejectsMismatchedLength) {
   EXPECT_THROW(ts.add(1, {1.0}), std::invalid_argument);
 }
 
-TEST(TraceSet, PrefixRestricts) {
-  TraceSet ts;
-  for (int i = 0; i < 10; ++i) ts.add(static_cast<std::uint8_t>(i), {double(i)});
-  const TraceSet head = ts.prefix(4);
-  EXPECT_EQ(head.num_traces(), 4u);
-  EXPECT_EQ(head.plaintext(3), 3);
+TEST(TraceSet, ReserveDoesNotChangeContents) {
+  TraceSet ts(4);
+  ts.reserve(1000);
+  EXPECT_EQ(ts.num_traces(), 0u);
+  ts.add(0x11, {1.0, 2.0, 3.0, 4.0});
+  ts.add(0x22, {5.0, 6.0, 7.0, 8.0});
+  EXPECT_EQ(ts.num_traces(), 2u);
+  EXPECT_EQ(ts.plaintext(1), 0x22);
+  EXPECT_DOUBLE_EQ(ts.trace(1)[2], 7.0);
 }
 
 TEST(Leakage, PredictModels) {
@@ -197,7 +198,8 @@ TEST(Metrics, MtdFindsDisclosurePoint) {
   EXPECT_GT(mtd, 0u);
   EXPECT_LT(mtd, 2000u);
   // Cross-check: the attack with mtd traces indeed succeeds.
-  const CpaResult r = cpa_of(ts.prefix(mtd));
+  const BinnedMoments head = binned(ts, mtd);
+  const CpaResult r = BinSpectrum(head).cpa(LeakageModel::kHammingWeight);
   EXPECT_EQ(r.key_rank(key), 0);
 }
 

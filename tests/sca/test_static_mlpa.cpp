@@ -18,6 +18,7 @@
 #include "pgmcml/util/parallel.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "trace_batches.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -78,9 +79,9 @@ std::string serialized(const BinnedMoments& stat) {
 /// Streams `ts` into a fresh statistic with the given batch size.
 BinnedMoments bin(const TraceSet& ts, std::size_t batch_size) {
   BinnedMoments stat(ts.samples_per_trace());
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
-  TraceBatch batch;
-  while (source.next(batch)) stat.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts, batch_size)) {
+    stat.add_batch(batch);
+  }
   return stat;
 }
 
@@ -95,7 +96,7 @@ BinnedMoments bin_range(const TraceSet& ts, std::size_t lo, std::size_t hi) {
 /// folded `batch_size` traces at a time.
 BinnedMoments project(const TraceSet& ts, StaticWindow window,
                       std::size_t batch_size, std::size_t lo = 0,
-                      std::size_t hi = TraceSetSource::kNoLimit) {
+                      std::size_t hi = kAllTraces) {
   BinnedMoments projection(1);
   hi = std::min(hi, ts.num_traces());
   TraceBatch batch;
@@ -394,9 +395,9 @@ TEST(MtdTracker, StaticWindowsMatchPrefixRerunScan) {
           return first;
         },
         grid_points);
-    TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
-    TraceBatch batch;
-    while (source.next(batch)) tracker.add_batch(batch);
+    for (const TraceBatch& batch : batches_of(ts, batch_size)) {
+      tracker.add_batch(batch);
+    }
     tracker.finish();
     EXPECT_EQ(tracker.mtd(0), oracle) << "batch size " << batch_size;
     EXPECT_EQ(tracker.mtd(1), 0u) << "batch size " << batch_size;
@@ -413,9 +414,7 @@ TEST(MtdTracker, MlpaGridSplitsDoNotPerturbTheStatistic) {
         return std::vector<bool>{BinSpectrum(stat).mlpa().key_rank(key) == 0};
       },
       16);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 173);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
+  for (const TraceBatch& batch : batches_of(ts, 173)) tracker.add_batch(batch);
   tracker.finish();
   EXPECT_GT(tracker.mtd(), 0u);
 
