@@ -18,8 +18,6 @@ using Key = std::array<std::uint8_t, 16>;
 
 /// Forward S-box (SubBytes).
 const std::array<std::uint8_t, 256>& sbox();
-/// Inverse S-box.
-const std::array<std::uint8_t, 256>& inv_sbox();
 
 /// xtime: multiplication by {02} in GF(2^8) mod x^8+x^4+x^3+x+1.
 std::uint8_t xtime(std::uint8_t x);
@@ -34,17 +32,12 @@ KeySchedule expand_key(const Key& key);
 
 /// Encrypts one 16-byte block with AES-128.
 Block encrypt(const Block& plaintext, const Key& key);
-/// Decrypts one 16-byte block with AES-128.
-Block decrypt(const Block& ciphertext, const Key& key);
 
 /// Round primitives (exposed for tests and for the CPU program).
 void add_round_key(Block& state, const std::array<std::uint8_t, 16>& rk);
 void sub_bytes(Block& state);
-void inv_sub_bytes(Block& state);
 void shift_rows(Block& state);
-void inv_shift_rows(Block& state);
 void mix_columns(Block& state);
-void inv_mix_columns(Block& state);
 
 /// The reduced DPA-evaluation target used in Section 6: one key byte, one
 /// plaintext byte, output = S-box(p ^ k).  This is the function whose

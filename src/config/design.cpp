@@ -10,15 +10,6 @@ const std::initializer_list<std::string_view> kGatings = {
     "none", "vn_pulldown", "vn_switch", "body_bias", "series_sleep"};
 const std::initializer_list<std::string_view> kVtFlavors = {"lvt", "hvt"};
 
-const char* style_label(cells::LogicStyle s) {
-  switch (s) {
-    case cells::LogicStyle::kCmos: return "cmos";
-    case cells::LogicStyle::kMcml: return "mcml";
-    case cells::LogicStyle::kPgMcml: return "pgmcml";
-  }
-  return "pgmcml";
-}
-
 const char* gating_label(mcml::GatingTopology g) {
   switch (g) {
     case mcml::GatingTopology::kNone: return "none";
@@ -28,10 +19,6 @@ const char* gating_label(mcml::GatingTopology g) {
     case mcml::GatingTopology::kSeriesSleep: return "series_sleep";
   }
   return "series_sleep";
-}
-
-const char* vt_label(spice::VtFlavor f) {
-  return f == spice::VtFlavor::kLowVt ? "lvt" : "hvt";
 }
 
 }  // namespace
@@ -81,27 +68,6 @@ CellVariant cell_variant_from_json(const obs::json::Value& doc,
   d.include_parasitics =
       r.bool_or("include_parasitics", d.include_parasitics);
   return v;
-}
-
-obs::json::Value cell_variant_to_json(const CellVariant& v) {
-  const mcml::McmlDesign& d = v.design;
-  obs::json::Object o;
-  o.emplace_back("pgmcml_schema", kSchemaVersion);
-  o.emplace_back("kind", "cell_variant");
-  o.emplace_back("name", v.name);
-  o.emplace_back("style", style_label(v.style));
-  o.emplace_back("iss", d.iss);
-  o.emplace_back("vsw", d.vsw);
-  o.emplace_back("w_pair", d.w_pair);
-  o.emplace_back("w_tail", d.w_tail);
-  o.emplace_back("w_load", d.w_load);
-  o.emplace_back("l_tail", d.l_tail);
-  o.emplace_back("drive", d.drive);
-  o.emplace_back("gating", gating_label(d.gating));
-  o.emplace_back("network_vt", vt_label(d.network_vt));
-  o.emplace_back("load_vt", vt_label(d.load_vt));
-  o.emplace_back("include_parasitics", d.include_parasitics);
-  return obs::json::Value(std::move(o));
 }
 
 }  // namespace pgmcml::config

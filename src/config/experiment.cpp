@@ -323,8 +323,6 @@ void validate_document_file(const std::string& path) {
     cell_variant_from_json(doc, path);
   } else if (kind == "plan") {
     plan_from_json(doc, path);
-  } else if (kind == "testbench") {
-    testbench_from_json(doc, path);
   } else if (kind == "request") {
     request_from_json(doc, path, dirname_of(path));
   } else {

@@ -1,6 +1,6 @@
 // Plan documents: what to run -- a characterization pass, a bias sweep, a
-// Monte-Carlo study, a DPA flow, a distributed trace campaign, or a set of
-// raw testbenches -- parsed into the existing typed option structs.
+// Monte-Carlo study, a DPA flow or a distributed trace campaign -- parsed
+// into the existing typed option structs.
 //
 // Document shape (kind "plan"), discriminated by "task":
 //
@@ -32,15 +32,6 @@
 //     "batch_size": 64, "spool_dir": "campaign-spool",
 //     "max_restarts": 3, "worker_threads": 1 }
 //
-// and (kind "testbench"):
-//
-//   { "pgmcml_schema": 1, "kind": "testbench", "name": "smoke",
-//     "benches": [
-//       { "name": "buf-awake", "cell": "BUF", "fanout": 1,
-//         "mode": "awake" },                       // awake | asleep | wake
-//       { "name": "buf-wake", "cell": "BUF",
-//         "mode": "wake", "sleep_rise_time": 1e-09 } ] }
-//
 // In both attack lists "cpa" and "dpa" are always computed and accepted for
 // self-documentation; "mtd" maps to compute_mtd, "tvla" (campaign only) to
 // CampaignOptions::tvla, and "mlpa" to the multi-linear partitioning attack.
@@ -60,7 +51,6 @@
 #include "pgmcml/config/reader.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
 #include "pgmcml/mcml/cells.hpp"
-#include "pgmcml/mcml/characterize.hpp"
 
 namespace pgmcml::config {
 
@@ -105,21 +95,5 @@ struct Plan {
 
 /// Parses and validates one plan document.
 Plan plan_from_json(const obs::json::Value& doc, const std::string& doc_label);
-
-/// One entry of a testbench document: a cell wrapped in a named testbench.
-struct BenchSpec {
-  std::string name;
-  mcml::CellKind cell = mcml::CellKind::kBuf;
-  mcml::TestbenchOptions options;
-};
-
-struct TestbenchPlan {
-  std::string name;
-  std::vector<BenchSpec> benches;
-};
-
-/// Parses and validates one testbench document.
-TestbenchPlan testbench_from_json(const obs::json::Value& doc,
-                                  const std::string& doc_label);
 
 }  // namespace pgmcml::config

@@ -37,11 +37,6 @@ namespace pgmcml::config {
 spice::TechnologyParams technology_params_from_json(
     const obs::json::Value& doc, const std::string& doc_label);
 
-/// Convenience: parse + construct (TechnologyParams::validate runs inside
-/// the Technology constructor).
-spice::Technology technology_from_json(const obs::json::Value& doc,
-                                       const std::string& doc_label);
-
 /// Writes `p` as a complete schema-versioned technology document (the exact
 /// inverse of technology_params_from_json).
 obs::json::Value technology_to_json(const spice::TechnologyParams& p);

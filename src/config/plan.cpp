@@ -217,35 +217,4 @@ Plan plan_from_json(const obs::json::Value& doc,
   return p;
 }
 
-TestbenchPlan testbench_from_json(const obs::json::Value& doc,
-                                  const std::string& doc_label) {
-  const Reader r = open_document(doc, "testbench", doc_label);
-  r.reject_unknown_keys({"pgmcml_schema", "kind", "name", "benches"});
-  TestbenchPlan plan;
-  plan.name = r.require_string("name");
-  if (plan.name.empty()) r.child("name").fail("must not be empty");
-  const Reader benches = r.child("benches");
-  for (const Reader& b : benches.elements()) {
-    b.reject_unknown_keys(
-        {"name", "cell", "fanout", "mode", "sleep_rise_time"});
-    BenchSpec spec;
-    spec.name = b.require_string("name");
-    if (spec.name.empty()) b.child("name").fail("must not be empty");
-    spec.cell = parse_cell(b.child("cell"));
-    spec.options.fanout =
-        static_cast<int>(b.int_or("fanout", spec.options.fanout, 1, 64));
-    const std::size_t mode = b.enum_or("mode", {"awake", "asleep", "wake"}, 0);
-    spec.options.asleep = mode == 1;
-    spec.options.sleep_pulse = mode == 2;
-    spec.options.sleep_rise_time =
-        b.positive_or("sleep_rise_time", spec.options.sleep_rise_time);
-    if (b.has("sleep_rise_time") && mode != 2) {
-      b.child("sleep_rise_time").fail("only meaningful with mode \"wake\"");
-    }
-    plan.benches.push_back(std::move(spec));
-  }
-  if (plan.benches.empty()) benches.fail("must hold at least one bench");
-  return plan;
-}
-
 }  // namespace pgmcml::config

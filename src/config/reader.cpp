@@ -130,10 +130,6 @@ std::int64_t Reader::require_int(std::string_view key, std::int64_t lo,
   return static_cast<std::int64_t>(d);
 }
 
-bool Reader::require_bool(std::string_view key) const {
-  return child(key).as_bool();
-}
-
 std::string Reader::string_or(std::string_view key,
                               std::string fallback) const {
   const std::optional<Reader> c = optional_child(key);
@@ -215,8 +211,7 @@ Reader open_document(const obs::json::Value& doc, std::string_view expect_kind,
   const std::string kind = r.require_string("kind");
   if (expect_kind.empty()) {
     static constexpr std::string_view kKnown[] = {
-        "technology", "cell_variant", "plan", "testbench", "experiment",
-        "request"};
+        "technology", "cell_variant", "plan", "experiment", "request"};
     bool known = false;
     for (std::string_view k : kKnown) known = known || kind == k;
     if (!known) {

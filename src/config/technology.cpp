@@ -61,16 +61,6 @@ spice::TechnologyParams technology_params_from_json(
   return p;
 }
 
-spice::Technology technology_from_json(const obs::json::Value& doc,
-                                       const std::string& doc_label) {
-  spice::TechnologyParams p = technology_params_from_json(doc, doc_label);
-  try {
-    return spice::Technology(std::move(p));
-  } catch (const std::invalid_argument& e) {
-    throw ConfigError(doc_label, e.what());
-  }
-}
-
 obs::json::Value technology_to_json(const spice::TechnologyParams& p) {
   obs::json::Object o;
   o.emplace_back("pgmcml_schema", kSchemaVersion);

@@ -305,7 +305,6 @@ void McmlTestbench::build(CellKind kind, const McmlDesign& design,
 
   const CellPorts ports = builder.emit_cell(kind, data, clk, ctrl);
   outputs_ = ports.outputs;
-  toggle_in_ = data.empty() ? DiffNet{} : data[plan.toggle];
   stages_ = builder.stages_emitted();
   mosfets_ = builder.mosfets_emitted();
 

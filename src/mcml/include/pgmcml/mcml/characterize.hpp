@@ -199,10 +199,7 @@ class McmlTestbench {
 
   spice::Circuit& circuit() { return circuit_; }
   const std::vector<DiffNet>& outputs() const { return outputs_; }
-  DiffNet toggling_input() const { return toggle_in_; }
   double t_stop() const { return t_stop_; }
-  /// Time of the reference input (or clock) transitions, 50% points.
-  std::vector<double> stimulus_edges() const { return stimulus_edges_; }
   bool sequential() const { return sequential_; }
   int stages() const { return stages_; }
   int mosfets() const { return mosfets_; }
@@ -228,7 +225,6 @@ class McmlTestbench {
   spice::NewtonWorkspace workspace_;
   McmlDesign design_;
   std::vector<DiffNet> outputs_;
-  DiffNet toggle_in_;
   std::vector<double> stimulus_edges_;
   double t_stop_ = 0.0;
   bool sequential_ = false;

@@ -65,19 +65,6 @@ struct McmlDesign {
   double w_sleep() const { return w_tail; }
   bool power_gated() const { return gating != GatingTopology::kNone; }
 
-  /// Scaled copy for another drive strength.
-  McmlDesign at_drive(double k) const {
-    McmlDesign d = *this;
-    d.drive = k;
-    return d;
-  }
-  /// Scaled copy for another tail current (Fig. 3 sweeps).
-  McmlDesign at_iss(double new_iss) const {
-    McmlDesign d = *this;
-    d.iss = new_iss;
-    return d;
-  }
-
   // Effective (drive-scaled) values used by the builder.
   double eff_iss() const { return iss * drive; }
   double eff_w_pair() const { return w_pair * drive; }
@@ -87,7 +74,6 @@ struct McmlDesign {
   /// MCML logic levels: a logic high is Vdd, a logic low is Vdd - Vsw.
   double v_high() const { return tech.vdd(); }
   double v_low() const { return tech.vdd() - vsw; }
-  double v_mid() const { return tech.vdd() - 0.5 * vsw; }
 };
 
 }  // namespace pgmcml::mcml

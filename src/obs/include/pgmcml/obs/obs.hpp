@@ -74,7 +74,6 @@ struct Snapshot {
   /// {"counters": {...}, "histograms": {name: {count, sum, min, max,
   /// buckets: [[index, count], ...]}}} with sparse bucket encoding.
   json::Value to_json() const;
-  std::string to_json_string() const;
   /// Inverse of to_json (tolerates missing sections).  Throws on malformed
   /// structure.
   static Snapshot from_json(const json::Value& v);

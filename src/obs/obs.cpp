@@ -86,8 +86,6 @@ json::Value Snapshot::to_json() const {
   return json::Value(std::move(root));
 }
 
-std::string Snapshot::to_json_string() const { return to_json().dump(); }
-
 Snapshot Snapshot::from_json(const json::Value& v) {
   Snapshot snap;
   if (const json::Value* c = v.find("counters")) {

@@ -42,7 +42,6 @@ bool Cpu::step() {
     return false;
   }
   const Instr& i = program_[pc_];
-  ++op_hist_[static_cast<std::size_t>(i.op)];
   std::uint32_t next_pc = pc_ + 1;
   const std::uint32_t a = regs_[i.ra];
   const std::uint32_t b = regs_[i.rb];
@@ -50,39 +49,24 @@ bool Cpu::step() {
     if (i.rd != 0) regs_[i.rd] = v;
   };
   switch (i.op) {
-    case Op::kNop: break;
     case Op::kAdd: wr(a + b); break;
     case Op::kAddi: wr(a + static_cast<std::uint32_t>(i.imm)); break;
-    case Op::kSub: wr(a - b); break;
     case Op::kAnd: wr(a & b); break;
     case Op::kAndi: wr(a & static_cast<std::uint32_t>(i.imm)); break;
     case Op::kOr: wr(a | b); break;
     case Op::kOri: wr(a | static_cast<std::uint32_t>(i.imm)); break;
     case Op::kXor: wr(a ^ b); break;
-    case Op::kXori: wr(a ^ static_cast<std::uint32_t>(i.imm)); break;
     case Op::kSlli: wr(a << (i.imm & 31)); break;
     case Op::kSrli: wr(a >> (i.imm & 31)); break;
-    case Op::kSll: wr(a << (b & 31)); break;
-    case Op::kSrl: wr(a >> (b & 31)); break;
     case Op::kMovhi: wr(static_cast<std::uint32_t>(i.imm) << 16); break;
     case Op::kLw: wr(load_word(a + static_cast<std::uint32_t>(i.imm))); break;
     case Op::kSw: store_word(a + static_cast<std::uint32_t>(i.imm), b); break;
     case Op::kLbz: wr(load_byte(a + static_cast<std::uint32_t>(i.imm))); break;
-    case Op::kSb:
-      store_byte(a + static_cast<std::uint32_t>(i.imm),
-                 static_cast<std::uint8_t>(b));
-      break;
-    case Op::kBeq:
-      if (a == b) next_pc = static_cast<std::uint32_t>(i.target);
-      break;
     case Op::kBne:
       if (a != b) next_pc = static_cast<std::uint32_t>(i.target);
       break;
     case Op::kBltu:
       if (a < b) next_pc = static_cast<std::uint32_t>(i.target);
-      break;
-    case Op::kJump:
-      next_pc = static_cast<std::uint32_t>(i.target);
       break;
     case Op::kSbox:
       ise_cycles_.push_back(cycles_);

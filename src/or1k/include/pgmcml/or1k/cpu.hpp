@@ -27,9 +27,6 @@ class Cpu {
   bool step();
 
   std::uint32_t reg(int i) const { return regs_[i]; }
-  void set_reg(int i, std::uint32_t v) {
-    if (i != 0) regs_[i] = v;
-  }
 
   std::uint32_t load_word(std::uint32_t addr) const;
   void store_word(std::uint32_t addr, std::uint32_t value);
@@ -38,7 +35,6 @@ class Cpu {
 
   std::uint64_t cycles() const { return cycles_; }
   bool halted() const { return halted_; }
-  std::uint32_t pc() const { return pc_; }
 
   /// Cycle indices at which the S-box ISE executed.
   const std::vector<std::uint64_t>& ise_cycles() const { return ise_cycles_; }
@@ -48,8 +44,6 @@ class Cpu {
   }
   /// Fraction of execution cycles spent in the custom instruction.
   double ise_duty() const;
-  /// Count of executed instructions per opcode (profile).
-  const std::array<std::uint64_t, 32>& op_histogram() const { return op_hist_; }
 
  private:
   std::vector<Instr> program_;
@@ -60,7 +54,6 @@ class Cpu {
   bool halted_ = false;
   std::vector<std::uint64_t> ise_cycles_;
   std::vector<std::uint32_t> ise_operands_;
-  std::array<std::uint64_t, 32> op_hist_{};
 };
 
 }  // namespace pgmcml::or1k

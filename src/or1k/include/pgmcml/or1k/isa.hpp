@@ -18,35 +18,27 @@
 namespace pgmcml::or1k {
 
 enum class Op : std::uint8_t {
-  kNop,
   kAdd,    // rD = rA + rB
   kAddi,   // rD = rA + imm
-  kSub,    // rD = rA - rB
   kAnd,    // rD = rA & rB
   kAndi,   // rD = rA & imm (zero-extended)
   kOr,     // rD = rA | rB
   kOri,    // rD = rA | imm
   kXor,    // rD = rA ^ rB
-  kXori,   // rD = rA ^ imm
   kSlli,   // rD = rA << imm
   kSrli,   // rD = rA >> imm (logical)
-  kSll,    // rD = rA << (rB & 31)
-  kSrl,    // rD = rA >> (rB & 31)
   kMovhi,  // rD = imm << 16
   kLw,     // rD = mem32[rA + imm]
   kSw,     // mem32[rA + imm] = rB
   kLbz,    // rD = mem8[rA + imm] (zero-extended)
-  kSb,     // mem8[rA + imm] = rB & 0xff
-  kBeq,    // if rA == rB goto label
   kBne,    // if rA != rB goto label
   kBltu,   // if rA < rB (unsigned) goto label
-  kJump,   // goto label
   kSbox,   // rD = sbox4(rA)  -- the custom S-box ISE
   kHalt,
 };
 
 struct Instr {
-  Op op = Op::kNop;
+  Op op = Op::kHalt;
   int rd = 0;
   int ra = 0;
   int rb = 0;
@@ -60,27 +52,21 @@ class Assembler {
  public:
   void label(const std::string& name);
 
-  void nop() { emit({Op::kNop}); }
   void add(int rd, int ra, int rb) { emit({Op::kAdd, rd, ra, rb}); }
   void addi(int rd, int ra, std::int32_t imm) { emit({Op::kAddi, rd, ra, 0, imm}); }
-  void sub(int rd, int ra, int rb) { emit({Op::kSub, rd, ra, rb}); }
   void and_(int rd, int ra, int rb) { emit({Op::kAnd, rd, ra, rb}); }
   void andi(int rd, int ra, std::int32_t imm) { emit({Op::kAndi, rd, ra, 0, imm}); }
   void or_(int rd, int ra, int rb) { emit({Op::kOr, rd, ra, rb}); }
   void ori(int rd, int ra, std::int32_t imm) { emit({Op::kOri, rd, ra, 0, imm}); }
   void xor_(int rd, int ra, int rb) { emit({Op::kXor, rd, ra, rb}); }
-  void xori(int rd, int ra, std::int32_t imm) { emit({Op::kXori, rd, ra, 0, imm}); }
   void slli(int rd, int ra, int sh) { emit({Op::kSlli, rd, ra, 0, sh}); }
   void srli(int rd, int ra, int sh) { emit({Op::kSrli, rd, ra, 0, sh}); }
   void movhi(int rd, std::int32_t imm) { emit({Op::kMovhi, rd, 0, 0, imm}); }
   void lw(int rd, int ra, std::int32_t off) { emit({Op::kLw, rd, ra, 0, off}); }
   void sw(int ra, std::int32_t off, int rb) { emit({Op::kSw, 0, ra, rb, off}); }
   void lbz(int rd, int ra, std::int32_t off) { emit({Op::kLbz, rd, ra, 0, off}); }
-  void sb(int ra, std::int32_t off, int rb) { emit({Op::kSb, 0, ra, rb, off}); }
-  void beq(int ra, int rb, const std::string& target) { branch(Op::kBeq, ra, rb, target); }
   void bne(int ra, int rb, const std::string& target) { branch(Op::kBne, ra, rb, target); }
   void bltu(int ra, int rb, const std::string& target) { branch(Op::kBltu, ra, rb, target); }
-  void jump(const std::string& target) { branch(Op::kJump, 0, 0, target); }
   void sbox(int rd, int ra) { emit({Op::kSbox, rd, ra}); }
   void halt() { emit({Op::kHalt}); }
 

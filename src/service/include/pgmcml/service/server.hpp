@@ -54,16 +54,15 @@ struct ServerOptions {
   /// Loopback TCP port: -1 disables, 0 binds an ephemeral port (read the
   /// result from Server::tcp_port()).  Listens on 127.0.0.1 only.
   int tcp_port = -1;
-  /// Worker threads executing run requests (PGMCML_SERVICE_WORKERS).
+  /// Worker threads executing run requests (pgmcmld --workers).
   std::size_t workers = 2;
   /// Bounded request-queue capacity; admission control rejects beyond it
-  /// (PGMCML_SERVICE_QUEUE_DEPTH).
+  /// (pgmcmld --queue-depth).
   std::size_t queue_depth = 16;
-  /// Default per-request deadline in ms; 0 = none
-  /// (PGMCML_SERVICE_DEADLINE_MS).
+  /// Default per-request deadline in ms; 0 = none (pgmcmld --deadline-ms).
   std::uint64_t default_deadline_ms = 0;
   /// Hard cap on one request line; longer lines are answered with an error
-  /// and discarded (PGMCML_SERVICE_MAX_REQUEST_BYTES).
+  /// and discarded.
   std::size_t max_request_bytes = 4 * 1024 * 1024;
   /// Base directory for file references inside request experiments.
   std::string config_root = ".";
@@ -73,12 +72,6 @@ struct ServerOptions {
   /// deadline check).  Tests park the pool here to fill the queue
   /// deterministically.
   std::function<void()> test_job_hook;
-
-  /// Applies the PGMCML_SERVICE_* environment knobs on top of `base` (or
-  /// the defaults).  Parsing goes through util::env_u64, so a malformed
-  /// value throws at startup instead of silently serving with defaults.
-  static ServerOptions from_env();
-  static ServerOptions from_env(ServerOptions base);
 };
 
 class Server {

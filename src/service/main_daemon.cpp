@@ -13,9 +13,8 @@
 // requests finish and flush, then the process exits 0 (writing the final
 // statsz report to --obs-out when given).
 //
-// Environment knobs (all parsed with util::env_u64's loud rejection):
-//   PGMCML_SERVICE_WORKERS, PGMCML_SERVICE_QUEUE_DEPTH,
-//   PGMCML_SERVICE_DEADLINE_MS, PGMCML_SERVICE_MAX_REQUEST_BYTES
+// Options come from the flags below only; numeric flags are parsed with
+// util::parse_u64's loud rejection.
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
@@ -52,9 +51,7 @@ int usage(const char* argv0) {
       "  --deadline-ms N     default per-request deadline (0 = none)\n"
       "  --config-root DIR   base dir for file refs in request experiments\n"
       "  --obs-out FILE      write the final statsz report here on exit\n"
-      "Environment: PGMCML_SERVICE_WORKERS, PGMCML_SERVICE_QUEUE_DEPTH,\n"
-      "  PGMCML_SERVICE_DEADLINE_MS, PGMCML_SERVICE_MAX_REQUEST_BYTES,\n"
-      "  PGMCML_CACHE_DIR (shared warm tier), PGMCML_THREADS\n",
+      "Environment: PGMCML_CACHE_DIR (shared warm tier), PGMCML_THREADS\n",
       argv0);
   return 2;
 }
@@ -67,8 +64,6 @@ int main(int argc, char** argv) {
   std::string obs_out;
 
   try {
-    options = service::ServerOptions::from_env(std::move(options));
-
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const char* next = i + 1 < argc ? argv[i + 1] : nullptr;

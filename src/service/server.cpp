@@ -21,7 +21,6 @@
 
 #include "pgmcml/config/request.hpp"
 #include "pgmcml/obs/obs.hpp"
-#include "pgmcml/util/env.hpp"
 
 namespace pgmcml::service {
 
@@ -464,27 +463,6 @@ obs::json::Value Server::Impl::statsz_body() {
                    static_cast<std::uint64_t>(options.max_request_bytes));
   body.emplace_back("options", obs::json::Value(std::move(opt)));
   return obs::json::Value(std::move(body));
-}
-
-ServerOptions ServerOptions::from_env() { return from_env(ServerOptions{}); }
-
-ServerOptions ServerOptions::from_env(ServerOptions base) {
-  if (const auto v = util::env_u64("PGMCML_SERVICE_WORKERS", 1, 256)) {
-    base.workers = static_cast<std::size_t>(*v);
-  }
-  if (const auto v =
-          util::env_u64("PGMCML_SERVICE_QUEUE_DEPTH", 1, 1'000'000)) {
-    base.queue_depth = static_cast<std::size_t>(*v);
-  }
-  if (const auto v =
-          util::env_u64("PGMCML_SERVICE_DEADLINE_MS", 0, 86'400'000)) {
-    base.default_deadline_ms = *v;
-  }
-  if (const auto v = util::env_u64("PGMCML_SERVICE_MAX_REQUEST_BYTES", 1024,
-                                   std::uint64_t{1} << 30)) {
-    base.max_request_bytes = static_cast<std::size_t>(*v);
-  }
-  return base;
 }
 
 Server::Server(ServerOptions options) : impl_(std::make_unique<Impl>()) {

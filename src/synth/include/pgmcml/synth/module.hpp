@@ -104,7 +104,6 @@ class Module {
 // --- bit-vector helpers (LSB-first buses) ----------------------------------
 std::vector<Lit> bus_xor(Module& m, const std::vector<Lit>& a,
                          const std::vector<Lit>& b);
-std::vector<Lit> bus_const(Module& m, std::uint64_t value, int width);
 std::vector<Lit> bus_mux(Module& m, Lit sel, const std::vector<Lit>& when0,
                          const std::vector<Lit>& when1);
 

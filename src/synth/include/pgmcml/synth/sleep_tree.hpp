@@ -47,11 +47,6 @@ struct SleepTreeResult {
   double skew = 0.0;              ///< max minus min pin arrival [s]
   /// Per-level buffer counts, root first.
   std::vector<std::size_t> level_sizes;
-
-  /// Cells of the block including the sleep buffers (the Table 3 number).
-  std::size_t total_cells(std::size_t logic_cells) const {
-    return logic_cells + buffers;
-  }
 };
 
 /// Plans the sleep-distribution tree for a mapped design in the given
@@ -61,9 +56,5 @@ struct SleepTreeResult {
 SleepTreeResult insert_sleep_tree(const netlist::Design& design,
                                   const cells::CellLibrary& library,
                                   const SleepTreeOptions& options = {});
-
-/// Wake-up latency of the gated block: insertion delay of the tree plus the
-/// cell-level wake time (sleep transistor turning the tail back on).
-double block_wakeup_time(const SleepTreeResult& tree, double cell_wake_time);
 
 }  // namespace pgmcml::synth

@@ -194,15 +194,6 @@ std::vector<Lit> bus_xor(Module& m, const std::vector<Lit>& a,
   return out;
 }
 
-std::vector<Lit> bus_const(Module& m, std::uint64_t value, int width) {
-  (void)m;
-  std::vector<Lit> out(width);
-  for (int i = 0; i < width; ++i) {
-    out[i] = (value >> i) & 1 ? kLitTrue : kLitFalse;
-  }
-  return out;
-}
-
 std::vector<Lit> bus_mux(Module& m, Lit sel, const std::vector<Lit>& when0,
                          const std::vector<Lit>& when1) {
   if (when0.size() != when1.size()) {

@@ -57,8 +57,4 @@ SleepTreeResult insert_sleep_tree(const netlist::Design& design,
   return result;
 }
 
-double block_wakeup_time(const SleepTreeResult& tree, double cell_wake_time) {
-  return tree.insertion_delay + tree.skew + cell_wake_time;
-}
-
 }  // namespace pgmcml::synth

@@ -1,5 +1,5 @@
 // Hardened environment-variable parsing for the runtime knobs
-// (PGMCML_THREADS, PGMCML_SERVICE_*, bench budgets).
+// (PGMCML_THREADS, bench budgets), and the same rules for numeric CLI flags.
 //
 // The contract is loud failure: an unset variable falls through to the
 // caller's default, but a set-and-malformed one -- empty, non-numeric,

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace pgmcml::util {
 
@@ -20,10 +19,6 @@ class RunningStats {
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   /// Population variance (divides by n).
   double variance() const { return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0; }
-  /// Sample variance (divides by n-1).
-  double sample_variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
   double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
@@ -70,25 +65,5 @@ double lerp(double x0, double y0, double x1, double y1, double x);
 
 /// Population Hamming weight of a 64-bit word.
 int hamming_weight(std::uint64_t v);
-/// Hamming distance between two words.
-int hamming_distance(std::uint64_t a, std::uint64_t b);
-
-/// Simple histogram with uniform bins over [lo, hi).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace pgmcml::util

@@ -1,5 +1,5 @@
 // Lightweight table builder used by the benchmark harnesses to print the
-// paper's tables (markdown on stdout, CSV on request) with aligned columns.
+// paper's tables as markdown on stdout, with aligned columns.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +27,6 @@ class Table {
 
   /// Renders as a GitHub-style markdown table with a title line.
   std::string to_markdown() const;
-  /// Renders as CSV (RFC-4180-ish quoting).
-  std::string to_csv() const;
 
   /// Prints the markdown rendering to stdout.
   void print() const;

@@ -56,9 +56,6 @@ class Waveform {
   std::optional<double> crossing(double level, int direction = 0,
                                  double t_from = -1e300) const;
 
-  /// All crossings of `level` in the given direction.
-  std::vector<double> crossings(double level, int direction = 0) const;
-
   /// Resamples onto a uniform grid of `n` samples covering [t0, t1].
   std::vector<double> sample_uniform(double t0, double t1, std::size_t n) const;
 
@@ -95,9 +92,6 @@ class GridAccumulator {
   double t0() const { return t0_; }
   double dt() const { return dt_; }
   std::size_t size() const { return values_.size(); }
-
-  /// Adds `value` to the sample nearest `t` (ignored when out of range).
-  void deposit(double t, double value);
 
   /// Adds a piecewise-linear kernel starting at time `t_start`.  Like
   /// add_level(), clipped to the grid: a no-op on an empty one.

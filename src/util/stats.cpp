@@ -102,31 +102,4 @@ double lerp(double x0, double y0, double x1, double y1, double x) {
 
 int hamming_weight(std::uint64_t v) { return __builtin_popcountll(v); }
 
-int hamming_distance(std::uint64_t a, std::uint64_t b) {
-  return hamming_weight(a ^ b);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::add(double x) {
-  if (x < lo_ || x >= hi_) return;
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
 }  // namespace pgmcml::util

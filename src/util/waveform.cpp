@@ -108,20 +108,6 @@ std::optional<double> Waveform::crossing(double level, int direction,
   return std::nullopt;
 }
 
-std::vector<double> Waveform::crossings(double level, int direction) const {
-  std::vector<double> out;
-  for (std::size_t i = 0; i + 1 < points_.size(); ++i) {
-    const Point& a = points_[i];
-    const Point& b = points_[i + 1];
-    const bool rising = a.v < level && b.v >= level;
-    const bool falling = a.v > level && b.v <= level;
-    if ((direction >= 0 && rising) || (direction <= 0 && falling)) {
-      out.push_back((b.v == a.v) ? a.t : lerp(a.v, a.t, b.v, b.t, level));
-    }
-  }
-  return out;
-}
-
 std::vector<double> Waveform::sample_uniform(double t0, double t1,
                                              std::size_t n) const {
   std::vector<double> out(n, 0.0);
@@ -195,14 +181,6 @@ GridAccumulator::GridAccumulator(double t0, double dt, std::size_t n,
     : t0_(t0), dt_(dt), values_(std::move(storage)) {
   if (dt <= 0.0) throw std::invalid_argument("GridAccumulator: dt must be > 0");
   values_.assign(n, 0.0);
-}
-
-void GridAccumulator::deposit(double t, double value) {
-  const double pos = (t - t0_) / dt_;
-  if (pos < -0.5) return;
-  const auto idx = static_cast<std::size_t>(std::lround(std::max(pos, 0.0)));
-  if (idx >= values_.size()) return;
-  values_[idx] += value;
 }
 
 GridAccumulator::Span GridAccumulator::span(double t_lo, double t_hi) const {

@@ -20,13 +20,6 @@ TEST(Aes, SboxIsBijective) {
   for (int i = 0; i < 256; ++i) EXPECT_EQ(seen[i], 1) << i;
 }
 
-TEST(Aes, InverseSboxRoundTrips) {
-  for (int i = 0; i < 256; ++i) {
-    EXPECT_EQ(inv_sbox()[sbox()[i]], i);
-    EXPECT_EQ(sbox()[inv_sbox()[i]], i);
-  }
-}
-
 TEST(Aes, GfMulProperties) {
   EXPECT_EQ(gf_mul(0x57, 0x83), 0xc1);  // FIPS-197 example
   EXPECT_EQ(gf_mul(0x57, 0x13), 0xfe);
@@ -67,18 +60,6 @@ TEST(Aes, Fips197AppendixCVector) {
   EXPECT_EQ(encrypt(pt, key), expected);
 }
 
-TEST(Aes, DecryptInvertsEncrypt) {
-  Key key{};
-  Block pt{};
-  for (int trial = 0; trial < 20; ++trial) {
-    for (int i = 0; i < 16; ++i) {
-      key[i] = static_cast<std::uint8_t>(trial * 37 + i * 11);
-      pt[i] = static_cast<std::uint8_t>(trial * 101 + i * 7);
-    }
-    EXPECT_EQ(decrypt(encrypt(pt, key), key), pt);
-  }
-}
-
 TEST(Aes, KeyScheduleFirstAndLastRoundKeys) {
   const Key key = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
                    0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
@@ -90,25 +71,6 @@ TEST(Aes, KeyScheduleFirstAndLastRoundKeys) {
   EXPECT_EQ(ks.round_keys[10][1], 0x14);
   EXPECT_EQ(ks.round_keys[10][2], 0xf9);
   EXPECT_EQ(ks.round_keys[10][3], 0xa8);
-}
-
-TEST(Aes, MixColumnsInverseRoundTrips) {
-  Block s;
-  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(i * 13 + 7);
-  Block t = s;
-  mix_columns(t);
-  inv_mix_columns(t);
-  EXPECT_EQ(t, s);
-}
-
-TEST(Aes, ShiftRowsInverseRoundTrips) {
-  Block s;
-  for (int i = 0; i < 16; ++i) s[i] = static_cast<std::uint8_t>(i);
-  Block t = s;
-  shift_rows(t);
-  EXPECT_NE(t, s);
-  inv_shift_rows(t);
-  EXPECT_EQ(t, s);
 }
 
 TEST(Aes, ReducedTargetMatchesDefinition) {

@@ -114,6 +114,10 @@ TEST(ConfigEnvelope, RejectsWrongSchemaVersionAndKind) {
       open_document(parse(R"({"pgmcml_schema": 1, "kind": "recipe"})"), "",
                     "d"),
       ConfigError);
+  EXPECT_THROW(
+      open_document(parse(R"({"pgmcml_schema": 1, "kind": "testbench"})"), "",
+                    "d"),
+      ConfigError);
   EXPECT_THROW(open_document(parse("[1, 2]"), "plan", "d"), ConfigError);
 }
 
@@ -160,9 +164,9 @@ TEST(TechnologyConfig, CheckedInDefaultConfigEqualsBuiltinBitwise) {
   // THE acceptance property: the file under examples/configs/ reconstructs
   // the compiled-in technology exactly, so the config path is a pure
   // re-plumbing, not a new model.
-  const spice::Technology from_file = technology_from_json(
+  const spice::Technology from_file(technology_params_from_json(
       load_json_file(kConfigsDir + "/technology-cmos90.json"),
-      "technology-cmos90.json");
+      "technology-cmos90.json"));
   const spice::Technology builtin{spice::Corner::kTypical};
   EXPECT_EQ(from_file.vdd(), builtin.vdd());
   EXPECT_EQ(from_file.lmin(), builtin.lmin());
@@ -192,9 +196,9 @@ TEST(TechnologyConfig, DefaultConfigCharacterizesBitwiseIdentically) {
   // End to end through the SPICE engine: a cell characterized at the
   // config-built technology is bitwise equal to the compiled-in path.
   mcml::McmlDesign from_config;
-  from_config.tech = technology_from_json(
+  from_config.tech = spice::Technology(technology_params_from_json(
       load_json_file(kConfigsDir + "/technology-cmos90.json"),
-      "technology-cmos90.json");
+      "technology-cmos90.json"));
   const mcml::McmlDesign builtin;  // compiled-in typical corner
   const mcml::CellCharacterization a =
       mcml::characterize_cell(mcml::CellKind::kXor2, from_config);
@@ -214,11 +218,11 @@ TEST(TechnologyConfig, CacheKeysSeparateNodesButNotTheDefaultConfig) {
   // compiled-in corner; the FinFET node keys differently.
   mcml::McmlDesign builtin;
   mcml::McmlDesign from_default;
-  from_default.tech = technology_from_json(
-      load_json_file(kConfigsDir + "/technology-cmos90.json"), "default");
+  from_default.tech = spice::Technology(technology_params_from_json(
+      load_json_file(kConfigsDir + "/technology-cmos90.json"), "default"));
   mcml::McmlDesign finfet;
-  finfet.tech = technology_from_json(
-      load_json_file(kConfigsDir + "/technology-finfet7.json"), "finfet");
+  finfet.tech = spice::Technology(technology_params_from_json(
+      load_json_file(kConfigsDir + "/technology-finfet7.json"), "finfet"));
 
   const auto key_of = [](const mcml::McmlDesign& d) {
     cache::KeyBuilder kb("test.config.design");
@@ -294,19 +298,6 @@ TEST(CellVariantConfig, StyleAndGatingMustAgree) {
                     "style": "mcml", "gating": "series_sleep"})"),
           "x.json"),
       ConfigError);
-}
-
-TEST(CellVariantConfig, RoundTripsThroughToJson) {
-  const CellVariant v = cell_variant_from_json(
-      load_json_file(kConfigsDir + "/cell-finfet-pgmcml.json"), "f.json");
-  const CellVariant again =
-      cell_variant_from_json(parse(cell_variant_to_json(v).dump()), "rt");
-  EXPECT_EQ(again.name, v.name);
-  EXPECT_EQ(again.style, v.style);
-  EXPECT_EQ(again.design.iss, v.design.iss);
-  EXPECT_EQ(again.design.vsw, v.design.vsw);
-  EXPECT_EQ(again.design.w_pair, v.design.w_pair);
-  EXPECT_EQ(again.design.gating, v.design.gating);
 }
 
 // ---------------------------------------------------------------------------
@@ -453,27 +444,6 @@ TEST(PlanConfig, RejectsBadPlans) {
                ConfigError);
 }
 
-TEST(PlanConfig, ParsesTestbenchDocuments) {
-  const TestbenchPlan tb = testbench_from_json(
-      load_json_file(kConfigsDir + "/testbench-wake.json"), "tb.json");
-  ASSERT_EQ(tb.benches.size(), 4u);
-  EXPECT_EQ(tb.benches[0].cell, mcml::CellKind::kBuf);
-  EXPECT_FALSE(tb.benches[0].options.asleep);
-  EXPECT_TRUE(tb.benches[1].options.asleep);
-  EXPECT_TRUE(tb.benches[2].options.sleep_pulse);
-  EXPECT_EQ(tb.benches[2].options.sleep_rise_time, 1e-09);
-  EXPECT_EQ(tb.benches[3].options.fanout, 4);
-
-  // sleep_rise_time without mode "wake" is a contradiction, not a default.
-  EXPECT_THROW(
-      testbench_from_json(
-          parse(R"({"pgmcml_schema": 1, "kind": "testbench", "name": "x",
-                    "benches": [{"name": "b", "cell": "BUF",
-                                 "sleep_rise_time": 1e-09}]})"),
-          "x.json"),
-      ConfigError);
-}
-
 // ---------------------------------------------------------------------------
 // Experiment documents
 
@@ -553,9 +523,9 @@ TEST(ExperimentConfig, ValidateDocumentFileAcceptsEveryCheckedInConfig) {
   for (const char* name :
        {"technology-cmos90.json", "technology-finfet7.json",
         "cell-pgmcml-x1.json", "cell-finfet-pgmcml.json", "plan-table2.json",
-        "testbench-wake.json", "experiment-table2-default.json",
-        "experiment-finfet-table2.json", "experiment-bias-sweep.json",
-        "experiment-dpa-smoke.json", "experiment-campaign-smoke.json"}) {
+        "experiment-table2-default.json", "experiment-finfet-table2.json",
+        "experiment-bias-sweep.json", "experiment-dpa-smoke.json",
+        "experiment-campaign-smoke.json"}) {
     EXPECT_NO_THROW(validate_document_file(kConfigsDir + "/" + name))
         << name;
   }

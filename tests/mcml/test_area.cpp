@@ -65,13 +65,6 @@ TEST(AreaModel, CellsWithoutCmosCounterpartReturnNullopt) {
   EXPECT_TRUE(a.cmos_area(CellKind::kBuf).has_value());
 }
 
-TEST(AreaModel, DriveScalingMonotone) {
-  AreaModel a;
-  EXPECT_DOUBLE_EQ(a.drive_scale(1.0), 1.0);
-  EXPECT_GT(a.drive_scale(4.0), a.drive_scale(2.0));
-  EXPECT_GT(a.drive_scale(2.0), 1.0);
-}
-
 TEST(AreaModel, PitchEstimateTracksLayoutData) {
   // The transistor-count heuristic should land within ~50 % of the committed
   // layout data for non-wiring-dominated cells.

@@ -46,7 +46,8 @@ TEST(Bias, GatedTailNeedsSlightlyHigherVn) {
 
 TEST(Bias, HigherIssSolvesWithHigherVn) {
   McmlDesign d50;
-  McmlDesign d100 = d50.at_iss(100e-6);
+  McmlDesign d100 = d50;
+  d100.iss = 100e-6;
   d100.w_tail *= 1.5;  // keep headroom feasible
   const BiasResult b50 = solve_bias(d50);
   const BiasResult b100 = solve_bias(d100);

@@ -224,7 +224,7 @@ TEST(ObsJson, SnapshotRoundTrips) {
 
   const Snapshot before = reg.snapshot();
   const obs::json::Value doc =
-      obs::json::Value::parse(before.to_json_string());
+      obs::json::Value::parse(before.to_json().dump());
   const Snapshot after = Snapshot::from_json(doc);
   EXPECT_EQ(before.counters, after.counters);
   EXPECT_EQ(before.histograms, after.histograms);

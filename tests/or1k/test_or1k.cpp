@@ -15,7 +15,8 @@ TEST(Assembler, ResolvesForwardAndBackwardLabels) {
   a.label("loop");
   a.addi(1, 1, -1);      // r1--
   a.bne(1, 0, "loop");   // backward
-  a.beq(0, 0, "end");    // forward
+  a.addi(3, 0, 1);       // r3 = 1
+  a.bltu(0, 3, "end");   // forward, taken
   a.addi(2, 0, 99);      // skipped
   a.label("end");
   a.halt();
@@ -28,7 +29,7 @@ TEST(Assembler, ResolvesForwardAndBackwardLabels) {
 
 TEST(Assembler, UndefinedLabelThrows) {
   Assembler a;
-  a.jump("nowhere");
+  a.bne(0, 0, "nowhere");
   EXPECT_THROW(a.build(), std::invalid_argument);
 }
 
@@ -43,7 +44,6 @@ TEST(Cpu, AluOperations) {
   a.addi(1, 0, 7);
   a.addi(2, 0, 12);
   a.add(3, 1, 2);    // 19
-  a.sub(4, 2, 1);    // 5
   a.and_(5, 1, 2);   // 4
   a.or_(6, 1, 2);    // 15
   a.xor_(7, 1, 2);   // 11
@@ -55,7 +55,6 @@ TEST(Cpu, AluOperations) {
   Cpu cpu(a.build());
   EXPECT_TRUE(cpu.run());
   EXPECT_EQ(cpu.reg(3), 19u);
-  EXPECT_EQ(cpu.reg(4), 5u);
   EXPECT_EQ(cpu.reg(5), 4u);
   EXPECT_EQ(cpu.reg(6), 15u);
   EXPECT_EQ(cpu.reg(7), 11u);
@@ -81,16 +80,12 @@ TEST(Cpu, MemoryWordAndByteAccess) {
   a.lw(3, 1, 0);
   a.lbz(4, 1, 0);   // little-endian low byte
   a.lbz(5, 1, 3);
-  a.addi(6, 0, 0x7f);
-  a.sb(1, 1, 6);
-  a.lw(7, 1, 0);
   a.halt();
   Cpu cpu(a.build());
   EXPECT_TRUE(cpu.run());
   EXPECT_EQ(cpu.reg(3), 0xdeadbeefu);
   EXPECT_EQ(cpu.reg(4), 0xefu);
   EXPECT_EQ(cpu.reg(5), 0xdeu);
-  EXPECT_EQ(cpu.reg(7), 0xdead7fefu);
 }
 
 TEST(Cpu, OutOfBoundsMemoryThrows) {
@@ -118,8 +113,9 @@ TEST(Cpu, SboxInstructionAndTracking) {
 
 TEST(Cpu, CycleBudgetStopsRunaway) {
   Assembler a;
+  a.addi(1, 0, 1);
   a.label("spin");
-  a.jump("spin");
+  a.bne(1, 0, "spin");
   Cpu cpu(a.build());
   EXPECT_FALSE(cpu.run(100));
   EXPECT_EQ(cpu.cycles(), 100u);

@@ -437,25 +437,5 @@ TEST(ServiceTcp, LoopbackTcpServesTheSameProtocol) {
   server.wait();
 }
 
-TEST(ServiceOptions, EnvKnobsApplyAndRejectLoudly) {
-  ::setenv("PGMCML_SERVICE_WORKERS", "7", 1);
-  ::setenv("PGMCML_SERVICE_QUEUE_DEPTH", "33", 1);
-  ::setenv("PGMCML_SERVICE_DEADLINE_MS", "1500", 1);
-  const ServerOptions parsed = ServerOptions::from_env();
-  EXPECT_EQ(parsed.workers, 7u);
-  EXPECT_EQ(parsed.queue_depth, 33u);
-  EXPECT_EQ(parsed.default_deadline_ms, 1500u);
-
-  // Malformed values throw at startup -- never a silent default.
-  ::setenv("PGMCML_SERVICE_WORKERS", "banana", 1);
-  EXPECT_THROW(ServerOptions::from_env(), std::runtime_error);
-  ::setenv("PGMCML_SERVICE_WORKERS", "0", 1);  // below the minimum of 1
-  EXPECT_THROW(ServerOptions::from_env(), std::runtime_error);
-
-  ::unsetenv("PGMCML_SERVICE_WORKERS");
-  ::unsetenv("PGMCML_SERVICE_QUEUE_DEPTH");
-  ::unsetenv("PGMCML_SERVICE_DEADLINE_MS");
-}
-
 }  // namespace
 }  // namespace pgmcml::service

@@ -118,9 +118,6 @@ TEST(Module, BusHelpers) {
   const auto a = m.input_bus("a", 4);
   const auto b = m.input_bus("b", 4);
   m.output_bus("x", bus_xor(m, a, b));
-  const auto k = bus_const(m, 0b1010, 4);
-  EXPECT_EQ(k[0], kLitFalse);
-  EXPECT_EQ(k[1], kLitTrue);
   const auto out = m.evaluate({true, false, true, false,   // a = 0b0101
                                true, true, false, false}); // b = 0b0011
   ASSERT_EQ(out.size(), 4u);

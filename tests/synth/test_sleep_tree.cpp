@@ -112,13 +112,6 @@ TEST(SleepTree, SboxIseScaleMatchesPaperOverhead) {
   EXPECT_LT(tree.insertion_delay, 2e-9);
 }
 
-TEST(SleepTree, WakeupCombinesTreeAndCell) {
-  const auto tree =
-      insert_sleep_tree(chain_of_buffers(100), CellLibrary::pgmcml90());
-  const double wake = block_wakeup_time(tree, 220e-12);
-  EXPECT_NEAR(wake, tree.insertion_delay + tree.skew + 220e-12, 1e-15);
-}
-
 TEST(SleepTree, SkewBoundedByLeafLoadSpread) {
   SleepTreeOptions opt;
   opt.max_fanout = 10;

@@ -98,33 +98,6 @@ TEST(Stats, HammingWeight) {
   EXPECT_EQ(hamming_weight(~0ULL), 64);
 }
 
-TEST(Stats, HammingDistance) {
-  EXPECT_EQ(hamming_distance(0x00, 0xFF), 8);
-  EXPECT_EQ(hamming_distance(0xAB, 0xAB), 0);
-  EXPECT_EQ(hamming_distance(0b1010, 0b0101), 4);
-}
-
-TEST(Histogram, BinsAndBounds) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.99);
-  h.add(10.0);   // out of range (right-open)
-  h.add(-0.01);  // out of range
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Stats, LerpInterpolatesAndHandlesDegenerate) {
   EXPECT_DOUBLE_EQ(lerp(0.0, 0.0, 1.0, 10.0, 0.5), 5.0);
   EXPECT_DOUBLE_EQ(lerp(2.0, 7.0, 2.0, 9.0, 2.0), 7.0);  // x0 == x1

@@ -26,16 +26,6 @@ TEST(Table, RowWidthMismatchThrows) {
   EXPECT_THROW(t.row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvQuotesSpecialCharacters) {
-  Table t;
-  t.header({"name", "note"});
-  t.row({"x", "has,comma"});
-  t.row({"y", "has\"quote"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(1.0, 0), "1");

@@ -90,14 +90,6 @@ TEST(Waveform, CrossingAbsentReturnsNullopt) {
   EXPECT_FALSE(w.crossing(2.0).has_value());
 }
 
-TEST(Waveform, CrossingsEnumeratesAll) {
-  const Waveform w = ramp();
-  const auto xs = w.crossings(0.5);
-  ASSERT_EQ(xs.size(), 2u);
-  EXPECT_NEAR(xs[0], 0.5, 1e-12);
-  EXPECT_NEAR(xs[1], 2.5, 1e-12);
-}
-
 TEST(Waveform, SampleUniformEndpoints) {
   const Waveform w = ramp();
   const auto s = w.sample_uniform(0.0, 3.0, 4);
@@ -121,21 +113,12 @@ TEST(Waveform, PlusAddsPointwise) {
 
 TEST(GridAccumulator, DepositAndLevel) {
   GridAccumulator acc(0.0, 0.1, 11);  // t = 0 .. 1.0
-  acc.deposit(0.5, 2.0);
   acc.add_level(0.2, 0.45, 1.0);
   const auto& v = acc.values();
-  EXPECT_DOUBLE_EQ(v[5], 2.0);
   EXPECT_DOUBLE_EQ(v[2], 1.0);
   EXPECT_DOUBLE_EQ(v[3], 1.0);
   EXPECT_DOUBLE_EQ(v[4], 1.0);
   EXPECT_DOUBLE_EQ(v[1], 0.0);
-}
-
-TEST(GridAccumulator, DepositOutOfRangeIgnored) {
-  GridAccumulator acc(0.0, 0.1, 5);
-  acc.deposit(-1.0, 1.0);
-  acc.deposit(10.0, 1.0);
-  for (double v : acc.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(GridAccumulator, KernelAddsShiftedShape) {
@@ -171,7 +154,6 @@ TEST(GridAccumulator, EmptyGridIgnoresLevelsAndKernels) {
   kernel.append(1.0, 1.0);
   acc.add_level(0.0, 1.0, 1.0);
   acc.add_kernel(0.0, kernel, 2.0);
-  acc.deposit(0.0, 1.0);
   EXPECT_TRUE(acc.values().empty());
 }
 
