@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "pgmcml/cache/key.hpp"
 #include "pgmcml/campaign/checkpoint.hpp"
 #include "pgmcml/core/dpa_flow.hpp"
 #include "pgmcml/obs/json.hpp"
@@ -359,15 +360,19 @@ class ShardMerge {
 // -------------------------------------------------------------------------
 // Workers and the lease protocol
 
-/// One message of the lease protocol, the same 16 bytes both ways: the
+/// One message of the lease protocol, the same 24 bytes both ways: the
 /// coordinator sends {kLease, restart, shard}; the worker answers {kDone,
-/// restart, shard} once that shard's final checkpoint is fsynced and
+/// restart, shard, sent} once that shard's final checkpoint is fsynced and
 /// renamed into place.  Fixed-width fields in host byte order: all a
 /// worker needs is in the frame and the shared spool.
 struct Frame {
   std::uint32_t kind = 0;
   std::int32_t restart = 0;
   std::uint64_t shard = 0;
+  /// kDone: the worker's steady-clock time at sending, in ns.  The clock is
+  /// the host's monotonic clock, shared by the forked processes, so the
+  /// coordinator's lease wait counts the time the frame sat unread.
+  std::int64_t sent_ns = 0;
 };
 enum : std::uint32_t { kLease = 1, kDone = 2 };
 
@@ -469,7 +474,13 @@ void run_lease(const CampaignOptions& o, PhaseSources& sources,
       lease = {frame.shard, frame.restart};
       hb = heartbeat_path(o, lease.shard);
       run_lease(o, sources, lease, heartbeat, config_digest);
-      if (!send_frame(fd, {kDone, lease.restart, lease.shard})) break;
+      const std::int64_t sent_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              Clock::now().time_since_epoch())
+              .count();
+      if (!send_frame(fd, {kDone, lease.restart, lease.shard, sent_ns})) {
+        break;
+      }
     }
     obs::json::save_file_atomic(worker_obs_path(o, ::getpid()),
                                 obs::Registry::global().snapshot().to_json());
@@ -503,6 +514,9 @@ struct WorkerSlot {
   std::uint64_t heartbeat = 0;
   Clock::time_point heartbeat_changed;
   bool killed_for_hang = false;
+  /// When it sent its last `done` frame, until its next lease is sent: the
+  /// start of the `campaign.lease_wait` it spends idle.
+  std::optional<Clock::time_point> done_at;
 };
 
 /// The coordinator's workers.  Whatever is still here when the coordinator
@@ -638,7 +652,7 @@ std::uint64_t campaign_config_digest(const CampaignOptions& options) {
   std::memcpy(&dt_bits, &options.dt, sizeof(dt_bits));
   std::memcpy(&noise_bits, &options.noise_sigma, sizeof(noise_bits));
   char buf[256];
-  std::snprintf(
+  const int len = std::snprintf(
       buf, sizeof(buf),
       "pgc1|%d|%zu|%zu|%u|%llu|%llx|%llx|%d|%d|%u|%d|%d|%d|%zu",
       static_cast<int>(options.style), options.num_traces, options.samples,
@@ -649,7 +663,7 @@ std::uint64_t campaign_config_digest(const CampaignOptions& options) {
       options.fixed_plaintext, options.tvla ? 1 : 0,
       options.static_power ? 1 : 0, options.mlpa ? 1 : 0,
       options.effective_shard_size());
-  return fnv1a64(buf);
+  return cache::digest_bytes(buf, static_cast<std::size_t>(len)).hi;
 }
 
 // -------------------------------------------------------------------------
@@ -693,7 +707,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   }
 
   static struct Handles {
-    obs::Counter spawned, restarts, timeouts, completed, skipped, ckpt_bytes;
+    obs::Counter spawned, restarts, timeouts, completed, skipped;
+    obs::Histogram lease_wait;
     Handles()
         : spawned(obs::Registry::global().counter(
               "campaign.workers_spawned")),
@@ -703,8 +718,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
           completed(obs::Registry::global().counter(
               "campaign.shards_completed")),
           skipped(obs::Registry::global().counter("campaign.shards_skipped")),
-          ckpt_bytes(obs::Registry::global().counter(
-              "campaign.checkpoint_bytes_read")) {}
+          lease_wait(
+              obs::Registry::global().histogram("campaign.lease_wait")) {}
   } handles;
 
   CampaignResult result;
@@ -765,16 +780,11 @@ CampaignResult run_campaign(const CampaignOptions& options) {
     return merge.next_shard() < shards && settled[merge.next_shard()];
   };
   const auto fold_frontier = [&] {
-    const std::string path = checkpoint_path(options, merge.next_shard());
     std::optional<WorkerCheckpoint> state;
     {
       obs::ScopedTimer read_span("campaign.checkpoint_read");
-      state = load_checkpoint(path, options.samples, digest);
-    }
-    if (state.has_value()) {
-      std::error_code size_ec;
-      const auto bytes = std::filesystem::file_size(path, size_ec);
-      if (!size_ec) handles.ckpt_bytes.add(bytes);
+      state = load_checkpoint(checkpoint_path(options, merge.next_shard()),
+                              options.samples, digest);
     }
     merge.fold(state ? &*state : nullptr);
   };
@@ -810,7 +820,13 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       }
       // A failed send means the worker died; the next poll reaps it and the
       // shard stays pending.
-      if (!send_frame(idle->fd, {kLease, it->restart, it->shard})) break;
+      if (!send_frame(idle->fd, {kLease, it->restart, it->shard, 0})) break;
+      if (idle->done_at) {
+        handles.lease_wait.observe(
+            std::chrono::duration<double>(Clock::now() - *idle->done_at)
+                .count());
+        idle->done_at.reset();
+      }
       idle->leased = true;
       idle->lease = {it->shard, it->restart};
       idle->heartbeat = read_heartbeat(heartbeat_path(options, it->shard));
@@ -854,6 +870,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         if (recv_frame(w.fd, frame) && frame.kind == kDone && w.leased &&
             frame.shard == w.lease.shard) {
           w.leased = false;
+          w.done_at = Clock::time_point(
+              std::chrono::duration_cast<Clock::duration>(
+                  std::chrono::nanoseconds(frame.sent_ns)));
           settle(w.lease.shard, true, w.lease.restart);
           continue;
         }

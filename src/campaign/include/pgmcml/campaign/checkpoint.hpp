@@ -11,16 +11,22 @@
 // crash at ANY instant leaves either the previous complete checkpoint or
 // the new complete checkpoint -- never a torn one.  load_checkpoint treats
 // every partial-crash artifact (missing file, zero-length or short file,
-// bad checksum, a checkpoint written under different campaign options) as a
-// clean "no checkpoint" miss, so recovery never needs a human to triage the
-// spool directory.
+// bad checksum, a checkpoint written under different campaign options, an
+// older format) as a clean "no checkpoint" miss, so recovery never needs a
+// human to triage the spool directory.
+//
+// Format "PGC3" (docs/ARCHITECTURE.md): the body, then a 16-byte
+// MurmurHash3 x64-128 checksum of it (cache::digest_bytes, seed 0, the hi
+// word first).  The hash reads 16 bytes per round, so checking a
+// checkpoint costs little more than reading it.  A "PGC1" or "PGC2" file
+// is a miss, and its shard is recomputed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <utility>
 
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/spice/solve_error.hpp"
@@ -59,12 +65,16 @@ struct WorkerCheckpoint {
   sca::BinnedMoments windows;
   spice::FlowDiagnostics diagnostics;
 
+  /// A fresh state: every statistic empty, over `samples` columns.
   explicit WorkerCheckpoint(std::size_t samples)
       : bins(samples), fixed(samples), windows(sca::kStaticWindows.size()) {}
+  /// A state around statistics already built (a loaded checkpoint's).
+  WorkerCheckpoint(sca::BinnedMoments bins, sca::Moments fixed,
+                   sca::BinnedMoments windows)
+      : bins(std::move(bins)),
+        fixed(std::move(fixed)),
+        windows(std::move(windows)) {}
 };
-
-/// FNV-1a 64-bit -- the checkpoint checksum and the campaign config digest.
-std::uint64_t fnv1a64(std::string_view data);
 
 /// Serializes `state` to `path` atomically and durably (tmp + fsync +
 /// rename).  `config_digest` stamps the campaign options the state was
@@ -72,6 +82,7 @@ std::uint64_t fnv1a64(std::string_view data);
 /// a miss instead of poisoning a resume.  `pre_publish`, when non-null, runs
 /// between the fsync of the temporary file and the rename -- the test seam
 /// for killing a worker mid-checkpoint.  Returns false on I/O failure.
+/// Counts the bytes published in `campaign.checkpoint_bytes_written`.
 bool save_checkpoint(const std::string& path, const WorkerCheckpoint& state,
                      std::uint64_t config_digest,
                      const std::function<void()>* pre_publish = nullptr);
@@ -79,7 +90,9 @@ bool save_checkpoint(const std::string& path, const WorkerCheckpoint& state,
 /// Loads and validates a checkpoint.  Returns nullopt -- a clean miss, never
 /// a throw -- on a missing/zero-length/truncated file, checksum mismatch,
 /// config-digest mismatch, an older format, or a statistic of a different
-/// sample count.
+/// sample count.  The file is read in one read of its fstat size, counted
+/// in `campaign.checkpoint_bytes_read`, and each statistic row is built
+/// once, from those bytes.
 std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
                                                 std::size_t samples,
                                                 std::uint64_t config_digest);

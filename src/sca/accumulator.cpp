@@ -248,11 +248,20 @@ Moments Moments::load(SnapshotReader& r, std::size_t samples) {
   return p;
 }
 
+std::size_t Moments::saved_size() const {
+  return 3 * sizeof(std::uint64_t) + (mean.size() + m2.size()) * sizeof(double);
+}
+
 // ---------------------------------------------------------------------------
 // BinnedMoments
 
 BinnedMoments::BinnedMoments(std::size_t samples)
     : m_(samples), bins_(256, Moments(samples)) {}
+
+BinnedMoments::BinnedMoments(std::size_t samples, std::vector<Moments> bins)
+    : m_(samples), bins_(std::move(bins)) {
+  for (const Moments& bin : bins_) n_ += bin.n;
+}
 
 void BinnedMoments::add(std::uint8_t plaintext,
                         std::span<const double> trace) {
@@ -296,12 +305,17 @@ BinnedMoments BinnedMoments::load(SnapshotReader& r) {
   if (m > r.remaining() / (256 * 2 * sizeof(double))) {
     throw std::runtime_error("BinnedMoments::load: sample count exceeds stream");
   }
-  BinnedMoments stat(static_cast<std::size_t>(m));
-  for (Moments& bin : stat.bins_) {
-    bin = Moments::load(r, stat.m_);
-    stat.n_ += bin.n;
-  }
-  return stat;
+  const auto samples = static_cast<std::size_t>(m);
+  std::vector<Moments> bins;
+  bins.reserve(256);
+  for (int p = 0; p < 256; ++p) bins.push_back(Moments::load(r, samples));
+  return BinnedMoments(samples, std::move(bins));
+}
+
+std::size_t BinnedMoments::saved_size() const {
+  std::size_t n = 4 + sizeof(std::uint64_t);
+  for (const Moments& bin : bins_) n += bin.saved_size();
+  return n;
 }
 
 // ---------------------------------------------------------------------------

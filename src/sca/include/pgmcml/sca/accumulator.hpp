@@ -71,6 +71,8 @@ struct Moments {
   /// width the caller expects; the stream must match it.
   void save(SnapshotWriter& w) const;
   static Moments load(SnapshotReader& r, std::size_t samples);
+  /// Bytes save() writes.
+  std::size_t saved_size() const;
 };
 
 /// The sufficient statistic of every first-order attack: Welford moments of
@@ -94,11 +96,18 @@ class BinnedMoments {
   Moments pooled() const;
 
   /// Bitwise state serialization under the "BMS1" tag.  load() throws
-  /// std::runtime_error on a truncated, mismatched or oversized stream.
+  /// std::runtime_error on a truncated, mismatched or oversized stream; it
+  /// builds each row once, from the stream, never a zero-filled statistic
+  /// to overwrite.
   void save(SnapshotWriter& w) const;
   static BinnedMoments load(SnapshotReader& r);
+  /// Bytes save() writes.
+  std::size_t saved_size() const;
 
  private:
+  /// Takes 256 loaded bins of `samples` columns each.
+  BinnedMoments(std::size_t samples, std::vector<Moments> bins);
+
   std::size_t m_;
   std::size_t n_ = 0;
   std::vector<Moments> bins_;

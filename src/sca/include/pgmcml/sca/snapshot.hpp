@@ -42,6 +42,10 @@ class SnapshotWriter {
     raw(s.data(), s.size());
   }
 
+  /// Sizes the buffer for `n` bytes in all, so a writer that knows its
+  /// output size allocates once instead of growing by doubling.
+  void reserve(std::size_t n) { out_.reserve(n); }
+
   const std::string& buffer() const { return out_; }
   std::string take() { return std::move(out_); }
 

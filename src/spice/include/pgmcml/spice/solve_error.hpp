@@ -76,7 +76,8 @@ struct EngineStats {
   /// Exact field-for-field JSON object (every counter, zero or not) --
   /// the round-trip representation the result cache persists.
   obs::json::Value to_json_value() const;
-  /// Inverse of to_json_value (missing fields read as 0).
+  /// Inverse of to_json_value (missing fields read as 0).  Throws on a
+  /// field no u64 holds.
   static EngineStats from_json_value(const obs::json::Value& v);
 };
 

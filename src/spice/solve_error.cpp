@@ -1,6 +1,8 @@
 #include "pgmcml/spice/solve_error.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace pgmcml::spice {
 
@@ -68,8 +70,15 @@ void FlowDiagnostics::merge(const FlowDiagnostics& other) {
 
 namespace {
 
+/// A counter field.  A value no u64 holds (negative, 2^64 or more, NaN) is
+/// a malformed document: casting it would be undefined behaviour.
 std::uint64_t u64_field(const obs::json::Value& v, std::string_view key) {
-  return static_cast<std::uint64_t>(v.number_or(key, 0.0));
+  const double x = v.number_or(key, 0.0);
+  if (!(x >= 0.0 && x < 18446744073709551616.0)) {
+    throw std::runtime_error("diagnostics: field '" + std::string(key) +
+                             "' is not a count");
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 }  // namespace

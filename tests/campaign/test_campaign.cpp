@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "pgmcml/campaign/campaign.hpp"
 #include "pgmcml/campaign/checkpoint.hpp"
@@ -123,6 +125,43 @@ void write_file(const std::string& path, std::string_view bytes) {
   std::fclose(f);
 }
 
+/// One byte range [begin, end) of a PGC3 checkpoint file.
+struct Region {
+  const char* name;
+  std::size_t begin;
+  std::size_t end;
+};
+
+/// The regions of `state`'s PGC3 file, in file order: they tile the file.
+std::vector<Region> pgc3_regions(const WorkerCheckpoint& state) {
+  // Tag, config digest, shard, phase, range, cursor, checkpoint count.
+  const std::size_t header = 4 + 8 + 8 + 4 + 8 + 8 + 8 + 8;
+  const std::size_t sizes[] = {
+      header, 8 + state.diagnostics.to_json_value().dump().size(),
+      state.bins.saved_size(), state.fixed.saved_size(),
+      state.windows.saved_size(), 16};
+  const char* names[] = {"header", "diagnostics", "bins",
+                         "fixed",  "windows",     "checksum"};
+  std::vector<Region> out;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    out.push_back({names[i], at, at + sizes[i]});
+    at += sizes[i];
+  }
+  return out;
+}
+
+/// FNV-1a 64, the checksum of the PGC1 and PGC2 formats: kept here to
+/// forge genuine files of those formats.
+std::uint64_t fnv1a64(std::string_view data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : data) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 TEST(CampaignCheckpoint, RoundTripsBitwise) {
   const std::string spool = fresh_spool("roundtrip");
   std::filesystem::create_directories(spool);
@@ -195,6 +234,16 @@ TEST(CampaignCheckpoint, EveryCrashArtifactIsACleanMiss) {
     write_file(corrupt, flipped);
     EXPECT_FALSE(load_checkpoint(corrupt, 16, 1).has_value());
   }
+  // One flipped byte in each region of the file, the checksum trailer
+  // included: every one is a miss.
+  const std::vector<Region> regions = pgc3_regions(state);
+  ASSERT_EQ(regions.back().end, bytes.size());
+  for (const Region& region : regions) {
+    std::string flipped = bytes;
+    flipped[(region.begin + region.end) / 2] ^= 0x01;
+    write_file(corrupt, flipped);
+    EXPECT_FALSE(load_checkpoint(corrupt, 16, 1).has_value()) << region.name;
+  }
   std::filesystem::remove_all(spool);
 }
 
@@ -227,31 +276,39 @@ TEST(CampaignCheckpoint, StaticAndMlpaAccumulatorsRoundTripBitwise) {
 }
 
 TEST(CampaignCheckpoint, OlderFormatIsACleanMissAndTheWorkerStartsFresh) {
-  const std::string spool = fresh_spool("pgc1");
+  const std::string spool = fresh_spool("older-format");
   CampaignOptions o = small_options(spool);
   const std::uint64_t digest = campaign_config_digest(o);
   std::filesystem::create_directories(spool);
 
-  // A "PGC1" checkpoint with a valid checksum over its body, published as
-  // shard 0's durable state and claiming the shard is done.
-  WorkerCheckpoint done(o.samples);
-  done.phase = kPhaseDone;
-  done.range_hi = o.shard_hi(0);
-  done.next_index = done.range_hi;
-  const std::string path = spool + "/shard-0.ckpt";
-  ASSERT_TRUE(save_checkpoint(path, done, digest));
-  ASSERT_TRUE(load_checkpoint(path, o.samples, digest).has_value());
-  std::string bytes = read_file(path);
-  ASSERT_EQ(bytes.substr(0, 4), "PGC2");
-  bytes.replace(0, 4, "PGC1");
-  const std::string body = bytes.substr(0, bytes.size() - sizeof(std::uint64_t));
-  const std::uint64_t checksum = fnv1a64(body);
-  write_file(path, body + std::string(reinterpret_cast<const char*>(&checksum),
-                                      sizeof(checksum)));
-  EXPECT_FALSE(load_checkpoint(path, o.samples, digest).has_value());
+  // PGC2 and PGC1 files -- their tag, the body layout they share with
+  // PGC3, and the FNV-1a 64 trailer they carried -- published as shards 0
+  // and 1's durable states, each claiming its shard is done.  They carry
+  // the current config digest, so only the format tells them from PGC3.
+  for (const std::uint64_t shard : {0, 1}) {
+    WorkerCheckpoint done(o.samples);
+    done.shard = shard;
+    done.phase = kPhaseDone;
+    done.range_lo = o.shard_lo(shard);
+    done.range_hi = o.shard_hi(shard);
+    done.next_index = done.range_hi;
+    const std::string path = spool + "/shard-" + std::to_string(shard) +
+                             ".ckpt";
+    ASSERT_TRUE(save_checkpoint(path, done, digest));
+    ASSERT_TRUE(load_checkpoint(path, o.samples, digest).has_value());
+    std::string body = read_file(path);
+    ASSERT_EQ(body.substr(0, 4), "PGC3");
+    body.resize(body.size() - 16);  // the PGC3 trailer
+    body.replace(0, 4, shard == 0 ? "PGC2" : "PGC1");
+    const std::uint64_t checksum = fnv1a64(body);
+    body.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    write_file(path, body);
+    EXPECT_FALSE(load_checkpoint(path, o.samples, digest).has_value())
+        << body.substr(0, 4);
+  }
 
-  // The worker ignores it and streams shard 0 from scratch: the campaign
-  // matches the serial reference, with shard 0 fully accumulated.
+  // The workers ignore both and stream shards 0 and 1 from scratch: the
+  // campaign matches the serial reference, every shard fully accumulated.
   const CampaignResult distributed = run_campaign(o);
   EXPECT_EQ(distributed.restarts, 0u);
   EXPECT_EQ(distributed.traces_accumulated, o.num_traces);
@@ -318,6 +375,14 @@ TEST(Campaign, CleanRunForksOncePerWorkerAndReadsEachCheckpointOnce) {
                                               std::to_string(s) + ".ckpt");
   }
   EXPECT_EQ(delta("campaign.checkpoint_bytes_read"), spool_bytes);
+  EXPECT_GE(delta("campaign.checkpoint_bytes_written"), spool_bytes);
+  // Every lease after a worker's first follows a `done`: 4 shards over 3
+  // workers make one lease wait.
+  const auto waits = [](const obs::Snapshot& snap) -> std::uint64_t {
+    const auto it = snap.histograms.find("campaign.lease_wait");
+    return it == snap.histograms.end() ? 0 : it->second.count;
+  };
+  EXPECT_EQ(waits(after) - waits(before), o.shard_count() - o.num_workers);
   // The workers' snapshots came home: the merged registry counts every
   // trace of every phase, and no snapshot file is left behind.
   EXPECT_EQ(delta("core.acquisition.traces"), o.num_traces * 2);  // + TVLA

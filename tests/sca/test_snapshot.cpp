@@ -91,9 +91,10 @@ void feed(BinnedMoments& stat, const TraceSet& ts, std::size_t lo,
 }
 
 /// Saves `stat`, loads it back (the whole stream must be consumed), and
-/// checks the loaded state is byte-identical.
+/// checks the loaded state is byte-identical and saved_size() exact.
 BinnedMoments round_trip(const BinnedMoments& stat) {
   const std::string bytes = serialized(stat);
+  EXPECT_EQ(stat.saved_size(), bytes.size());
   SnapshotReader r(bytes);
   BinnedMoments loaded = BinnedMoments::load(r);
   EXPECT_TRUE(r.exhausted());
@@ -132,6 +133,8 @@ TEST(Snapshot, DpaAndTvlaResumeBitwise) {
   SnapshotWriter w;
   bins.save(w);
   for (const Moments& c : tvla) c.save(w);
+  EXPECT_EQ(bins.saved_size() + tvla[0].saved_size() + tvla[1].saved_size(),
+            w.buffer().size());
   SnapshotReader r(w.buffer());
   BinnedMoments bins2 = BinnedMoments::load(r);
   std::vector<Moments> tvla2;
